@@ -5,7 +5,6 @@ Usage:
   vpshell verify-el  --n N --s S [--sabotage NAME]
   vpshell count      --n N --s S [--method M] [-o PATH]
   vpshell sequence   --s S --max-n N [-o PATH]
-  vpshell export-dot --n N --s S [--labels] [-o PATH]
 
 Exit codes: 0 success, 1 verification failure, 2 oracle mismatch,
 3 budget exceeded, 4 bad input.  Enumeration budgets default to 10^6
@@ -16,6 +15,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -107,10 +107,6 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("sequence", help="totals for n = 1..max-n, recursion only")
     common(q, with_n=False)
     q.add_argument("--max-n", type=int, required=True)
-
-    d = sub.add_parser("export-dot", help="Hasse diagram as GraphViz DOT")
-    common(d)
-    d.add_argument("--labels", action="store_true")
     return parser
 
 
@@ -208,24 +204,36 @@ def _cmd_sequence(cfg: RunConfig) -> int:
     return code
 
 
-def _cmd_export_dot(cfg: RunConfig) -> int:
-    return _cmd_build(RunConfig(**{**cfg.__dict__, "fmt": "dot"}))
-
-
 _COMMANDS = {
     "build": _cmd_build,
     "verify-el": _cmd_verify_el,
     "count": _cmd_count,
     "sequence": _cmd_sequence,
-    "export-dot": _cmd_export_dot,
 }
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's limit on int-to-str digits (4,300 by default
+    since Python 3.10.7): counts outgrow it.  Arguments are parsed before
+    this, under the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _config(args)
-        return _COMMANDS[cfg.command](cfg)
+        with _unlimited_int_digits():
+            return _COMMANDS[cfg.command](cfg)
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -125,12 +125,8 @@ def betti(c: SimplicialComplex, d: int) -> int:
     """Reduced Betti number over GF(2) in dimension d >= 0."""
     if d < 0:
         raise ValueError("betti is defined here for dimensions >= 0")
-    if c.is_empty or d > c.dim:
-        return 0
-    ranks = _boundary_ranks(c)
-    f_d = len(c.faces_by_dim[d])
-    r_up = ranks[d + 1] if d + 1 <= c.dim else 0
-    return f_d - ranks[d] - r_up
+    bettis = reduced_betti_numbers(c)
+    return bettis[d] if d < len(bettis) else 0
 
 
 def reduced_betti_numbers(c: SimplicialComplex) -> tuple:

@@ -17,8 +17,6 @@ precedes the word of every other maximal chain of the interval.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .errors import EqualWords, NotACover, NotSaturated
@@ -253,19 +251,6 @@ def lex_shelling_order(p: Poset, labels=cover_label) -> list:
     if p.height < 2:
         return []
     return [frozenset(c[1:-1]) for _, c in sorted_labeled_chains(p, labels)]
-
-
-def chain_audit_csv(p: Poset, labels=cover_label) -> str:
-    """CSV audit table of every maximal chain: elements, label word, and
-    the two monotonicity flags."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["chain", "label_word", "increasing", "weakly_decreasing"])
-    for word, c in sorted_labeled_chains(p, labels):
-        w.writerow([" < ".join(str(p.elements[i]) for i in c),
-                    "".join(str(t) for t in word),
-                    is_increasing(word), is_weakly_decreasing(word)])
-    return buf.getvalue()
 
 
 # ── deliberate defects, for exercising the verifiers ─────────────────────

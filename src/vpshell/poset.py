@@ -89,20 +89,7 @@ class Poset:
 
     def interval(self, x: int, y: int) -> list[int]:
         """Sorted indices of [x, y].  Empty when x is not below y."""
-        mask = self._above[x] & self._below[y]
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return out
-
-    def proper_elements(self) -> list[int]:
-        """All indices except bottom and top."""
-        skip = {self.bottom, self.top}
-        return [i for i in range(len(self.elements)) if i not in skip]
+        return _mask_indices(self._above[x] & self._below[y])
 
 
 def build_poset(elements, covers) -> Poset:

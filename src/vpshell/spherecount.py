@@ -1,4 +1,4 @@
-"""Counting the spheres in the wedge: decreasing chains four ways.
+"""Counting the spheres in the wedge: decreasing chains five ways.
 
 The proper part of the labeled-partition poset is homotopy equivalent to
 a wedge of (n-2)-spheres, one per maximal chain whose label word is
@@ -10,15 +10,14 @@ weakly decreasing.  This module counts those chains by
   rules (no poset required);
 * an exact integer recursion over (n, top label index);
 * the Mobius function of the bounded poset (|mu| with sign (-1)^n);
-* reduced GF(2) homology / Euler characteristic of the proper part.
+* reduced GF(2) homology of the proper part;
+* the reduced Euler characteristic of the proper part.
 
 For a single labeling the total equals the number of non-ambiguous
 binary trees on n-1 nodes, computed here by its own convolution.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -27,8 +26,9 @@ from math import comb
 from .complexes import betti, order_complex, reduced_euler_characteristic
 from .errors import (IncompatibleData, InvalidIndex, NotDecreasing,
                      NotSaturated, OracleMismatch, ResourceLimit)
-from .labeling import chain_label, cover_label, is_weakly_decreasing
-from .poset import maximal_chains, mobius
+from .labeling import (chain_label, cover_label, edge_label_map,
+                       is_weakly_decreasing)
+from .poset import Poset, maximal_chains, mobius
 from .vecpart import (VectorPartition, bottom_element, is_cover,
                       maximal_chain_count, top_element,
                       vector_partition_poset)
@@ -38,20 +38,17 @@ Chain = tuple  # (bottom, C_1, ..., C_n), VectorPartition entries
 
 # ── enumeration, route one: filter the built poset ──────────────────────
 
-def _filtered_decreasing(n: int, s: int,
-                         max_elements: int | None = None,
-                         max_chains: int | None = None) -> list[Chain]:
+def _check_chain_budget(n: int, s: int, max_chains: int | None) -> None:
     total = maximal_chain_count(n, s)
     if max_chains is not None and total > max_chains:
         raise ResourceLimit(
             f"poset has {total} maximal chains, budget is {max_chains}")
-    p = vector_partition_poset(n, s, max_elements=max_elements)
-    out = []
-    for c in maximal_chains(p):
-        elems = tuple(p.elements[i] for i in c)
-        if is_weakly_decreasing(chain_label(elems)):
-            out.append(elems)
-    return out
+
+
+def _filtered_decreasing(p: Poset) -> list[Chain]:
+    lab = edge_label_map(p, cover_label)
+    return [tuple(p.elements[i] for i in c) for c in maximal_chains(p)
+            if is_weakly_decreasing([lab[e] for e in zip(c, c[1:])])]
 
 
 # ── enumeration, route two: structural top-down generation ──────────────
@@ -131,20 +128,25 @@ def _split_block(cur: VectorPartition, bi: int, left_block, left_labs,
 
 def decreasing_chains(n: int, s: int, method: str = "both",
                       max_elements: int | None = None,
-                      max_chains: int | None = None) -> list[Chain]:
+                      max_chains: int | None = None,
+                      poset: Poset | None = None) -> list[Chain]:
     """All decreasing maximal chains, canonically sorted.
 
     method "filter" walks the built poset, "generate" grows chains
     structurally without a poset, "both" runs the two and raises
-    OracleMismatch unless they agree element for element.
+    OracleMismatch unless they agree element for element.  The filter
+    route walks `poset`, which must be vector_partition_poset(n, s), and
+    builds that poset itself when none is given.
     """
     if method not in ("both", "filter", "generate"):
         raise ValueError(f"unknown method {method!r}")
     key = lambda c: tuple(v.sort_key for v in c)
     results = {}
     if method in ("both", "filter"):
-        results["filter"] = sorted(
-            _filtered_decreasing(n, s, max_elements, max_chains), key=key)
+        _check_chain_budget(n, s, max_chains)
+        if poset is None:
+            poset = vector_partition_poset(n, s, max_elements=max_elements)
+        results["filter"] = sorted(_filtered_decreasing(poset), key=key)
     if method in ("both", "generate"):
         results["generate"] = sorted(
             _generated_decreasing(n, s, max_chains), key=key)
@@ -197,6 +199,8 @@ def count_total(n: int, s: int) -> int:
         raise InvalidIndex("n must be at least 1")
     if n == 1:
         return 1
+    for m in range(2, n):  # bottom-up, so a cold call does not nest n deep
+        count_total(m, s)
     return sum(count_by_recursion(n, s, i) for i in range(1, s + 1))
 
 
@@ -212,33 +216,6 @@ def nonambiguous_tree_count(m: int) -> int:
     return sum(comb(m, i) * comb(m, prev - i)
                * nonambiguous_tree_count(i) * nonambiguous_tree_count(prev - i)
                for i in range(prev + 1))
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts by (n, s, top index) with per-(n, s) aggregates."""
-
-    entries: dict
-    totals: dict
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "s", "i", "count"])
-        for (n, s, i), v in sorted(self.entries.items()):
-            w.writerow([n, s, i, v])
-        return buf.getvalue()
-
-
-def count_table(max_n: int, s: int) -> CountTable:
-    entries = {}
-    totals = {}
-    for n in range(1, max_n + 1):
-        totals[(n, s)] = count_total(n, s)
-        if n >= 2:
-            for i in range(1, s + 1):
-                entries[(n, s, i)] = count_by_recursion(n, s, i)
-    return CountTable(entries=entries, totals=totals)
 
 
 # ── decomposition of a decreasing chain ──────────────────────────────────
@@ -417,7 +394,7 @@ def _check_side(chain: Chain, m: int, s: int, name: str) -> None:
         raise IncompatibleData(f"{name} chain is not decreasing")
 
 
-# ── the four-way certificate ─────────────────────────────────────────────
+# ── the five-way certificate ─────────────────────────────────────────────
 
 METHODS = ("enumerate", "recursion", "mobius", "homology", "euler")
 
@@ -430,39 +407,36 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     Homology and Euler-characteristic entries are null when the proper
     part is empty (n = 1); match is taken over the remaining values.
     The mobius entry reports |mu(bottom, top)|; the signed value rides
-    along under "signed_mobius".
+    along under "signed_mobius".  Every method that needs the poset reads
+    one build of it, and homology and Euler read one order complex.
     """
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown method {unknown[0]!r}")
+    if "enumerate" in methods:
+        _check_chain_budget(n, s, max_chains)
+    p = (vector_partition_poset(n, s, max_elements=max_elements)
+         if any(m != "recursion" for m in methods) else None)
     values: dict[str, int | None] = {}
-    p = None
-
-    def poset():
-        nonlocal p
-        if p is None:
-            p = vector_partition_poset(n, s, max_elements=max_elements)
-        return p
-
     info: dict = {}
-    for m in methods:
-        if m == "enumerate":
-            values[m] = len(decreasing_chains(
-                n, s, max_elements=max_elements, max_chains=max_chains))
-        elif m == "recursion":
-            values[m] = count_total(n, s)
-        elif m == "mobius":
-            q = poset()
-            mu = mobius(q, q.bottom, q.top)
-            info["signed_mobius"] = mu
-            values[m] = abs(mu)
-        elif m == "homology":
-            q = poset()
-            values[m] = (betti(order_complex(q), n - 2)
-                         if q.height >= 2 else None)
-        elif m == "euler":
-            q = poset()
-            values[m] = (abs(reduced_euler_characteristic(order_complex(q)))
-                         if q.height >= 2 else None)
-        else:
-            raise ValueError(f"unknown method {m!r}")
+    if "enumerate" in methods:
+        values["enumerate"] = len(decreasing_chains(
+            n, s, max_chains=max_chains, poset=p))
+    if "recursion" in methods:
+        values["recursion"] = count_total(n, s)
+    if "mobius" in methods:
+        mu = mobius(p, p.bottom, p.top)
+        info["signed_mobius"] = mu
+        values["mobius"] = abs(mu)
+    if "homology" in methods or "euler" in methods:
+        # built after enumeration has returned, so the complex and the
+        # enumerated chains are never in memory together
+        c = order_complex(p)
+        if "homology" in methods:
+            values["homology"] = None if c.is_empty else betti(c, n - 2)
+        if "euler" in methods:
+            values["euler"] = (None if c.is_empty
+                               else abs(reduced_euler_characteristic(c)))
     present = [v for v in values.values() if v is not None]
     return {"n": n, "s": s, "methods": values,
             "match": len(set(present)) == 1, **info}

@@ -1,8 +1,12 @@
 """Command line interface: exit codes, determinism, output formats."""
+import hashlib
 import json
+import sys
+import time
 
 import pytest
 
+from vpshell import count_by_recursion, count_total
 from vpshell.cli import main
 
 
@@ -99,8 +103,8 @@ def test_build_json(capsys):
 
 
 def test_build_labeled_dot(capsys):
-    code, out, _ = run(capsys, "export-dot", "--n", "2", "--s", "1",
-                       "--labels")
+    code, out, _ = run(capsys, "build", "--n", "2", "--s", "1",
+                       "--format", "dot", "--labels")
     assert code == 0
     assert out.startswith("digraph")
     assert "label=" in out
@@ -120,3 +124,113 @@ def test_build_respects_element_budget(capsys):
                        "--max-elements", "10")
     assert code == 3
     assert "budget" in err
+
+
+def test_element_budget_is_checked_before_enumerating(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "count", "--n", "80", "--s", "1",
+                       "--method", "mobius")
+    assert code == 3
+    assert "elements, budget is" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_recursion_reaches_large_n(capsys):
+    count_by_recursion.cache_clear()
+    count_total.cache_clear()
+    code, out, err = run(capsys, "count", "--n", "250", "--s", "1",
+                         "--method", "recursion")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["methods"]["recursion"] == count_total(250, 1)
+
+
+def test_sequence_prints_past_the_int_digit_limit(capsys):
+    # the last rows have 1,045 digits, above the lowered limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "sequence", "--s", "3", "--max-n", "150")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    last = out.strip().split("\n")[-1]
+    assert last == "150,3," + str(count_total(150, 3))
+    assert len(last) > 1000
+
+
+def _golden_jobs(n, s):
+    ns = ("--n", str(n), "--s", str(s))
+    yield ("build",) + ns
+    yield ("build",) + ns + ("--labels",)
+    yield ("build",) + ns + ("--format", "dot")
+    yield ("build",) + ns + ("--format", "dot", "--labels")
+    yield ("verify-el",) + ns
+    for sabotage in ("swap-bottom-labels", "min-merge-label",
+                     "drop-tie-break"):
+        yield ("verify-el",) + ns + ("--sabotage", sabotage)
+    for method in ("all", "enumerate", "recursion", "mobius", "homology",
+                   "euler"):
+        yield ("count",) + ns + ("--method", method)
+    yield ("sequence", "--s", str(s), "--max-n", str(n))
+
+
+# invocation -> (exit code, first 16 hex digits of the SHA-256 of stdout),
+# recorded before the certificate shared one poset among its routes
+GOLDEN = {
+    "build --n 2 --s 1": (0, "7faa5969d334e26b"),
+    "build --n 2 --s 1 --labels": (0, "96020b31b4c18157"),
+    "build --n 2 --s 1 --format dot": (0, "5a36c980b59f069f"),
+    "build --n 2 --s 1 --format dot --labels": (0, "080b842f6725d375"),
+    "verify-el --n 2 --s 1": (0, "00701f76f04ba28c"),
+    "verify-el --n 2 --s 1 --sabotage swap-bottom-labels": (1, "811d7fdfe383ef14"),
+    "verify-el --n 2 --s 1 --sabotage min-merge-label": (0, "2871936ee0ab4ab9"),
+    "verify-el --n 2 --s 1 --sabotage drop-tie-break": (0, "03fa0be00fd0e343"),
+    "count --n 2 --s 1 --method all": (0, "20f601e20d64ad37"),
+    "count --n 2 --s 1 --method enumerate": (0, "a2d0b91373ae267a"),
+    "count --n 2 --s 1 --method recursion": (0, "5a3eb4764bc64593"),
+    "count --n 2 --s 1 --method mobius": (0, "2990a9fa6c8bebcd"),
+    "count --n 2 --s 1 --method homology": (0, "ecf87d3119a0af33"),
+    "count --n 2 --s 1 --method euler": (0, "54f6959128e82ede"),
+    "sequence --s 1 --max-n 2": (0, "68498560fc99a02f"),
+    "build --n 3 --s 1": (0, "8c40fe40c660c9d1"),
+    "build --n 3 --s 1 --labels": (0, "b5dafc8ba188c3f4"),
+    "build --n 3 --s 1 --format dot": (0, "b4e3de7ae7a650e9"),
+    "build --n 3 --s 1 --format dot --labels": (0, "6996692c86be4b83"),
+    "verify-el --n 3 --s 1": (0, "00701f76f04ba28c"),
+    "verify-el --n 3 --s 1 --sabotage swap-bottom-labels": (1, "300a6c552040e75f"),
+    "verify-el --n 3 --s 1 --sabotage min-merge-label": (1, "02e52103ad1d5725"),
+    "verify-el --n 3 --s 1 --sabotage drop-tie-break": (1, "126d46d9aaf281b9"),
+    "count --n 3 --s 1 --method all": (0, "47bc62e8cd47c983"),
+    "count --n 3 --s 1 --method enumerate": (0, "e93d01c8698ebfd1"),
+    "count --n 3 --s 1 --method recursion": (0, "22ec696d21fb143c"),
+    "count --n 3 --s 1 --method mobius": (0, "351f9e63326ef0dc"),
+    "count --n 3 --s 1 --method homology": (0, "40d75815181eeba3"),
+    "count --n 3 --s 1 --method euler": (0, "643a36bdd6b2e39e"),
+    "sequence --s 1 --max-n 3": (0, "8342fbc09fd056c9"),
+    "build --n 2 --s 2": (0, "fdb7e9d346a995db"),
+    "build --n 2 --s 2 --labels": (0, "b759fca9bf9bdd2e"),
+    "build --n 2 --s 2 --format dot": (0, "fd8acb485d8479ac"),
+    "build --n 2 --s 2 --format dot --labels": (0, "2e6306a28c91e961"),
+    "verify-el --n 2 --s 2": (0, "00701f76f04ba28c"),
+    "verify-el --n 2 --s 2 --sabotage swap-bottom-labels": (1, "7253e1a47ce02ff6"),
+    "verify-el --n 2 --s 2 --sabotage min-merge-label": (0, "2871936ee0ab4ab9"),
+    "verify-el --n 2 --s 2 --sabotage drop-tie-break": (0, "03fa0be00fd0e343"),
+    "count --n 2 --s 2 --method all": (0, "4a90ddf825dec0e2"),
+    "count --n 2 --s 2 --method enumerate": (0, "5013b73d18c8bb8f"),
+    "count --n 2 --s 2 --method recursion": (0, "ed3364f95ca64e3f"),
+    "count --n 2 --s 2 --method mobius": (0, "30d248776dfd4f66"),
+    "count --n 2 --s 2 --method homology": (0, "052c1353f80e8fdd"),
+    "count --n 2 --s 2 --method euler": (0, "8be4942b7bf4ff86"),
+    "sequence --s 2 --max-n 2": (0, "a6b2bf671d34de7d"),
+}
+
+
+def test_golden_output_digests(capsys):
+    got = {}
+    for n, s in ((2, 1), (3, 1), (2, 2)):
+        for argv in _golden_jobs(n, s):
+            code, out, _ = run(capsys, *argv)
+            got[" ".join(argv)] = (
+                code, hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert got == GOLDEN

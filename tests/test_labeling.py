@@ -9,7 +9,6 @@ from vpshell import (
     bottom_element,
     build_poset,
     canonicalize,
-    chain_audit_csv,
     chain_label,
     cover_label,
     edge_label_map,
@@ -208,13 +207,6 @@ def test_lex_shelling_order_p42(p4s1):
     rep = verify_shelling(order_complex(p4s1), order)
     assert rep.valid
     assert len(rep.homology_facets) == 33
-
-
-def test_chain_audit_csv(p2s1):
-    text = chain_audit_csv(p2s1)
-    lines = text.strip().split("\n")
-    assert lines[0] == "chain,label_word,increasing,weakly_decreasing"
-    assert len(lines) == 1 + 2  # two maximal chains in the 2-element case
 
 
 def test_sabotages_are_detected(p3s1):

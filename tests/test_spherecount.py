@@ -11,7 +11,6 @@ from vpshell import (
     canonicalize,
     chain_label,
     count_by_recursion,
-    count_table,
     count_total,
     decompose_chain,
     decreasing_chains,
@@ -103,14 +102,6 @@ def test_larger_cross_check():
     assert len(decreasing_chains(4, 2)) == 1899
 
 
-def test_count_table_csv():
-    t = count_table(4, 1)
-    lines = t.to_csv().strip().split("\n")
-    assert lines[0] == "n,s,i,count"
-    assert t.totals[(3, 1)] == 4
-    assert t.totals[(4, 1)] == 33
-
-
 def test_certificate_structure():
     cert = sphere_count_certificate(3, 1)
     assert cert["match"]
@@ -120,6 +111,21 @@ def test_certificate_structure():
     assert cert["methods"]["homology"] == 4
     assert cert["methods"]["euler"] == 4
     assert cert["signed_mobius"] == -4
+
+
+def test_certificate_builds_poset_and_complex_once(monkeypatch):
+    from vpshell import spherecount
+    calls = {"vector_partition_poset": 0, "order_complex": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(spherecount, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(spherecount, name, counted)
+    assert sphere_count_certificate(3, 2)["match"]
+    assert calls == {"vector_partition_poset": 1, "order_complex": 1}
+    assert sphere_count_certificate(3, 2, methods=("recursion",))["match"]
+    assert calls == {"vector_partition_poset": 1, "order_complex": 1}
 
 
 def test_certificate_degenerate_case():
