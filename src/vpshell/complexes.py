@@ -55,13 +55,17 @@ def simplicial_complex(facets) -> SimplicialComplex:
     """Build a complex from an iterable of vertex iterables.
 
     Deduplicates, orders facets canonically, and rejects a facet contained
-    in another.
+    in another.  The pairwise containment scan, O(F^2) in the number of
+    facets, runs only when the facets differ in size: distinct facets of
+    one size cannot contain one another, so for the equal-sized maximal
+    chains of a graded poset the check is skipped, not weakened.
     """
     sets = sorted({frozenset(f) for f in facets}, key=lambda f: tuple(sorted(f)))
-    for a in sets:
-        for b in sets:
-            if a < b:
-                raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
+    if len({len(f) for f in sets}) > 1:
+        for a in sets:
+            for b in sets:
+                if a < b:
+                    raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
     verts = frozenset().union(*sets) if sets else frozenset()
     return SimplicialComplex(facets=tuple(sets), vertices=verts)
 
@@ -166,6 +170,17 @@ def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
     with the union of the earlier facets must be pure of dimension
     |F_i| - 2; when |F_i| = 1 that intersection is the empty face alone,
     treated as vacuously pure.  Failures are reported, never raised.
+
+    The test uses restriction faces (Bjorner, "Shellable and
+    Cohen-Macaulay partially ordered sets", Trans. AMS 1980; Bjorner and
+    Wachs, "On lexicographically shellable posets", Trans. AMS 1983).
+    One pass over the order maps every face of every facet, the empty
+    face included, to the position of the first facet containing it.
+    The restriction face R(F_i) is the set of vertices v with F_i - v in
+    an earlier facet.  The order is a shelling exactly when no earlier
+    facet contains R(F_i), and F_i is a homology facet exactly when
+    R(F_i) = F_i.  The cost is one dictionary entry per face of every
+    facet, sum of 2^|F|, instead of F^2 facet intersections.
     """
     given = [frozenset(f) for f in order]
     known = set(c.facets)
@@ -182,20 +197,24 @@ def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
         return ShellingReport(False, None, (),
                               "order does not list every facet")
 
+    # faces are keyed as sorted tuples: smaller than frozensets
+    facets = [tuple(sorted(f)) for f in given]
+    first: dict[tuple, int] = {}
+    for i, fi in enumerate(facets):
+        for k in range(len(fi) + 1):
+            for face in combinations(fi, k):
+                first.setdefault(face, i)
+
     homology: list[int] = []
-    for i in range(1, len(given)):
-        fi = given[i]
-        inters = {fi & given[j] for j in range(i)}
-        maximal = [a for a in inters if not any(a < b for b in inters)]
-        if len(fi) == 1:
-            ok = maximal == [frozenset()]
-        else:
-            ok = all(len(a) == len(fi) - 1 for a in maximal)
-        if not ok:
+    for i in range(1, len(facets)):
+        fi = facets[i]
+        restriction = tuple(v for t, v in enumerate(fi)
+                            if first[fi[:t] + fi[t + 1:]] < i)
+        if first[restriction] < i:
             return ShellingReport(
                 False, i, (),
                 f"intersection with earlier facets is not pure of "
                 f"codimension 1 at position {i}")
-        if all(any(fi - {v} <= given[j] for j in range(i)) for v in fi):
+        if len(restriction) == len(fi):
             homology.append(i)
     return ShellingReport(True, None, tuple(homology), None)

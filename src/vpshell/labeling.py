@@ -129,10 +129,9 @@ def verify_el(p: Poset, labels=cover_label) -> ELReport:
     (x, y) in ascending index order, is reported.
     """
     lab = edge_label_map(p, labels)
-    n = len(p.elements)
-    for x in range(n):
-        for y in range(n):
-            if x == y or not p.leq(x, y):
+    for x in range(len(p.elements)):
+        for y in p.up_set(x):
+            if y == x:
                 continue
             words = []
             for c in maximal_chains(p, x, y):

@@ -11,7 +11,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CycleDetected, NotBounded, NotComparable, NotGraded
+from .errors import (CycleDetected, MalformedDocument, NotBounded,
+                     NotComparable, NotGraded)
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,10 @@ class Poset:
     @property
     def height(self) -> int:
         return self.ranks[self.top]
+
+    def up_set(self, x: int) -> list[int]:
+        """Sorted indices of the elements above x, x included."""
+        return _mask_indices(self._above[x])
 
     def interval(self, x: int, y: int) -> list[int]:
         """Sorted indices of [x, y].  Empty when x is not below y."""
@@ -199,7 +204,7 @@ def mobius(p: Poset, x: int, y: int) -> int:
         raise NotComparable(f"{x} is not below {y}")
     cache = p._mobius_cache
     if x not in cache:
-        zs = sorted(_mask_indices(p._above[x]), key=lambda z: p.ranks[z])
+        zs = sorted(p.up_set(x), key=lambda z: p.ranks[z])
         mu: dict[int, int] = {}
         for z in zs:
             if z == x:
@@ -212,13 +217,12 @@ def mobius(p: Poset, x: int, y: int) -> int:
 
 
 def _mask_indices(mask: int) -> list[int]:
+    """Ascending positions of the set bits, one step per set bit."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -248,20 +252,31 @@ def poset_from_json(text: str) -> Poset:
     """Rebuild (and re-validate) a poset from poset_to_json output.
 
     Element keys come back as strings.  Labeled covers are accepted;
-    their labels are ignored here.
+    their labels are ignored here.  A cover index that is not an integer
+    in range(len(elements)), or a declared bottom or top that the covers
+    contradict, raises MalformedDocument.
     """
     doc = json.loads(text)
     elements = list(doc["elements"])
+
+    def key(i):
+        if type(i) is not int or not 0 <= i < len(elements):
+            raise MalformedDocument(
+                f"cover index {i!r} is not an element index "
+                f"0..{len(elements) - 1}")
+        return elements[i]
+
     covers = []
     for c in doc["covers"]:
         if isinstance(c, dict):
             lo, hi = c["lo"], c["hi"]
         else:
             lo, hi = c
-        covers.append((elements[lo], elements[hi]))
+        covers.append((key(lo), key(hi)))
     p = build_poset(elements, covers)
     if p.bottom != doc["bottom"] or p.top != doc["top"]:
-        raise ValueError("declared bottom/top disagree with cover relation")
+        raise MalformedDocument(
+            "declared bottom/top disagree with cover relation")
     return p
 
 

@@ -212,10 +212,15 @@ def nonambiguous_tree_count(m: int) -> int:
         raise InvalidIndex("m must be non-negative")
     if m == 0:
         return 1
-    prev = m - 1
-    return sum(comb(m, i) * comb(m, prev - i)
-               * nonambiguous_tree_count(i) * nonambiguous_tree_count(prev - i)
-               for i in range(prev + 1))
+    for k in range(1, m):  # bottom-up, so a cold call does not nest m deep
+        nonambiguous_tree_count(k)
+    total = 0
+    for i in range((m + 1) // 2):  # the terms (i, j) and (j, i) are equal
+        j = m - 1 - i
+        term = (comb(m, i) * comb(m, j)
+                * nonambiguous_tree_count(i) * nonambiguous_tree_count(j))
+        total += term if i == j else 2 * term
+    return total
 
 
 # ── decomposition of a decreasing chain ──────────────────────────────────

@@ -20,7 +20,8 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from .errors import (BottomHasNoAtom, DimensionMismatch, InvalidPartition,
-                     MalformedWord, ResourceLimit, SizeMismatch)
+                     MalformedDocument, MalformedWord, ResourceLimit,
+                     SizeMismatch)
 from .poset import Poset, build_poset
 
 
@@ -172,9 +173,16 @@ def element_from_json(text: str) -> VectorPartition:
         n = sum(1 for grp in _SET_RE.findall(parts[0])
                 for x in grp.split(",") if x)
         return parse_element(stripped, n, len(parts) - 1)
-    if not doc.get("blocks") and not doc.get("labels"):
+    if not isinstance(doc, dict):
+        raise MalformedDocument(
+            f"an element is a JSON object or a canonical string, "
+            f"not {type(doc).__name__}")
+    if "n" not in doc or "s" not in doc:
+        raise MalformedDocument("an element object needs the keys n and s")
+    blocks, labels = doc.get("blocks", []), doc.get("labels", [])
+    if not blocks and not labels:
         return bottom_element(doc["n"], doc["s"])
-    return canonicalize(doc["n"], doc["s"], doc["blocks"], doc["labels"])
+    return canonicalize(doc["n"], doc["s"], blocks, labels)
 
 
 # ── order relation ───────────────────────────────────────────────────────

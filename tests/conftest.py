@@ -3,14 +3,14 @@
 The oracles recompute quantities the library also computes, by methods
 deliberately unlike the library's: maximal chains by powerset filtering,
 the Mobius function by alternating chain counts, atom ranks by sorting
-the full list of words.  They are slow and only fit tiny inputs, which
-is the point.
+the full list of words, shellings by intersecting every pair of facets.
+They are slow and only fit tiny inputs, which is the point.
 """
 from itertools import combinations, permutations
 
 import pytest
 
-from vpshell import vector_partition_poset
+from vpshell import ShellingReport, vector_partition_poset
 
 
 def chains_by_powerset(p, x=None, y=None):
@@ -75,6 +75,54 @@ def sorted_word_rank(word, n, s):
     return sorted(words).index(tuple(word)) + 1
 
 
+def facets_by_pairwise_containment(facets):
+    """Canonical facet tuple of simplicial_complex, with the containment
+    check run on every pair of facets whatever their sizes."""
+    sets = sorted({frozenset(f) for f in facets}, key=lambda f: tuple(sorted(f)))
+    for a in sets:
+        for b in sets:
+            if a < b:
+                raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
+    return tuple(sets)
+
+
+def shelling_by_intersections(c, order):
+    """verify_shelling by the definition: intersect each facet with every
+    earlier one and test the maximal intersections.  O(F^2) in facets."""
+    given = [frozenset(f) for f in order]
+    known = set(c.facets)
+    seen = set()
+    for i, f in enumerate(given):
+        if f not in known:
+            return ShellingReport(False, i, (),
+                                  f"entry {i} is not a facet of the complex")
+        if f in seen:
+            return ShellingReport(False, i, (),
+                                  f"facet at position {i} listed twice")
+        seen.add(f)
+    if len(given) != len(c.facets):
+        return ShellingReport(False, None, (),
+                              "order does not list every facet")
+
+    homology = []
+    for i in range(1, len(given)):
+        fi = given[i]
+        inters = {fi & given[j] for j in range(i)}
+        maximal = [a for a in inters if not any(a < b for b in inters)]
+        if len(fi) == 1:
+            ok = maximal == [frozenset()]
+        else:
+            ok = all(len(a) == len(fi) - 1 for a in maximal)
+        if not ok:
+            return ShellingReport(
+                False, i, (),
+                f"intersection with earlier facets is not pure of "
+                f"codimension 1 at position {i}")
+        if all(any(fi - {v} <= given[j] for j in range(i)) for v in fi):
+            homology.append(i)
+    return ShellingReport(True, None, tuple(homology), None)
+
+
 @pytest.fixture(scope="session")
 def p2s1():
     return vector_partition_poset(2, 1)
@@ -98,3 +146,13 @@ def p2s2():
 @pytest.fixture(scope="session")
 def p3s2():
     return vector_partition_poset(3, 2)
+
+
+@pytest.fixture(scope="session")
+def p4s2():
+    return vector_partition_poset(4, 2)
+
+
+@pytest.fixture(scope="session")
+def p5s1():
+    return vector_partition_poset(5, 1)

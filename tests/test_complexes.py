@@ -1,5 +1,8 @@
 """Simplicial complexes: Euler characteristic, GF(2) homology, shelling."""
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpshell import (
     betti,
@@ -9,6 +12,7 @@ from vpshell import (
     simplicial_complex,
     verify_shelling,
 )
+from conftest import facets_by_pairwise_containment, shelling_by_intersections
 
 
 def hollow_triangle():
@@ -141,3 +145,47 @@ def test_verify_shelling_point_facets():
     rep = verify_shelling(c, order)
     assert rep.valid
     assert rep.homology_facets == (1, 2)
+
+
+def _vertex_sets(top, sizes):
+    return [frozenset(f) for k in sizes for f in combinations(range(top + 1), k)]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_verify_shelling_matches_intersection_oracle(data):
+    # on fewer vertices facets overlap more, so more random orders shell
+    top = data.draw(st.sampled_from([5, 4, 3, 2]), label="top vertex")
+    if data.draw(st.booleans(), label="pure"):
+        size = data.draw(st.integers(1, min(4, top + 1)), label="size")
+        candidates = _vertex_sets(top, [size])
+    else:
+        candidates = _vertex_sets(top, range(1, 5))
+    facets = data.draw(st.lists(st.sampled_from(candidates), unique=True,
+                                min_size=1, max_size=8), label="facets")
+    if data.draw(st.booleans(), label="keep maximal only"):
+        facets = [f for f in facets if not any(f < g for g in facets)]
+    try:
+        expected = facets_by_pairwise_containment(facets)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            simplicial_complex(facets)
+        assert str(caught.value) == str(exc)
+        return
+    c = simplicial_complex(facets)
+    assert c.facets == expected
+
+    order = data.draw(st.permutations(c.facets), label="order")
+    defect = data.draw(st.sampled_from(
+        ["none"] * 3 + ["duplicate", "stranger", "missing"]), label="defect")
+    if defect == "duplicate":
+        twin = data.draw(st.sampled_from(order), label="twin")
+        order.insert(data.draw(st.integers(0, len(order))), twin)
+    elif defect == "stranger":
+        strangers = [f for f in _vertex_sets(5, range(1, 5))
+                     if f not in c.facets]
+        order.insert(data.draw(st.integers(0, len(order))),
+                     data.draw(st.sampled_from(strangers), label="stranger"))
+    elif defect == "missing":
+        order.pop(data.draw(st.integers(0, len(order) - 1)))
+    assert verify_shelling(c, order) == shelling_by_intersections(c, order)

@@ -10,6 +10,7 @@ from vpshell import (
     build_poset,
     canonicalize,
     chain_label,
+    count_total,
     cover_label,
     edge_label_map,
     first_word_difference,
@@ -27,6 +28,7 @@ from vpshell import (
     verify_label_structure,
     verify_shelling,
 )
+from conftest import shelling_by_intersections
 
 
 def golden_chain_s2():
@@ -207,6 +209,26 @@ def test_lex_shelling_order_p42(p4s1):
     rep = verify_shelling(order_complex(p4s1), order)
     assert rep.valid
     assert len(rep.homology_facets) == 33
+
+
+def test_lex_shelling_certifies_large_sizes(p4s2, p5s1):
+    # the homology facets count the spheres of the wedge
+    for p, n, s, spheres in ((p4s2, 4, 2, 1899), (p5s1, 5, 1, 456)):
+        rep = verify_shelling(order_complex(p), lex_shelling_order(p))
+        assert rep.valid
+        assert len(rep.homology_facets) == count_total(n, s) == spheres
+
+
+def test_sabotaged_orders_at_4_2(p4s2):
+    c = order_complex(p4s2)
+    swapped = sabotaged_shelling_order(p4s2, "swap-bottom-labels")
+    rep = verify_shelling(c, swapped)
+    assert not rep.valid and rep.failing_index == 18
+    assert shelling_by_intersections(c, swapped) == rep
+    # min-merge-label still shells: only the EL check catches it
+    rep = verify_shelling(c, sabotaged_shelling_order(p4s2, "min-merge-label"))
+    assert rep.valid
+    assert len(rep.homology_facets) == 1899
 
 
 def test_sabotages_are_detected(p3s1):

@@ -1,8 +1,11 @@
 """Poset core: validation, chains, Mobius, serialization."""
+import json
+
 import pytest
 
 from vpshell import (
     CycleDetected,
+    MalformedDocument,
     NotBounded,
     NotComparable,
     NotGraded,
@@ -149,6 +152,12 @@ def test_mobius_sum_identity(p3s1):
         assert total == 0
 
 
+def test_up_set_lists_the_elements_above():
+    for p in (diamond(), chain4()):
+        for x in range(len(p)):
+            assert p.up_set(x) == [t for t in range(len(p)) if p.leq(x, t)]
+
+
 def test_json_roundtrip():
     p = diamond()
     q = poset_from_json(poset_to_json(p))
@@ -165,6 +174,21 @@ def test_json_labeled_covers():
     assert '"label"' in text
     q = poset_from_json(text)
     assert len(q.covers) == 4
+
+
+@pytest.mark.parametrize("index", [-1, 4, 1.0, True])
+def test_json_rejects_bad_cover_index(index):
+    doc = json.loads(poset_to_json(diamond()))
+    doc["covers"][0][0] = index
+    with pytest.raises(MalformedDocument):
+        poset_from_json(json.dumps(doc))
+
+
+def test_json_rejects_wrong_declared_bottom():
+    doc = json.loads(poset_to_json(diamond()))
+    doc["bottom"] = doc["top"]
+    with pytest.raises(MalformedDocument):
+        poset_from_json(json.dumps(doc))
 
 
 def test_json_is_deterministic():

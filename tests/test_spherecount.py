@@ -97,6 +97,16 @@ def test_tree_count_sequence():
         [1, 1, 4, 33, 456, 9460]
 
 
+def test_tree_count_cold_cache_does_not_recurse_deep():
+    nonambiguous_tree_count.cache_clear()
+    assert nonambiguous_tree_count(600) > 0
+    assert [nonambiguous_tree_count(m) for m in range(6)] == \
+        [1, 1, 4, 33, 456, 9460]
+    # the single-labeling totals are the tree numbers (another recursion)
+    assert all(nonambiguous_tree_count(m) == count_total(m + 1, 1)
+               for m in range(60))
+
+
 def test_larger_cross_check():
     assert count_total(4, 2) == 1899
     assert len(decreasing_chains(4, 2)) == 1899

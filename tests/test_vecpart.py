@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vpshell import (
     InvalidPartition,
+    MalformedDocument,
     MalformedWord,
     ResourceLimit,
     SizeMismatch,
@@ -95,6 +96,17 @@ def test_element_from_json_accepts_canonical_text():
     assert element_from_json(format_element(v)) == v
     with pytest.raises(SizeMismatch):
         element_from_json("BOTTOM")  # dimensions are not inferable
+
+
+@pytest.mark.parametrize("text", ["[1,2]", "3", "null", "{}", '{"n": 2}'])
+def test_element_from_json_rejects_other_json_shapes(text):
+    with pytest.raises(MalformedDocument):
+        element_from_json(text)
+
+
+def test_element_from_json_missing_labels_is_a_size_mismatch():
+    with pytest.raises(SizeMismatch):
+        element_from_json('{"n": 2, "s": 1, "blocks": [[1], [2]]}')
 
 
 def test_is_leq_refinement():
