@@ -17,6 +17,10 @@ class NotGraded(VpshellError):
     """Some cover does not raise the longest-path rank by exactly one."""
 
 
+class UnknownElement(VpshellError):
+    """A cover names a key, or an index, that is not an element."""
+
+
 class NotComparable(VpshellError):
     """The two elements are not related in the partial order."""
 

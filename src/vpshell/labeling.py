@@ -17,12 +17,13 @@ precedes the word of every other maximal chain of the interval.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import EqualWords, NotACover, NotSaturated
+from .errors import NotACover, NotSaturated
 from .poset import Poset, maximal_chains
-from .vecpart import (VectorPartition, atom_lex_rank, atom_word, is_cover,
-                      merge_blocks)
+from .vecpart import (VectorPartition, atom_lex_rank, atom_word,
+                      first_word_difference, is_cover, merge_blocks)
 
 EdgeLabel = tuple  # (k, i, j) int triples for vector partitions
 
@@ -39,24 +40,13 @@ def merge_max_label(x, y) -> int:
     return new[0][-1]
 
 
-def first_word_difference(a, b, n: int, s: int) -> EdgeLabel:
-    """First difference (k, i, j) between atom words a and b.
-
-    Scans (k, i) pairs with k major and i minor, i.e. position k of the
-    first labeling, then position k of the second, before moving to
-    position k+1.  j is b's entry at the first differing pair.  Raises
-    EqualWords when a == b.
-    """
-    for k in range(1, n + 1):
-        for i in range(1, s + 1):
-            pos = (i - 1) * n + (k - 1)
-            if a[pos] != b[pos]:
-                return (k, i, b[pos])
-    raise EqualWords("atom words are identical")
-
-
 def cover_label(x: VectorPartition, y: VectorPartition) -> EdgeLabel:
-    """The (k, i, j) label of the cover x <. y; raises NotACover else."""
+    """The (k, i, j) label of the cover x <. y; raises NotACover else.
+
+    This is the definition.  vector_partition_poset labels every cover
+    the same way as it generates it, and edge_label_map hands out that
+    table instead of calling this per cover.
+    """
     if not is_cover(x, y):
         raise NotACover(f"{x} <. {y} fails")
     n, s = y.n, y.s
@@ -93,13 +83,18 @@ def is_weakly_decreasing(word) -> bool:
     return all(a >= b for a, b in zip(word, word[1:]))
 
 
-def edge_label_map(p: Poset, labels) -> dict:
-    """Normalize labels to a dict (lo, hi) -> label over every cover of p.
+def edge_label_map(p: Poset, labels) -> Mapping:
+    """Normalize labels to a mapping (lo, hi) -> label over every cover of p.
 
     labels may already be such a mapping, or a callable on element keys.
+    For cover_label on a poset that carries its labels (one built by
+    vector_partition_poset), the answer is that read-only table, made
+    when the covers were generated; cover_label is not called.
     """
-    if isinstance(labels, dict):
+    if isinstance(labels, Mapping):
         return labels
+    if labels is cover_label and p.edge_labels is not None:
+        return p.edge_labels
     return {(lo, hi): labels(p.elements[lo], p.elements[hi])
             for lo, hi in sorted(p.covers)}
 
@@ -272,9 +267,10 @@ def sabotaged_label_map(p: Poset, name: str) -> dict:
         a, b = bottom_edges[0], bottom_edges[1]
         lab[a], lab[b] = lab[b], lab[a]
     elif name == "min-merge-label":
-        for (lo, hi) in lab:
-            x, y = p.elements[lo], p.elements[hi]
-            if not x.is_bottom and atom_word(x) == atom_word(y):
+        for (lo, hi), (_, _, j) in lab.items():
+            # j = 0 marks the bottom edges and the equal-atom-word covers
+            if lo != p.bottom and j == 0:
+                x, y = p.elements[lo], p.elements[hi]
                 xb = set(x.blocks)
                 merged = next(bk for bk in y.blocks if bk not in xb)
                 lab[(lo, hi)] = (y.n, merged[0], 0)

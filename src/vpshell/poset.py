@@ -8,20 +8,24 @@ bottom.  Gradedness is validated at build time, never assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (CycleDetected, MalformedDocument, NotBounded,
-                     NotComparable, NotGraded)
+                     NotComparable, NotGraded, UnknownElement)
 
 
 @dataclass(frozen=True)
 class Poset:
     """Immutable bounded graded poset.
 
-    Use build_poset() to construct: it validates acyclicity, unique bottom
-    and top, and gradedness.  Derived structure (adjacency, reachability)
-    is computed lazily and cached on the instance.
+    Use build_poset() or build_indexed_poset() to construct: they
+    validate acyclicity, unique bottom and top, and gradedness.  Derived structure (adjacency, reachability)
+    is computed lazily and cached on the instance.  edge_labels, when
+    present, is a read-only mapping (lo, hi) -> label over every cover,
+    attached by a builder that labels each cover as it generates it; it
+    takes no part in equality.
     """
 
     elements: tuple
@@ -29,6 +33,8 @@ class Poset:
     ranks: tuple
     bottom: int
     top: int
+    edge_labels: MappingProxyType | None = field(
+        default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -103,31 +109,52 @@ def build_poset(elements, covers) -> Poset:
     elements: iterable of unique hashable keys.
     covers:   iterable of (lo_key, hi_key) pairs.
 
+    Raises UnknownElement when a cover names a key that is not an
+    element, and otherwise validates as build_indexed_poset does.
+    """
+    elements = tuple(elements)
+    index = {k: i for i, k in enumerate(elements)}
+    try:
+        pairs = {(index[lo], index[hi]) for lo, hi in covers}
+    except KeyError as exc:
+        raise UnknownElement(
+            f"cover names {exc.args[0]!r}, not an element") from None
+    return build_indexed_poset(elements, pairs)
+
+
+def build_indexed_poset(elements, covers, edge_labels=None) -> Poset:
+    """Validate a cover relation given as index pairs and assemble a Poset.
+
+    elements:    sequence of unique hashable keys.
+    covers:      iterable of (lo, hi) index pairs into elements.
+    edge_labels: optional mapping (lo, hi) -> label over exactly these
+                 covers, stored read-only on the poset.
+
     Raises CycleDetected, NotBounded, or NotGraded when the data does not
-    describe a bounded graded poset.  Ranks are longest-path distances
-    from the bottom; a cover whose endpoints differ by more than one rank
-    (a transitive edge in disguise) trips NotGraded.
+    describe a bounded graded poset, UnknownElement for an index outside
+    elements, and ValueError for duplicate keys.  Ranks are longest-path
+    distances from the bottom; a cover whose endpoints differ by more
+    than one rank (a transitive edge in disguise) trips NotGraded.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
         raise ValueError("duplicate element keys")
-    index = {k: i for i, k in enumerate(elements)}
     n = len(elements)
     if n == 0:
         raise NotBounded("empty poset")
-
-    pairs = set()
-    for lo, hi in covers:
-        i, j = index[lo], index[hi]
-        if i == j:
-            raise CycleDetected(f"self-cover at element {i}")
-        pairs.add((i, j))
+    pairs = frozenset(covers)
 
     up: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise UnknownElement(f"cover ({i}, {j}) leaves 0..{n - 1}")
+        if i == j:
+            raise CycleDetected(f"self-cover at element {i}")
         up[i].append(j)
         indeg[j] += 1
+    if edge_labels is not None and edge_labels.keys() != pairs:
+        raise ValueError("edge labels do not match the covers")
 
     # Kahn's algorithm; leftover nodes witness a cycle
     order = [i for i in range(n) if indeg[i] == 0]
@@ -160,8 +187,10 @@ def build_poset(elements, covers) -> Poset:
             raise NotGraded(
                 f"cover ({i}, {j}) spans ranks {ranks[i]} -> {ranks[j]}")
 
-    return Poset(elements=elements, covers=frozenset(pairs),
-                 ranks=tuple(ranks), bottom=bottom, top=top)
+    return Poset(elements=elements, covers=pairs,
+                 ranks=tuple(ranks), bottom=bottom, top=top,
+                 edge_labels=(None if edge_labels is None
+                              else MappingProxyType(edge_labels)))
 
 
 def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list[tuple[int, ...]]:
@@ -252,29 +281,54 @@ def poset_from_json(text: str) -> Poset:
     """Rebuild (and re-validate) a poset from poset_to_json output.
 
     Element keys come back as strings.  Labeled covers are accepted;
-    their labels are ignored here.  A cover index that is not an integer
-    in range(len(elements)), or a declared bottom or top that the covers
-    contradict, raises MalformedDocument.
+    their labels are ignored here.  A document of any other shape raises
+    MalformedDocument: text that is not JSON, a top level that is not an
+    object, a missing "elements", "covers", "bottom" or "top", elements
+    that are not distinct strings, a cover that is neither a [lo, hi]
+    pair nor an object with "lo" and "hi", a cover index that is not an
+    integer in range(len(elements)), or a declared bottom or top that
+    the covers contradict.
     """
-    doc = json.loads(text)
-    elements = list(doc["elements"])
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedDocument(
+            f"a poset is a JSON object, not {type(doc).__name__}")
+    for name in ("elements", "covers", "bottom", "top"):
+        if name not in doc:
+            raise MalformedDocument(f"a poset object needs the key {name!r}")
+    elements, covers = doc["elements"], doc["covers"]
+    if (not isinstance(elements, list)
+            or not all(isinstance(k, str) for k in elements)
+            or len(set(elements)) != len(elements)):
+        raise MalformedDocument('"elements" is not a list of distinct strings')
+    if not isinstance(covers, list):
+        raise MalformedDocument('"covers" is not a list')
 
-    def key(i):
+    def index(i):
         if type(i) is not int or not 0 <= i < len(elements):
             raise MalformedDocument(
                 f"cover index {i!r} is not an element index "
                 f"0..{len(elements) - 1}")
-        return elements[i]
+        return i
 
-    covers = []
-    for c in doc["covers"]:
-        if isinstance(c, dict):
+    pairs = []
+    for c in covers:
+        if isinstance(c, dict) and "lo" in c and "hi" in c:
             lo, hi = c["lo"], c["hi"]
-        else:
+        elif isinstance(c, list) and len(c) == 2:
             lo, hi = c
-        covers.append((key(lo), key(hi)))
-    p = build_poset(elements, covers)
-    if p.bottom != doc["bottom"] or p.top != doc["top"]:
+        else:
+            raise MalformedDocument(
+                f"cover {c!r} is neither [lo, hi] nor an object with "
+                f"lo and hi")
+        pairs.append((index(lo), index(hi)))
+    p = build_indexed_poset(elements, pairs)
+    declared = (doc["bottom"], doc["top"])
+    if any(type(d) is not int for d in declared) \
+            or declared != (p.bottom, p.top):
         raise MalformedDocument(
             "declared bottom/top disagree with cover relation")
     return p

@@ -108,6 +108,9 @@ def _generated_decreasing(n: int, s: int,
                     desc.pop()
 
     extend(0, 0)
+    # extend holds itself through its closure; unbinding it lets the
+    # chains go with `out`, not wait for the cyclic collector
+    del extend
     return out
 
 
@@ -181,15 +184,33 @@ def count_by_recursion(n: int, s: int, i: int) -> int:
         raise InvalidIndex(f"index {i} outside 1..{s}")
     if n < 2:
         raise InvalidIndex("indexed counts need n >= 2")
+    lower, upper = _binomial_row(n - 1), _binomial_row(n)
     total = 0
     for a in range(1, n):
-        splits = comb(n - 1, a - 1) ** i * comb(n - 1, a) * comb(n, a) ** (s - i)
-        if a == 1:
-            left = 1
-        else:
-            left = sum(count_by_recursion(a, s, ip) for ip in range(i, s + 1))
+        splits = lower[a - 1] ** i * lower[a] * upper[a] ** (s - i)
+        left = 1 if a == 1 else _suffix_counts(a, s)[i - 1]
         total += left * count_total(n - a, s) * splits
     return total
+
+
+@lru_cache(maxsize=2)
+def _binomial_row(n: int) -> tuple:
+    """C(n, 0), ..., C(n, n), each from its left neighbour.  Sizes are
+    filled in increasing n, so the last two rows are all that is reused."""
+    row = [1]
+    for a in range(1, n + 1):
+        row.append(row[-1] * (n + 1 - a) // a)
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _suffix_counts(a: int, s: int) -> tuple:
+    """Entry i - 1 is the sum of count_by_recursion(a, s, i') over
+    i' >= i, for i in 1..s."""
+    out = [0] * (s + 1)
+    for i in range(s, 0, -1):
+        out[i - 1] = out[i] + count_by_recursion(a, s, i)
+    return tuple(out[:s])
 
 
 @lru_cache(maxsize=None)

@@ -15,14 +15,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 
-from .errors import (BottomHasNoAtom, DimensionMismatch, InvalidPartition,
-                     MalformedDocument, MalformedWord, ResourceLimit,
-                     SizeMismatch)
-from .poset import Poset, build_poset
+from .errors import (BottomHasNoAtom, DimensionMismatch, EqualWords,
+                     InvalidPartition, MalformedDocument, MalformedWord,
+                     ResourceLimit, SizeMismatch)
+from .poset import Poset, build_indexed_poset, build_poset
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,14 @@ def canonicalize(n: int, s: int, blocks, labels) -> VectorPartition:
     """Validating constructor from raw nested iterables.
 
     labels[i] must align with blocks positionally.  Raises
-    InvalidPartition when blocks or any labeling fail to partition
-    {1..n}, SizeMismatch when a label's cardinality differs from its
-    block's.  Idempotent on already-canonical data.
+    InvalidPartition when an entry is not an int (a bool is not) or when
+    blocks or any labeling fail to partition {1..n}, SizeMismatch when a
+    label's cardinality differs from its block's.  Idempotent on
+    already-canonical data.
     """
-    blk = [tuple(sorted(b)) for b in blocks]
-    labs = [[tuple(sorted(l)) for l in labels[i]] for i in range(len(labels))]
+    blk = _int_sets(blocks, "blocks")
+    labs = [_int_sets(labels[i], f"labeling {i + 1}")
+            for i in range(len(labels))]
     if len(labs) != s:
         raise SizeMismatch(f"expected {s} labelings, got {len(labs)}")
     _check_partition(n, blk, "blocks")
@@ -99,6 +100,18 @@ def canonicalize(n: int, s: int, blocks, labels) -> VectorPartition:
         n=n, s=s,
         blocks=tuple(blk[t] for t in order),
         labels=tuple(tuple(lab[t] for t in order) for lab in labs))
+
+
+def _int_sets(sets, what: str) -> list[tuple]:
+    """Each set as an ascending tuple, once every entry is a plain int."""
+    out = []
+    for b in sets:
+        b = tuple(b)
+        for x in b:
+            if type(x) is not int:
+                raise InvalidPartition(f"{what}: entry {x!r} is not an int")
+        out.append(tuple(sorted(b)))
+    return out
 
 
 def _check_partition(n: int, sets, what: str) -> None:
@@ -229,21 +242,25 @@ def is_cover(x: VectorPartition, y: VectorPartition) -> bool:
 
 
 def merge_blocks(v: VectorPartition, a: int, b: int) -> VectorPartition:
-    """The upper cover of v obtained by merging blocks at positions a, b."""
+    """The upper cover of v obtained by merging blocks at positions a, b.
+
+    Blocks are ordered by minimum, so the merged block takes the lower of
+    the two positions and every other block keeps its order: the result
+    is a splice, already canonical.  a and b may come in either order.
+    """
     if v.is_bottom or a == b:
         raise ValueError("need two distinct blocks of a non-bottom element")
-    keep = [t for t in range(v.num_blocks) if t not in (a, b)]
-    records = [(v.blocks[t], tuple(v.labels[i][t] for i in range(v.s)))
-               for t in keep]
-    nb = tuple(sorted(v.blocks[a] + v.blocks[b]))
-    nl = tuple(tuple(sorted(v.labels[i][a] + v.labels[i][b]))
-               for i in range(v.s))
-    records.append((nb, nl))
-    records.sort(key=lambda r: r[0][0])
+    if a > b:
+        a, b = b, a
     return VectorPartition(
-        n=v.n, s=v.s,
-        blocks=tuple(r[0] for r in records),
-        labels=tuple(tuple(r[1][i] for r in records) for i in range(v.s)))
+        n=v.n, s=v.s, blocks=_merged(v.blocks, a, b),
+        labels=tuple(_merged(lab, a, b) for lab in v.labels))
+
+
+def _merged(sets: tuple, a: int, b: int) -> tuple:
+    """sets with sets[a] and sets[b] (a < b) merged in place of sets[a]."""
+    return (sets[:a] + (tuple(sorted(sets[a] + sets[b])),)
+            + sets[a + 1:b] + sets[b + 1:])
 
 
 def upper_covers(v: VectorPartition) -> list[VectorPartition]:
@@ -338,19 +355,37 @@ def vector_partition_poset(n: int, s: int,
     """The bounded poset of all vector partitions, built and validated.
 
     Keys are VectorPartition values; covers join each non-bottom element
-    to its two-block merges, and the bottom to every atom.
+    to its two-block merges, and the bottom to every atom.  Each cover is
+    labelled where it is generated, from the atom words of its two ends
+    (see labeling.cover_label, the definition this table must equal),
+    and the table is stored on the poset as edge_labels:
+
+    * bottom to the atom of lexicographic rank m: (n-1, s+m, 0);
+    * merging blocks I, J changes the atom word: its first difference;
+    * merging blocks I, J keeps the atom word: (n, max(I u J), 0).
+
+    The upper cover of a merge is found by its (blocks, labels) key, so
+    no element is built or compared per cover.
     """
     elements = enumerate_elements(n, s, max_elements=max_elements)
-    covers = []
-    bottom = elements[0]
-    for v in elements:
-        if v.is_bottom:
-            continue
-        if v.is_atom:
-            covers.append((bottom, v))
-        for w in upper_covers(v):
-            covers.append((v, w))
-    return build_poset(elements, covers)
+    index = {(v.blocks, v.labels): t for t, v in enumerate(elements)}
+    words = [None] + [atom_word(v) for v in elements[1:]]
+    table = {}
+    for t in range(1, len(elements)):
+        blocks, labels = elements[t].blocks, elements[t].labels
+        word = words[t]
+        m = len(blocks)
+        if m == n:
+            table[(0, t)] = (n - 1, s + atom_lex_rank(word, n, s), 0)
+        for a in range(m):
+            for b in range(a + 1, m):
+                u = index[(_merged(blocks, a, b),
+                           tuple([_merged(lab, a, b) for lab in labels]))]
+                if words[u] != word:
+                    table[(t, u)] = first_word_difference(word, words[u], n, s)
+                else:
+                    table[(t, u)] = (n, max(blocks[a][-1], blocks[b][-1]), 0)
+    return build_indexed_poset(elements, table, table)
 
 
 def set_partition_lattice(n: int) -> Poset:
@@ -371,7 +406,6 @@ def set_partition_lattice(n: int) -> Poset:
 
 # ── atom words ───────────────────────────────────────────────────────────
 
-@lru_cache(maxsize=None)
 def atom_word(v: VectorPartition) -> tuple:
     """Word of the lexicographically least atom below v.
 
@@ -386,6 +420,22 @@ def atom_word(v: VectorPartition) -> tuple:
             for k, j in zip(block, v.labels[i][bi]):
                 w[i * v.n + (k - 1)] = j
     return tuple(w)
+
+
+def first_word_difference(a, b, n: int, s: int) -> tuple:
+    """First difference (k, i, j) between atom words a and b.
+
+    Scans (k, i) pairs with k major and i minor, i.e. position k of the
+    first labeling, then position k of the second, before moving to
+    position k+1.  j is b's entry at the first differing pair.  Raises
+    EqualWords when a == b.
+    """
+    for k in range(1, n + 1):
+        for i in range(1, s + 1):
+            pos = (i - 1) * n + (k - 1)
+            if a[pos] != b[pos]:
+                return (k, i, b[pos])
+    raise EqualWords("atom words are identical")
 
 
 def word_to_atom(word, n: int, s: int) -> VectorPartition:

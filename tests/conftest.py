@@ -3,14 +3,18 @@
 The oracles recompute quantities the library also computes, by methods
 deliberately unlike the library's: maximal chains by powerset filtering,
 the Mobius function by alternating chain counts, atom ranks by sorting
-the full list of words, shellings by intersecting every pair of facets.
+the full list of words, shellings by intersecting every pair of facets,
+merges by re-sorting the blocks, the whole poset from element keys, and
+the indexed sphere counts from math.comb.
 They are slow and only fit tiny inputs, which is the point.
 """
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
-from vpshell import ShellingReport, vector_partition_poset
+from vpshell import (ShellingReport, VectorPartition, build_poset,
+                     enumerate_elements, vector_partition_poset)
 
 
 def chains_by_powerset(p, x=None, y=None):
@@ -121,6 +125,54 @@ def shelling_by_intersections(c, order):
         if all(any(fi - {v} <= given[j] for j in range(i)) for v in fi):
             homology.append(i)
     return ShellingReport(True, None, tuple(homology), None)
+
+
+def merge_blocks_by_sorting(v, a, b):
+    """merge_blocks by collecting the kept and merged (block, labels)
+    records and sorting them by block minimum."""
+    keep = [t for t in range(v.num_blocks) if t not in (a, b)]
+    records = [(v.blocks[t], tuple(v.labels[i][t] for i in range(v.s)))
+               for t in keep]
+    nb = tuple(sorted(v.blocks[a] + v.blocks[b]))
+    nl = tuple(tuple(sorted(v.labels[i][a] + v.labels[i][b]))
+               for i in range(v.s))
+    records.append((nb, nl))
+    records.sort(key=lambda r: r[0][0])
+    return VectorPartition(
+        n=v.n, s=v.s,
+        blocks=tuple(r[0] for r in records),
+        labels=tuple(tuple(r[1][i] for r in records) for i in range(v.s)))
+
+
+def poset_from_element_covers(n, s):
+    """vector_partition_poset through build_poset on element keys, with
+    every upper cover made by merge_blocks_by_sorting and no labels."""
+    elements = enumerate_elements(n, s)
+    covers = []
+    for v in elements[1:]:
+        if v.is_atom:
+            covers.append((elements[0], v))
+        covers += [(v, merge_blocks_by_sorting(v, a, b))
+                   for a, b in combinations(range(v.num_blocks), 2)]
+    return build_poset(elements, covers)
+
+
+def indexed_counts_by_comb(max_n, s):
+    """count_by_recursion's convolution term by term, every binomial
+    from math.comb and every left sum taken afresh: {(n, i): count}."""
+    total = {1: 1}
+    by_index = {}
+    for n in range(2, max_n + 1):
+        for i in range(1, s + 1):
+            by_index[(n, i)] = sum(
+                (1 if a == 1 else
+                 sum(by_index[(a, ip)] for ip in range(i, s + 1)))
+                * total[n - a]
+                * comb(n - 1, a - 1) ** i * comb(n - 1, a)
+                * comb(n, a) ** (s - i)
+                for a in range(1, n))
+        total[n] = sum(by_index[(n, i)] for i in range(1, s + 1))
+    return by_index
 
 
 @pytest.fixture(scope="session")

@@ -223,6 +223,10 @@ GOLDEN = {
     "count --n 2 --s 2 --method homology": (0, "052c1353f80e8fdd"),
     "count --n 2 --s 2 --method euler": (0, "8be4942b7bf4ff86"),
     "sequence --s 2 --max-n 2": (0, "a6b2bf671d34de7d"),
+    # recorded before covers were labelled as they are generated
+    "build --n 4 --s 1 --labels": (0, "054aafb1bc6767ce"),
+    "build --n 3 --s 2 --labels --format dot": (0, "b7604f92367426f0"),
+    "verify-el --n 3 --s 2": (0, "00701f76f04ba28c"),
 }
 
 
@@ -233,4 +237,9 @@ def test_golden_output_digests(capsys):
             code, out, _ = run(capsys, *argv)
             got[" ".join(argv)] = (
                 code, hashlib.sha256(out.encode()).hexdigest()[:16])
+    for line in ("build --n 4 --s 1 --labels",
+                 "build --n 3 --s 2 --labels --format dot",
+                 "verify-el --n 3 --s 2"):
+        code, out, _ = run(capsys, *line.split())
+        got[line] = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
     assert got == GOLDEN

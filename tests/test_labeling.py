@@ -150,6 +150,19 @@ def test_verify_el_flags_bad_labeling():
     assert "increasing" in rep.counterexample[2]
 
 
+def test_default_labels_are_read_not_recomputed(monkeypatch):
+    from vpshell import labeling, vecpart, vector_partition_poset
+
+    def refuse(*args):
+        raise AssertionError("a known cover was proved again")
+
+    monkeypatch.setattr(labeling, "is_cover", refuse)
+    monkeypatch.setattr(vecpart, "is_leq", refuse)
+    p = vector_partition_poset(3, 2)
+    assert edge_label_map(p, cover_label) is p.edge_labels
+    assert verify_el(p).ok
+
+
 def test_edge_label_map_accepts_dict_and_callable(p2s1):
     m = edge_label_map(p2s1, cover_label)
     assert m == edge_label_map(p2s1, m)

@@ -9,6 +9,7 @@ from vpshell import (
     NotBounded,
     NotComparable,
     NotGraded,
+    UnknownElement,
     build_poset,
     maximal_chains,
     mobius,
@@ -39,6 +40,11 @@ def test_build_basic():
 def test_build_rejects_duplicates():
     with pytest.raises(ValueError):
         build_poset("aab", [("a", "b")])
+
+
+def test_build_rejects_unknown_cover_key():
+    with pytest.raises(UnknownElement):
+        build_poset("ab", [("a", "c")])
 
 
 def test_build_rejects_cycle():
@@ -182,6 +188,32 @@ def test_json_rejects_bad_cover_index(index):
     doc["covers"][0][0] = index
     with pytest.raises(MalformedDocument):
         poset_from_json(json.dumps(doc))
+
+
+def _diamond_doc(first_cover=None, drop=None, **fields):
+    doc = json.loads(poset_to_json(diamond()))
+    if first_cover is not None:
+        doc["covers"][0] = first_cover
+    doc.pop(drop, None)
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[]",
+    "not json",
+    _diamond_doc(first_cover=[0]),
+    _diamond_doc(first_cover={"lo": 0}),
+    _diamond_doc(first_cover=7),
+    _diamond_doc(drop="top"),
+    _diamond_doc(covers={}),
+    _diamond_doc(elements=["0", "a", "a", "1"]),
+    _diamond_doc(elements=[0, [1], 2, 3]),
+])
+def test_json_rejects_malformed_documents(text):
+    with pytest.raises(MalformedDocument):
+        poset_from_json(text)
 
 
 def test_json_rejects_wrong_declared_bottom():

@@ -21,6 +21,7 @@ from vpshell import (
     top_element,
     top_label_index_counts,
 )
+from conftest import indexed_counts_by_comb
 
 KNOWN = {(2, 1): 1, (3, 1): 4, (4, 1): 33, (2, 2): 3, (3, 2): 46}
 
@@ -79,6 +80,12 @@ def test_recursion_matches_enumeration():
     assert by_index == {1: 36, 2: 10}
     assert count_by_recursion(2, 2, 1) == 2
     assert count_by_recursion(2, 2, 2) == 1
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_recursion_matches_comb_oracle(s):
+    want = indexed_counts_by_comb(40, s)
+    assert {(n, i): count_by_recursion(n, s, i) for n, i in want} == want
 
 
 def test_recursion_base_and_guards():

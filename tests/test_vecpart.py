@@ -16,6 +16,7 @@ from vpshell import (
     bottom_element,
     canonicalize,
     check_atom_word,
+    cover_label,
     element_count,
     element_from_json,
     element_to_json,
@@ -25,6 +26,7 @@ from vpshell import (
     is_leq,
     maximal_chain_count,
     maximal_chains,
+    merge_blocks,
     mobius,
     parse_element,
     perm_lex_rank,
@@ -35,7 +37,11 @@ from vpshell import (
     vector_partition_poset,
     word_to_atom,
 )
-from conftest import sorted_word_rank
+from conftest import (merge_blocks_by_sorting, poset_from_element_covers,
+                      sorted_word_rank)
+
+ORACLE_SIZES = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 1), (3, 3),
+                (4, 2)]
 
 
 def test_canonicalize_sorts_blocks_with_labels():
@@ -58,6 +64,17 @@ def test_canonicalize_rejects_bad_partition():
         canonicalize(3, 1, [(1, 2), (2, 3)], [[(1, 2), (2, 3)]])
     with pytest.raises(InvalidPartition):
         canonicalize(3, 1, [(1, 2, 3)], [[(1, 2, 4)]])    # label not in {1..3}
+
+
+@pytest.mark.parametrize("blocks,labels", [
+    ([[True]], [[[1]]]),
+    ([[1]], [[[True]]]),
+    ([[1.0]], [[[1]]]),
+    ([[None]], [[[1]]]),
+])
+def test_canonicalize_rejects_entries_that_are_not_ints(blocks, labels):
+    with pytest.raises(InvalidPartition):
+        canonicalize(1, 1, blocks, labels)
 
 
 def test_canonicalize_rejects_size_mismatch():
@@ -128,6 +145,22 @@ def test_is_cover_and_upper_covers():
         assert is_cover(x, u)
     assert is_cover(bottom_element(3, 1), x)
     assert not is_cover(x, top_element(3, 1))
+
+
+@pytest.mark.parametrize("n,s", ORACLE_SIZES)
+def test_merge_blocks_splice_matches_sorting_oracle(n, s):
+    for v in enumerate_elements(n, s)[1:]:
+        for a, b in permutations(range(v.num_blocks), 2):
+            assert merge_blocks(v, a, b) == merge_blocks_by_sorting(v, a, b)
+
+
+@pytest.mark.parametrize("n,s", ORACLE_SIZES)
+def test_labels_born_with_covers_match_cover_label(n, s):
+    p = vector_partition_poset(n, s)
+    assert p == poset_from_element_covers(n, s)
+    keys = p.elements
+    assert p.edge_labels == {(lo, hi): cover_label(keys[lo], keys[hi])
+                             for lo, hi in p.covers}
 
 
 def test_set_partitions_counts():
