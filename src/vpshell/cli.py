@@ -19,7 +19,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import complexes, labeling, spherecount, vecpart
 from .errors import OracleMismatch, ResourceLimit, VpshellError
@@ -43,23 +42,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad arguments; the contract here is 4
     def error(self, message):
         raise _BadInput(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, normalized."""
-
-    command: str
-    n: int = 0
-    s: int = 1
-    method: str = "all"
-    fmt: str = "json"
-    labels: bool = False
-    sabotage: str | None = None
-    max_n: int = 0
-    out: str | None = None
-    max_elements: int = DEFAULT_MAX_ELEMENTS
-    max_chains: int = DEFAULT_MAX_CHAINS
 
 
 def _env_int(name: str, default: int) -> int:
@@ -110,24 +92,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config(args) -> RunConfig:
-    if getattr(args, "s", 1) < 1 or getattr(args, "n", 1) < 1 \
+def _parse(argv) -> argparse.Namespace:
+    """Parsed arguments, sizes checked and each budget resolved: the
+    flag, else its environment variable, else the default."""
+    args = _build_parser().parse_args(argv)
+    if args.s < 1 or getattr(args, "n", 1) < 1 \
             or getattr(args, "max_n", 1) < 1:
         raise _BadInput("n, s, and max-n must be positive")
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 0),
-        s=args.s,
-        method=getattr(args, "method", "all"),
-        fmt=getattr(args, "fmt", "json"),
-        labels=getattr(args, "labels", False),
-        sabotage=getattr(args, "sabotage", None),
-        max_n=getattr(args, "max_n", 0),
-        out=args.out,
-        max_elements=(args.max_elements if args.max_elements is not None
-                      else _env_int("VPSHELL_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)),
-        max_chains=(args.max_chains if args.max_chains is not None
-                    else _env_int("VPSHELL_MAX_CHAINS", DEFAULT_MAX_CHAINS)))
+    if args.max_elements is None:
+        args.max_elements = _env_int("VPSHELL_MAX_ELEMENTS",
+                                     DEFAULT_MAX_ELEMENTS)
+    if args.max_chains is None:
+        args.max_chains = _env_int("VPSHELL_MAX_CHAINS", DEFAULT_MAX_CHAINS)
+    return args
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -140,24 +117,23 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_build(cfg: RunConfig) -> int:
-    p = vecpart.vector_partition_poset(cfg.n, cfg.s,
-                                       max_elements=cfg.max_elements)
-    edge_labels = (labeling.edge_label_map(p, labeling.cover_label)
-                   if cfg.labels else None)
-    if cfg.fmt == "dot":
-        _emit(poset_to_dot(p, edge_labels), cfg.out)
+def _cmd_build(args: argparse.Namespace) -> int:
+    p = vecpart.vector_partition_poset(args.n, args.s,
+                                       max_elements=args.max_elements)
+    edge_labels = p.edge_labels if args.labels else None
+    if args.fmt == "dot":
+        _emit(poset_to_dot(p, edge_labels), args.out)
     else:
-        _emit(poset_to_json(p, edge_labels), cfg.out)
+        _emit(poset_to_json(p, edge_labels), args.out)
     return EXIT_OK
 
 
-def _cmd_verify_el(cfg: RunConfig) -> int:
-    p = vecpart.vector_partition_poset(cfg.n, cfg.s,
-                                       max_elements=cfg.max_elements)
+def _cmd_verify_el(args: argparse.Namespace) -> int:
+    p = vecpart.vector_partition_poset(args.n, args.s,
+                                       max_elements=args.max_elements)
     lines = []
     code = EXIT_OK
-    if cfg.sabotage is None:
+    if args.sabotage is None:
         report = labeling.verify_el(p)
         lines.append(report.text())
         if not report.ok:
@@ -165,42 +141,42 @@ def _cmd_verify_el(cfg: RunConfig) -> int:
     else:
         # a defect must be caught by at least one of the two verifiers
         report = labeling.verify_el(
-            p, labeling.sabotaged_label_map(p, cfg.sabotage))
-        lines.append(f"[sabotage {cfg.sabotage}] {report.text()}")
-        order = labeling.sabotaged_shelling_order(p, cfg.sabotage)
+            p, labeling.sabotaged_label_map(p, args.sabotage))
+        lines.append(f"[sabotage {args.sabotage}] {report.text()}")
+        order = labeling.sabotaged_shelling_order(p, args.sabotage)
         shell = complexes.verify_shelling(complexes.order_complex(p), order)
         lines.append(
-            f"[sabotage {cfg.sabotage}] shelling "
+            f"[sabotage {args.sabotage}] shelling "
             + ("valid" if shell.valid else f"INVALID: {shell.problem}"))
         if not report.ok or not shell.valid:
             code = EXIT_VERIFY
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return code
 
 
-def _cmd_count(cfg: RunConfig) -> int:
-    methods = (spherecount.METHODS if cfg.method == "all"
-               else (cfg.method,))
+def _cmd_count(args: argparse.Namespace) -> int:
+    methods = (spherecount.METHODS if args.method == "all"
+               else (args.method,))
     cert = spherecount.sphere_count_certificate(
-        cfg.n, cfg.s, methods=methods,
-        max_elements=cfg.max_elements, max_chains=cfg.max_chains)
-    _emit(json.dumps(cert, sort_keys=True), cfg.out)
+        args.n, args.s, methods=methods,
+        max_elements=args.max_elements, max_chains=args.max_chains)
+    _emit(json.dumps(cert, sort_keys=True), args.out)
     return EXIT_OK if cert["match"] else EXIT_MISMATCH
 
 
-def _cmd_sequence(cfg: RunConfig) -> int:
-    rows = ["n,s,count" + (",tree_count" if cfg.s == 1 else "")]
+def _cmd_sequence(args: argparse.Namespace) -> int:
+    rows = ["n,s,count" + (",tree_count" if args.s == 1 else "")]
     code = EXIT_OK
-    for n in range(1, cfg.max_n + 1):
-        total = spherecount.count_total(n, cfg.s)
-        if cfg.s == 1:
+    for n in range(1, args.max_n + 1):
+        total = spherecount.count_total(n, args.s)
+        if args.s == 1:
             trees = spherecount.nonambiguous_tree_count(n - 1)
-            rows.append(f"{n},{cfg.s},{total},{trees}")
+            rows.append(f"{n},{args.s},{total},{trees}")
             if trees != total:
                 code = EXIT_MISMATCH
         else:
-            rows.append(f"{n},{cfg.s},{total}")
-    _emit("\n".join(rows) + "\n", cfg.out)
+            rows.append(f"{n},{args.s},{total}")
+    _emit("\n".join(rows) + "\n", args.out)
     return code
 
 
@@ -230,10 +206,9 @@ def _unlimited_int_digits():
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _config(args)
+        args = _parse(argv)
         with _unlimited_int_digits():
-            return _COMMANDS[cfg.command](cfg)
+            return _COMMANDS[args.command](args)
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

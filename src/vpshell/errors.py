@@ -17,6 +17,10 @@ class NotGraded(VpshellError):
     """Some cover does not raise the longest-path rank by exactly one."""
 
 
+class DuplicateElement(VpshellError):
+    """Two elements of a poset share one key."""
+
+
 class UnknownElement(VpshellError):
     """A cover names a key, or an index, that is not an element."""
 

@@ -27,25 +27,15 @@ from .vecpart import (VectorPartition, atom_lex_rank, atom_word,
 
 EdgeLabel = tuple  # (k, i, j) int triples for vector partitions
 
-
-def merge_max_label(x, y) -> int:
-    """Label of a partition-lattice cover: max of the two merged blocks.
-
-    x, y are canonical set partitions (tuples of ascending tuples).
-    """
-    xb = set(x)
-    new = [b for b in y if b not in xb]
-    if len(y) != len(x) - 1 or len(new) != 1:
-        raise NotACover(f"{y} does not cover {x}")
-    return new[0][-1]
+_REPORTED = 5  # counterexamples kept per condition by verify_label_structure
 
 
 def cover_label(x: VectorPartition, y: VectorPartition) -> EdgeLabel:
     """The (k, i, j) label of the cover x <. y; raises NotACover else.
 
     This is the definition.  vector_partition_poset labels every cover
-    the same way as it generates it, and edge_label_map hands out that
-    table instead of calling this per cover.
+    the same way as it generates it and stores the table on the poset,
+    so the verifiers read that table instead of calling this per cover.
     """
     if not is_cover(x, y):
         raise NotACover(f"{x} <. {y} fails")
@@ -60,7 +50,7 @@ def cover_label(x: VectorPartition, y: VectorPartition) -> EdgeLabel:
     return (n, merged[-1], 0)
 
 
-def chain_label(chain, labeler=cover_label) -> tuple:
+def chain_label(chain) -> tuple:
     """Label word of a saturated chain, bottom to top.
 
     Raises NotSaturated when some step is not a cover.
@@ -68,7 +58,7 @@ def chain_label(chain, labeler=cover_label) -> tuple:
     word = []
     for lo, hi in zip(chain, chain[1:]):
         try:
-            word.append(labeler(lo, hi))
+            word.append(cover_label(lo, hi))
         except NotACover as exc:
             raise NotSaturated(str(exc)) from exc
     return tuple(word)
@@ -81,22 +71,6 @@ def is_increasing(word) -> bool:
 
 def is_weakly_decreasing(word) -> bool:
     return all(a >= b for a, b in zip(word, word[1:]))
-
-
-def edge_label_map(p: Poset, labels) -> Mapping:
-    """Normalize labels to a mapping (lo, hi) -> label over every cover of p.
-
-    labels may already be such a mapping, or a callable on element keys.
-    For cover_label on a poset that carries its labels (one built by
-    vector_partition_poset), the answer is that read-only table, made
-    when the covers were generated; cover_label is not called.
-    """
-    if isinstance(labels, Mapping):
-        return labels
-    if labels is cover_label and p.edge_labels is not None:
-        return p.edge_labels
-    return {(lo, hi): labels(p.elements[lo], p.elements[hi])
-            for lo, hi in sorted(p.covers)}
 
 
 @dataclass(frozen=True)
@@ -115,15 +89,17 @@ class ELReport:
         return f"EL verification FAILED on interval ({x}, {y}): {why}"
 
 
-def verify_el(p: Poset, labels=cover_label) -> ELReport:
+def verify_el(p: Poset, labels: Mapping | None = None) -> ELReport:
     """Check the EL property on every interval of p.
 
-    For each x < y: among the maximal chains of [x, y] exactly one may
-    have a strictly increasing label word, and that word must strictly
-    precede every other chain's word.  The first failure, scanning pairs
-    (x, y) in ascending index order, is reported.
+    labels maps every cover (lo, hi) to its label; None reads the table
+    the poset carries, p.edge_labels.  For each x < y: among the maximal
+    chains of [x, y] exactly one may have a strictly increasing label
+    word, and that word must strictly precede every other chain's word.
+    The first failure, scanning pairs (x, y) in ascending index order, is
+    reported.
     """
-    lab = edge_label_map(p, labels)
+    lab = p.edge_labels if labels is None else labels
     for x in range(len(p.elements)):
         for y in p.up_set(x):
             if y == x:
@@ -143,8 +119,8 @@ def verify_el(p: Poset, labels=cover_label) -> ELReport:
     return ELReport(True)
 
 
-def verify_label_structure(p: Poset, labels=cover_label,
-                           limit: int = 5) -> dict[int, list]:
+def verify_label_structure(p: Poset,
+                           labels: Mapping | None = None) -> dict[int, list]:
     """Counterexamples to the five structural facts the labeling rests on.
 
     (1) x <= y implies A(y) <=_lex A(x) on atom words;
@@ -158,12 +134,12 @@ def verify_label_structure(p: Poset, labels=cover_label,
         difference (k, i, j), every maximal chain of the interval carries
         the label (k, i, j) exactly once and no label below it.
 
-    p must be a vector-partition poset.  Returns {condition: [text]},
-    every list empty exactly when the condition holds; each list is
-    capped at limit entries.
+    p must be a vector-partition poset; labels defaults to its
+    p.edge_labels.  Returns {condition: [text]}, every list empty exactly
+    when the condition holds; each list is capped at five entries.
     """
     bad: dict[int, list] = {c: [] for c in (1, 2, 3, 4, 5)}
-    lab = edge_label_map(p, labels)
+    lab = p.edge_labels if labels is None else labels
     els = p.elements
     n, s = els[p.top].n, els[p.top].s
     words = {t: atom_word(e) for t, e in enumerate(els) if not e.is_bottom}
@@ -172,7 +148,7 @@ def verify_label_structure(p: Poset, labels=cover_label,
     for x in live:
         for y in live:
             if x != y and p.leq(x, y) and not words[y] <= words[x]:
-                if len(bad[1]) < limit:
+                if len(bad[1]) < _REPORTED:
                     bad[1].append(f"{els[x]} <= {els[y]} but atom words rise")
 
     # DFS over increasing chains from the bottom only; extensions of a
@@ -183,7 +159,7 @@ def verify_label_structure(p: Poset, labels=cover_label,
             if not lbl > last:
                 continue
             if words[v] != words[w]:
-                if len(bad[2]) < limit:
+                if len(bad[2]) < _REPORTED:
                     bad[2].append(
                         f"increasing chain reaches {els[v]} then changes "
                         f"atom word stepping to {els[w]}")
@@ -199,14 +175,14 @@ def verify_label_structure(p: Poset, labels=cover_label,
         k, i, j = lab[(lo, hi)]
         pos = (i - 1) * n + (k - 1)
         if not (words[lo][pos] > j and words[hi][pos] == j):
-            if len(bad[3]) < limit:
+            if len(bad[3]) < _REPORTED:
                 bad[3].append(f"label ({k},{i},{j}) on {els[lo]} <. "
                               f"{els[hi]} fails the entry comparison")
         x = els[lo]
         ka = next(t for t, blk in enumerate(x.blocks) if k in blk)
         kb = next(t for t in range(x.num_blocks) if j in x.labels[i - 1][t])
         if ka == kb or merge_blocks(x, ka, kb) != els[hi]:
-            if len(bad[4]) < limit:
+            if len(bad[4]) < _REPORTED:
                 bad[4].append(f"label ({k},{i},{j}) on {els[lo]} <. "
                               f"{els[hi]} does not name the merged blocks")
 
@@ -218,7 +194,7 @@ def verify_label_structure(p: Poset, labels=cover_label,
             for c in maximal_chains(p, x, y):
                 word = tuple(lab[e] for e in zip(c, c[1:]))
                 if word.count(first) != 1 or any(l < first for l in word):
-                    if len(bad[5]) < limit:
+                    if len(bad[5]) < _REPORTED:
                         bad[5].append(
                             f"interval [{els[x]}, {els[y]}] has a chain "
                             f"violating the first-difference law {first}")
@@ -226,17 +202,18 @@ def verify_label_structure(p: Poset, labels=cover_label,
     return bad
 
 
-def sorted_labeled_chains(p: Poset, labels=cover_label) -> list:
+def sorted_labeled_chains(p: Poset, labels: Mapping | None = None) -> list:
     """Maximal bottom-top chains as (word, chain) pairs, sorted by label
-    word with ties broken by the chains' element-index tuples."""
-    lab = edge_label_map(p, labels)
+    word with ties broken by the chains' element-index tuples.  labels
+    defaults to p.edge_labels."""
+    lab = p.edge_labels if labels is None else labels
     pairs = [(tuple(lab[e] for e in zip(c, c[1:])), c)
              for c in maximal_chains(p)]
     pairs.sort()
     return pairs
 
 
-def lex_shelling_order(p: Poset, labels=cover_label) -> list:
+def lex_shelling_order(p: Poset, labels: Mapping | None = None) -> list:
     """Facets of the proper-part complex in induced shelling order.
 
     Maximal chains are sorted by label word (ties by canonical chain
@@ -260,7 +237,7 @@ def sabotaged_label_map(p: Poset, name: str) -> dict:
     min of the merged blocks instead of the max.  drop-tie-break mutates
     the shelling order, not the labels; see sabotaged_shelling_order.
     """
-    lab = dict(edge_label_map(p, cover_label))
+    lab = dict(p.edge_labels)
     if name == "swap-bottom-labels":
         bottom_edges = sorted(
             (e for e in lab if e[0] == p.bottom), key=lambda e: lab[e])
@@ -291,7 +268,7 @@ def sabotaged_shelling_order(p: Poset, name: str) -> list:
         return lex_shelling_order(p, sabotaged_label_map(p, name))
     out = []
     seen_words = set()
-    for word, c in sorted_labeled_chains(p, cover_label):
+    for word, c in sorted_labeled_chains(p):
         if word in seen_words:
             continue
         seen_words.add(word)

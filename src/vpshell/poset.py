@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import (CycleDetected, MalformedDocument, NotBounded,
-                     NotComparable, NotGraded, UnknownElement)
+from .errors import (CycleDetected, DuplicateElement, MalformedDocument,
+                     NotBounded, NotComparable, NotGraded, UnknownElement)
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,14 @@ def build_indexed_poset(elements, covers, edge_labels=None) -> Poset:
 
     Raises CycleDetected, NotBounded, or NotGraded when the data does not
     describe a bounded graded poset, UnknownElement for an index outside
-    elements, and ValueError for duplicate keys.  Ranks are longest-path
-    distances from the bottom; a cover whose endpoints differ by more
-    than one rank (a transitive edge in disguise) trips NotGraded.
+    elements, and DuplicateElement for duplicate keys.  Ranks are
+    longest-path distances from the bottom; a cover whose endpoints
+    differ by more than one rank (a transitive edge in disguise) trips
+    NotGraded.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
-        raise ValueError("duplicate element keys")
+        raise DuplicateElement("duplicate element keys")
     n = len(elements)
     if n == 0:
         raise NotBounded("empty poset")
@@ -219,6 +220,9 @@ def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list
                 path.pop()
 
     walk(x)
+    # walk holds itself through its closure; unbinding it lets the
+    # chains go with `out`, not wait for the cyclic collector
+    del walk
     return out
 
 
@@ -334,12 +338,12 @@ def poset_from_json(text: str) -> Poset:
     return p
 
 
-def poset_to_dot(p: Poset, edge_labels: dict | None = None, name: str = "poset") -> str:
+def poset_to_dot(p: Poset, edge_labels: dict | None = None) -> str:
     """GraphViz DOT text for the Hasse diagram, bottom drawn lowest."""
     def esc(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph poset {", "  rankdir=BT;"]
     for i, k in enumerate(p.elements):
         lines.append(f'  n{i} [label="{esc(str(k))}"];')
     for lo, hi in sorted(p.covers):

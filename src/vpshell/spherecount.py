@@ -26,8 +26,7 @@ from math import comb
 from .complexes import betti, order_complex, reduced_euler_characteristic
 from .errors import (IncompatibleData, InvalidIndex, NotDecreasing,
                      NotSaturated, OracleMismatch, ResourceLimit)
-from .labeling import (chain_label, cover_label, edge_label_map,
-                       is_weakly_decreasing)
+from .labeling import chain_label, cover_label, is_weakly_decreasing
 from .poset import Poset, maximal_chains, mobius
 from .vecpart import (VectorPartition, bottom_element, is_cover,
                       maximal_chain_count, top_element,
@@ -46,15 +45,14 @@ def _check_chain_budget(n: int, s: int, max_chains: int | None) -> None:
 
 
 def _filtered_decreasing(p: Poset) -> list[Chain]:
-    lab = edge_label_map(p, cover_label)
+    lab = p.edge_labels
     return [tuple(p.elements[i] for i in c) for c in maximal_chains(p)
             if is_weakly_decreasing([lab[e] for e in zip(c, c[1:])])]
 
 
 # ── enumeration, route two: structural top-down generation ──────────────
 
-def _generated_decreasing(n: int, s: int,
-                          max_chains: int | None = None) -> list[Chain]:
+def _generated_decreasing(n: int, s: int) -> list[Chain]:
     """Grow decreasing chains downward from the one-block element.
 
     Every element of a decreasing chain looks like {1}..{k-1} B ... with
@@ -66,11 +64,6 @@ def _generated_decreasing(n: int, s: int,
     the previous split's index.  The new edge label is then (k, i', _),
     which keeps the bottom-up label word weakly decreasing.
     """
-    if max_chains is not None:
-        expected = count_total(n, s)
-        if expected > max_chains:
-            raise ResourceLimit(
-                f"{expected} decreasing chains, budget is {max_chains}")
     bottom = bottom_element(n, s)
     out: list[Chain] = []
     desc: list[VectorPartition] = [top_element(n, s)]
@@ -129,35 +122,28 @@ def _split_block(cur: VectorPartition, bi: int, left_block, left_labs,
                      for h in range(cur.s)))
 
 
-def decreasing_chains(n: int, s: int, method: str = "both",
-                      max_elements: int | None = None,
-                      max_chains: int | None = None,
+def decreasing_chains(n: int, s: int, max_chains: int | None = None,
                       poset: Poset | None = None) -> list[Chain]:
     """All decreasing maximal chains, canonically sorted.
 
-    method "filter" walks the built poset, "generate" grows chains
-    structurally without a poset, "both" runs the two and raises
-    OracleMismatch unless they agree element for element.  The filter
-    route walks `poset`, which must be vector_partition_poset(n, s), and
-    builds that poset itself when none is given.
+    Two independent routes must agree element for element, else
+    OracleMismatch: filtering every maximal chain of `poset`, which must
+    be vector_partition_poset(n, s) and is built when none is given, and
+    growing the chains structurally without a poset.  max_chains bounds
+    the maximal chains the filter walks, which are at least as many as
+    the decreasing chains generated.
     """
-    if method not in ("both", "filter", "generate"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_chain_budget(n, s, max_chains)
+    if poset is None:
+        poset = vector_partition_poset(n, s)
     key = lambda c: tuple(v.sort_key for v in c)
-    results = {}
-    if method in ("both", "filter"):
-        _check_chain_budget(n, s, max_chains)
-        if poset is None:
-            poset = vector_partition_poset(n, s, max_elements=max_elements)
-        results["filter"] = sorted(_filtered_decreasing(poset), key=key)
-    if method in ("both", "generate"):
-        results["generate"] = sorted(
-            _generated_decreasing(n, s, max_chains), key=key)
-    if method == "both" and results["filter"] != results["generate"]:
+    filtered = sorted(_filtered_decreasing(poset), key=key)
+    generated = sorted(_generated_decreasing(n, s), key=key)
+    if filtered != generated:
         raise OracleMismatch(
-            f"poset filter found {len(results['filter'])} decreasing chains, "
-            f"generation found {len(results['generate'])}")
-    return results["filter"] if "filter" in results else results["generate"]
+            f"poset filter found {len(filtered)} decreasing chains, "
+            f"generation found {len(generated)}")
+    return filtered
 
 
 def top_label_index_counts(chains) -> dict:

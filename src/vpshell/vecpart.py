@@ -21,7 +21,7 @@ from math import comb, factorial
 from .errors import (BottomHasNoAtom, DimensionMismatch, EqualWords,
                      InvalidPartition, MalformedDocument, MalformedWord,
                      ResourceLimit, SizeMismatch)
-from .poset import Poset, build_indexed_poset, build_poset
+from .poset import Poset, build_indexed_poset
 
 
 @dataclass(frozen=True)
@@ -263,13 +263,6 @@ def _merged(sets: tuple, a: int, b: int) -> tuple:
             + sets[a + 1:b] + sets[b + 1:])
 
 
-def upper_covers(v: VectorPartition) -> list[VectorPartition]:
-    if v.is_bottom:
-        raise ValueError("atoms of the bottom come from enumeration")
-    return [merge_blocks(v, a, b)
-            for a in range(v.num_blocks) for b in range(a + 1, v.num_blocks)]
-
-
 # ── enumeration ──────────────────────────────────────────────────────────
 
 def set_partitions(n: int) -> list[tuple]:
@@ -365,12 +358,14 @@ def vector_partition_poset(n: int, s: int,
     * merging blocks I, J keeps the atom word: (n, max(I u J), 0).
 
     The upper cover of a merge is found by its (blocks, labels) key, so
-    no element is built or compared per cover.
+    no element is built or compared per cover.  Equal labels share one
+    tuple: far fewer distinct labels occur than covers.
     """
     elements = enumerate_elements(n, s, max_elements=max_elements)
     index = {(v.blocks, v.labels): t for t, v in enumerate(elements)}
     words = [None] + [atom_word(v) for v in elements[1:]]
     table = {}
+    shared: dict = {}
     for t in range(1, len(elements)):
         blocks, labels = elements[t].blocks, elements[t].labels
         word = words[t]
@@ -382,26 +377,29 @@ def vector_partition_poset(n: int, s: int,
                 u = index[(_merged(blocks, a, b),
                            tuple([_merged(lab, a, b) for lab in labels]))]
                 if words[u] != word:
-                    table[(t, u)] = first_word_difference(word, words[u], n, s)
+                    lbl = first_word_difference(word, words[u], n, s)
                 else:
-                    table[(t, u)] = (n, max(blocks[a][-1], blocks[b][-1]), 0)
+                    lbl = (n, max(blocks[a][-1], blocks[b][-1]), 0)
+                table[(t, u)] = shared.setdefault(lbl, lbl)
     return build_indexed_poset(elements, table, table)
 
 
 def set_partition_lattice(n: int) -> Poset:
     """The ordinary partition lattice: keys are canonical partitions,
-    ordered by refinement, discrete partition at the bottom."""
+    ordered by refinement, discrete partition at the bottom.  Each cover
+    is labelled where it is generated with max(I u J), the larger maximum
+    of the two merged blocks I, J (the classical EL-labeling), and the
+    table is stored on the lattice as edge_labels."""
     elements = sorted(set_partitions(n), key=lambda p: (-len(p), p))
-    covers = []
-    for blocks in elements:
+    index = {blocks: t for t, blocks in enumerate(elements)}
+    table = {}
+    for t, blocks in enumerate(elements):
         m = len(blocks)
         for a in range(m):
             for b in range(a + 1, m):
-                keep = [blocks[t] for t in range(m) if t not in (a, b)]
-                keep.append(tuple(sorted(blocks[a] + blocks[b])))
-                keep.sort(key=lambda t: t[0])
-                covers.append((blocks, tuple(keep)))
-    return build_poset(elements, covers)
+                u = index[_merged(blocks, a, b)]
+                table[(t, u)] = max(blocks[a][-1], blocks[b][-1])
+    return build_indexed_poset(elements, table, table)
 
 
 # ── atom words ───────────────────────────────────────────────────────────

@@ -12,12 +12,10 @@ from vpshell import (
     chain_label,
     count_total,
     cover_label,
-    edge_label_map,
     first_word_difference,
     is_increasing,
     is_weakly_decreasing,
     lex_shelling_order,
-    merge_max_label,
     order_complex,
     sabotaged_label_map,
     sabotaged_shelling_order,
@@ -122,19 +120,22 @@ def test_monotonicity_predicates():
 
 
 def test_merge_max_label_partition_lattice():
+    # the lattice labels each cover with the max of the two merged blocks
+    def label(lat, x, y):
+        return lat.edge_labels[(lat.index[x], lat.index[y])]
+
+    lat = set_partition_lattice(3)
     x = ((1,), (2,), (3,))
-    assert merge_max_label(x, ((1, 2), (3,))) == 2
-    assert merge_max_label(x, ((1, 3), (2,))) == 3
-    assert merge_max_label(((1, 2), (3, 4)), ((1, 2, 3, 4),)) == 4
-    with pytest.raises(NotACover):
-        merge_max_label(x, ((1, 2, 3),))
+    assert label(lat, x, ((1, 2), (3,))) == 2
+    assert label(lat, x, ((1, 3), (2,))) == 3
+    lat = set_partition_lattice(4)
+    assert label(lat, ((1, 2), (3, 4)), ((1, 2, 3, 4),)) == 4
+    assert set(lat.edge_labels) == set(lat.covers)
 
 
 def test_verify_el_on_partition_lattice():
     # the classical max-merge labeling of the plain partition lattice
-    lat = set_partition_lattice(4)
-    rep = verify_el(lat, lambda x, y: merge_max_label(x, y))
-    assert rep.ok
+    assert verify_el(set_partition_lattice(4)).ok
 
 
 def test_verify_el_small_posets(p2s1, p3s1, p2s2, p3s2):
@@ -145,7 +146,7 @@ def test_verify_el_small_posets(p2s1, p3s1, p2s2, p3s2):
 def test_verify_el_flags_bad_labeling():
     # labeling a diamond with equal labels on both chains: two increasing
     p = build_poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    rep = verify_el(p, lambda x, y: 1)
+    rep = verify_el(p, dict.fromkeys(p.covers, 1))
     assert not rep.ok
     assert "increasing" in rep.counterexample[2]
 
@@ -159,14 +160,9 @@ def test_default_labels_are_read_not_recomputed(monkeypatch):
     monkeypatch.setattr(labeling, "is_cover", refuse)
     monkeypatch.setattr(vecpart, "is_leq", refuse)
     p = vector_partition_poset(3, 2)
-    assert edge_label_map(p, cover_label) is p.edge_labels
     assert verify_el(p).ok
-
-
-def test_edge_label_map_accepts_dict_and_callable(p2s1):
-    m = edge_label_map(p2s1, cover_label)
-    assert m == edge_label_map(p2s1, m)
-    assert set(m) == set(p2s1.covers)
+    assert not any(verify_label_structure(p).values())
+    assert sabotaged_label_map(p, "drop-tie-break") == p.edge_labels
 
 
 def test_verify_label_structure_clean(p3s1, p2s2):
@@ -180,7 +176,7 @@ def test_verify_label_structure_sees_defects(p3s1):
     # of the upper one; conditions (3) and (5) must both object
     from vpshell import atom_word
     p = p3s1
-    lab = dict(edge_label_map(p, cover_label))
+    lab = dict(p.edge_labels)
     for (lo, hi), (k, i, j) in sorted(lab.items()):
         x, y = p.elements[lo], p.elements[hi]
         if lo != p.bottom and atom_word(x) != atom_word(y):
@@ -254,7 +250,7 @@ def test_sabotages_are_detected(p3s1):
 
 
 def test_sabotage_swap_bottom_changes_two_edges(p3s1):
-    honest = edge_label_map(p3s1, cover_label)
+    honest = p3s1.edge_labels
     swapped = sabotaged_label_map(p3s1, "swap-bottom-labels")
     diff = {e for e in honest if honest[e] != swapped[e]}
     assert len(diff) == 2

@@ -1,15 +1,18 @@
 """Poset core: validation, chains, Mobius, serialization."""
+import gc
 import json
 
 import pytest
 
 from vpshell import (
     CycleDetected,
+    DuplicateElement,
     MalformedDocument,
     NotBounded,
     NotComparable,
     NotGraded,
     UnknownElement,
+    VpshellError,
     build_poset,
     maximal_chains,
     mobius,
@@ -38,8 +41,12 @@ def test_build_basic():
 
 
 def test_build_rejects_duplicates():
-    with pytest.raises(ValueError):
+    from vpshell.poset import build_indexed_poset
+    with pytest.raises(DuplicateElement):
         build_poset("aab", [("a", "b")])
+    with pytest.raises(DuplicateElement):
+        build_indexed_poset("aab", [(0, 2)])
+    assert issubclass(DuplicateElement, VpshellError)
 
 
 def test_build_rejects_unknown_cover_key():
@@ -235,3 +242,17 @@ def test_dot_output():
     assert dot.count("->") == 4
     labeled = poset_to_dot(p, {e: (1, 2, 3) for e in p.covers})
     assert 'label="(1, 2, 3)"' in labeled
+
+
+def test_chains_are_freed_without_the_cyclic_collector(p3s2):
+    # with the collector off, nothing the chain walk or the EL scan
+    # leaves behind may sit in a reference cycle
+    from vpshell import verify_el
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(maximal_chains(p3s2)) == 108
+        assert verify_el(p3s2).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -27,11 +27,10 @@ KNOWN = {(2, 1): 1, (3, 1): 4, (4, 1): 33, (2, 2): 3, (3, 2): 46}
 
 
 def test_both_enumeration_routes_agree():
+    # the routes are compared inside decreasing_chains; see
+    # test_enumeration_routes_are_compared for a disagreement
     for (n, s), want in KNOWN.items():
-        filtered = decreasing_chains(n, s, method="filter")
-        generated = decreasing_chains(n, s, method="generate")
-        assert filtered == generated
-        assert len(filtered) == want
+        assert len(decreasing_chains(n, s)) == want == count_total(n, s)
 
 
 def test_decreasing_chains_are_decreasing_and_unique():
@@ -55,16 +54,9 @@ def test_decreasing_chain_structure():
             assert el.blocks[pos][0] == pos + 1
 
 
-def test_method_validation():
-    with pytest.raises(ValueError):
-        decreasing_chains(3, 1, method="guess")
-
-
 def test_chain_budget():
     with pytest.raises(ResourceLimit):
         decreasing_chains(9, 3, max_chains=100)
-    with pytest.raises(ResourceLimit):
-        decreasing_chains(9, 3, method="filter", max_chains=100)
 
 
 def test_top_label_classification():
@@ -242,8 +234,16 @@ def test_recompose_rejects_bad_splits():
         recompose(replace(good, splits=overlap))
 
 
-def test_enumeration_oracle_mismatch_type_exists():
-    # the dual-route comparison raises OracleMismatch on disagreement;
-    # no disagreement is constructible from the public API, so just
-    # confirm the contract type is wired
-    assert issubclass(OracleMismatch, Exception)
+def test_enumeration_routes_are_compared(monkeypatch, capsys):
+    # a generation route that loses one chain must be caught by the
+    # filter route, in the library and as the CLI's exit code 2
+    from vpshell import spherecount
+    from vpshell.cli import main
+    honest = spherecount._generated_decreasing
+    monkeypatch.setattr(spherecount, "_generated_decreasing",
+                        lambda n, s: honest(n, s)[1:])
+    with pytest.raises(OracleMismatch):
+        decreasing_chains(3, 2)
+    code = main(["count", "--n", "3", "--s", "2", "--method", "enumerate"])
+    assert code == 2
+    assert "oracle mismatch" in capsys.readouterr().err
