@@ -7,9 +7,10 @@ Usage:
   vpshell sequence   --s S --max-n N [-o PATH]
 
 Exit codes: 0 success, 1 verification failure, 2 oracle mismatch,
-3 budget exceeded, 4 bad input.  Enumeration budgets default to 10^6
-elements and 10^7 chains; flags --max-elements/--max-chains or the
-environment variables VPSHELL_MAX_ELEMENTS/VPSHELL_MAX_CHAINS override.
+3 budget exceeded or out of memory, 4 bad input.  Enumeration budgets
+default to 10^6 elements and 10^7 chains; flags --max-elements and
+--max-chains or the environment variables VPSHELL_MAX_ELEMENTS and
+VPSHELL_MAX_CHAINS override.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
@@ -214,6 +215,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except ResourceLimit as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("budget exceeded: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)

@@ -63,6 +63,10 @@ class EqualWords(VpshellError):
     """Two atom words are identical, so no first difference exists."""
 
 
+class MissingLabels(VpshellError):
+    """A labeling check got no labels and the poset carries no table."""
+
+
 class NotSaturated(VpshellError):
     """A chain has a step that is not a cover relation."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import NotACover, NotSaturated
+from .errors import MissingLabels, NotACover, NotSaturated
 from .poset import Poset, maximal_chains
 from .vecpart import (VectorPartition, atom_lex_rank, atom_word,
                       first_word_difference, is_cover, merge_blocks)
@@ -89,34 +89,95 @@ class ELReport:
         return f"EL verification FAILED on interval ({x}, {y}): {why}"
 
 
+def _label_table(p: Poset, labels: Mapping | None) -> Mapping:
+    """labels, else the table p carries; MissingLabels when neither exists."""
+    if labels is not None:
+        return labels
+    if p.edge_labels is None:
+        raise MissingLabels("the poset carries no edge labels and none "
+                            "were given")
+    return p.edge_labels
+
+
 def verify_el(p: Poset, labels: Mapping | None = None) -> ELReport:
     """Check the EL property on every interval of p.
 
     labels maps every cover (lo, hi) to its label; None reads the table
-    the poset carries, p.edge_labels.  For each x < y: among the maximal
-    chains of [x, y] exactly one may have a strictly increasing label
-    word, and that word must strictly precede every other chain's word.
-    The first failure, scanning pairs (x, y) in ascending index order, is
-    reported.
+    the poset carries, p.edge_labels, and MissingLabels is raised when
+    there is neither.  For each x < y: among the maximal chains of
+    [x, y] exactly one may have a strictly increasing label word, and
+    that word must strictly precede every other chain's word.  The first
+    failure, scanning pairs (x, y) in ascending index order, is reported.
+
+    No chain is enumerated (the definition, Bjorner-Wachs 1983, is
+    checked exactly).  One pass per lower endpoint x walks the up-set of
+    x rank by rank through the covers and gives each y three values,
+    all read off y's lower covers z above x:
+      * the least label word of [x, y], the least of least(z) + (label
+        of z <. y,).  p is graded, so the words of [x, y] share one
+        length and the least word extends a lower cover's least word;
+      * whether that word strictly increases;
+      * the number of strictly increasing chains of [x, y] per last
+        label: the cover from z = x adds 1, any other z adds its
+        increasing chains whose last label is below that of z <. y.
+    [x, y] fails when it has k != 1 increasing chains, or when its one
+    increasing chain does not carry the least word (a second chain with
+    the least word would be a second increasing chain).  The cost is the
+    sum, over comparable pairs x < y, of the lower covers of y; a pass
+    keeps one word per element of the up-set of x.
     """
-    lab = p.edge_labels if labels is None else labels
+    lab = _label_table(p, labels)
     for x in range(len(p.elements)):
-        for y in p.up_set(x):
-            if y == x:
-                continue
-            words = []
-            for c in maximal_chains(p, x, y):
-                words.append(tuple(lab[e] for e in zip(c, c[1:])))
-            rising = [t for t, w in enumerate(words) if is_increasing(w)]
-            if len(rising) != 1:
-                return ELReport(False, (x, y,
-                                f"{len(rising)} increasing chains"))
-            bi = rising[0]
-            if any(words[t] <= words[bi]
-                   for t in range(len(words)) if t != bi):
-                return ELReport(False, (x, y,
-                                "increasing chain is not lexicographically first"))
+        bad = _first_el_failure(p, lab, x)
+        if bad is not None:
+            return ELReport(False, (x,) + bad)
     return ELReport(True)
+
+
+def _first_el_failure(p: Poset, lab: Mapping, x: int) -> tuple | None:
+    """(y, diagnosis) for the least index y whose [x, y] is not EL."""
+    up, down = p.up, p.down
+    # least[y]: the least label word of [x, y]; rises[y]: whether it
+    # strictly increases; rising[y]: last label -> number of strictly
+    # increasing chains of [x, y] ending in it
+    least: dict[int, tuple] = {x: ()}
+    rises = {x: True}
+    rising: dict[int, dict] = {}
+    failure = None
+    level = [x]
+    while level:
+        # p is graded, so the lower covers above x of every element of
+        # the next level lie in the level just done
+        level = {w for z in level for w in up[z]}
+        for y in level:
+            word = None
+            counts: dict = {}
+            for z in down[y]:
+                w = least.get(z)
+                if w is None:
+                    continue
+                label = lab[(z, y)]
+                if word is None or (w, label) < (word, last):
+                    word, last, via = w, label, z
+                if z == x:
+                    counts[label] = 1
+                    continue
+                k = sum(c for l, c in rising[z].items() if l < label)
+                if k:
+                    counts[label] = counts.get(label, 0) + k
+            least[y] = word + (last,)
+            rises[y] = rises[via] and (not word or word[-1] < last)
+            rising[y] = counts
+            k = sum(counts.values())
+            if k != 1:
+                why = f"{k} increasing chains"
+            elif not rises[y]:
+                why = "increasing chain is not lexicographically first"
+            else:
+                continue
+            if failure is None or y < failure[0]:
+                failure = (y, why)
+    return failure
 
 
 def verify_label_structure(p: Poset,
@@ -135,19 +196,21 @@ def verify_label_structure(p: Poset,
         the label (k, i, j) exactly once and no label below it.
 
     p must be a vector-partition poset; labels defaults to its
-    p.edge_labels.  Returns {condition: [text]}, every list empty exactly
-    when the condition holds; each list is capped at five entries.
+    p.edge_labels (MissingLabels when there is neither).  Returns
+    {condition: [text]}, every list empty exactly when the condition
+    holds; each list is capped at five entries.
     """
     bad: dict[int, list] = {c: [] for c in (1, 2, 3, 4, 5)}
-    lab = p.edge_labels if labels is None else labels
+    lab = _label_table(p, labels)
     els = p.elements
     n, s = els[p.top].n, els[p.top].s
     words = {t: atom_word(e) for t, e in enumerate(els) if not e.is_bottom}
 
+    # every element above a non-bottom x is non-bottom too
     live = sorted(words)
     for x in live:
-        for y in live:
-            if x != y and p.leq(x, y) and not words[y] <= words[x]:
+        for y in p.up_set(x):
+            if x != y and not words[y] <= words[x]:
                 if len(bad[1]) < _REPORTED:
                     bad[1].append(f"{els[x]} <= {els[y]} but atom words rise")
 
@@ -187,8 +250,8 @@ def verify_label_structure(p: Poset,
                               f"{els[hi]} does not name the merged blocks")
 
     for x in live:
-        for y in live:
-            if x == y or not p.leq(x, y) or words[x] == words[y]:
+        for y in p.up_set(x):
+            if words[x] == words[y]:
                 continue
             first = first_word_difference(words[x], words[y], n, s)
             for c in maximal_chains(p, x, y):
@@ -206,7 +269,7 @@ def sorted_labeled_chains(p: Poset, labels: Mapping | None = None) -> list:
     """Maximal bottom-top chains as (word, chain) pairs, sorted by label
     word with ties broken by the chains' element-index tuples.  labels
     defaults to p.edge_labels."""
-    lab = p.edge_labels if labels is None else labels
+    lab = _label_table(p, labels)
     pairs = [(tuple(lab[e] for e in zip(c, c[1:])), c)
              for c in maximal_chains(p)]
     pairs.sort()
@@ -237,7 +300,7 @@ def sabotaged_label_map(p: Poset, name: str) -> dict:
     min of the merged blocks instead of the max.  drop-tie-break mutates
     the shelling order, not the labels; see sabotaged_shelling_order.
     """
-    lab = dict(p.edge_labels)
+    lab = dict(_label_table(p, None))
     if name == "swap-bottom-labels":
         bottom_edges = sorted(
             (e for e in lab if e[0] == p.bottom), key=lambda e: lab[e])

@@ -5,7 +5,8 @@ deliberately unlike the library's: maximal chains by powerset filtering,
 the Mobius function by alternating chain counts, atom ranks by sorting
 the full list of words, shellings by intersecting every pair of facets,
 merges by re-sorting the blocks, the whole poset from element keys, and
-the indexed sphere counts from math.comb.
+the indexed sphere counts from math.comb, and the EL property by
+enumerating the maximal chains of every interval.
 They are slow and only fit tiny inputs, which is the point.
 """
 from itertools import combinations, permutations
@@ -13,8 +14,9 @@ from math import comb
 
 import pytest
 
-from vpshell import (ShellingReport, VectorPartition, build_poset,
-                     enumerate_elements, vector_partition_poset)
+from vpshell import (ELReport, ShellingReport, VectorPartition, build_poset,
+                     enumerate_elements, is_increasing, maximal_chains,
+                     vector_partition_poset)
 
 
 def chains_by_powerset(p, x=None, y=None):
@@ -125,6 +127,28 @@ def shelling_by_intersections(c, order):
         if all(any(fi - {v} <= given[j] for j in range(i)) for v in fi):
             homology.append(i)
     return ShellingReport(True, None, tuple(homology), None)
+
+
+def el_by_chain_enumeration(p, labels):
+    """verify_el by the definition: list the label word of every maximal
+    chain of every interval [x, y], scanning pairs in ascending index
+    order, and compare the words.  Exponential in the rank."""
+    for x in range(len(p.elements)):
+        for y in p.up_set(x):
+            if y == x:
+                continue
+            words = [tuple(labels[e] for e in zip(c, c[1:]))
+                     for c in maximal_chains(p, x, y)]
+            rising = [t for t, w in enumerate(words) if is_increasing(w)]
+            if len(rising) != 1:
+                return ELReport(False, (x, y,
+                                f"{len(rising)} increasing chains"))
+            bi = rising[0]
+            if any(words[t] <= words[bi]
+                   for t in range(len(words)) if t != bi):
+                return ELReport(False, (x, y,
+                                "increasing chain is not lexicographically first"))
+    return ELReport(True)
 
 
 def merge_blocks_by_sorting(v, a, b):

@@ -78,6 +78,19 @@ def test_verify_el_sabotages_exit_1(capsys):
         assert code == 1, name
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    from vpshell import vecpart
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(vecpart, "vector_partition_poset", exhaust)
+    code, out, err = run(capsys, "verify-el", "--n", "3", "--s", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "budget exceeded: out of memory\n"
+
+
 def test_sequence_csv(capsys):
     code, out, _ = run(capsys, "sequence", "--s", "1", "--max-n", "6")
     assert code == 0

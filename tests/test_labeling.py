@@ -1,8 +1,10 @@
 """Edge labels, EL verification, shelling order, sabotage detection."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpshell import (
     EqualWords,
+    MissingLabels,
     NotACover,
     SABOTAGES,
     atom_word,
@@ -22,11 +24,19 @@ from vpshell import (
     set_partition_lattice,
     sorted_labeled_chains,
     top_element,
+    vector_partition_poset,
     verify_el,
     verify_label_structure,
     verify_shelling,
 )
-from conftest import shelling_by_intersections
+from vpshell.poset import build_indexed_poset
+from conftest import el_by_chain_enumeration, shelling_by_intersections
+
+_EL_POSETS = {"(2,1)": vector_partition_poset(2, 1),
+              "(3,1)": vector_partition_poset(3, 1),
+              "(2,2)": vector_partition_poset(2, 2),
+              "(3,2)": vector_partition_poset(3, 2),
+              "lattice(4)": set_partition_lattice(4)}
 
 
 def golden_chain_s2():
@@ -149,6 +159,87 @@ def test_verify_el_flags_bad_labeling():
     rep = verify_el(p, dict.fromkeys(p.covers, 1))
     assert not rep.ok
     assert "increasing" in rep.counterexample[2]
+
+
+def test_verify_el_reports_the_least_failing_index():
+    # [0, t] fails: its one increasing word (3, 4) is not the least,
+    # (2, 1).  [0, 1] extends both words by 5 and fails for that reason
+    # alone; 1 has the smaller index, so it is the one reported
+    p = build_poset("01abt", [("0", "a"), ("0", "b"), ("a", "t"),
+                              ("b", "t"), ("t", "1")])
+    i = p.index
+    labels = {(i["0"], i["a"]): 2, (i["a"], i["t"]): 1,
+              (i["0"], i["b"]): 3, (i["b"], i["t"]): 4,
+              (i["t"], i["1"]): 5}
+    rep = verify_el(p, labels)
+    assert rep.counterexample == (
+        0, 1, "increasing chain is not lexicographically first")
+    assert rep == el_by_chain_enumeration(p, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_el_matches_chain_enumeration_oracle(data):
+    # random labels from a small alphabet make ties, intervals without an
+    # increasing chain and intervals with several all common; the honest
+    # table with a few labels moved makes failures above the bottom; the
+    # built posets index elements by rank, so shuffled indices make the
+    # least failing index differ from the first failure found by rank
+    name = data.draw(st.sampled_from(sorted(_EL_POSETS)), label="poset")
+    p = _EL_POSETS[name]
+    if data.draw(st.booleans(), label="shuffle indices"):
+        to = data.draw(st.permutations(range(len(p.elements))))
+        elements = [None] * len(to)
+        for i, key in enumerate(p.elements):
+            elements[to[i]] = key
+        moved = {(to[lo], to[hi]): label
+                 for (lo, hi), label in p.edge_labels.items()}
+        p = build_indexed_poset(elements, moved, moved)
+    covers = sorted(p.covers)
+    if data.draw(st.booleans(), label="random labels"):
+        alphabet = st.integers(1, data.draw(st.integers(1, 3)))
+        labels = dict(zip(covers, data.draw(st.lists(
+            alphabet, min_size=len(covers), max_size=len(covers)))))
+    else:
+        labels = dict(p.edge_labels)
+        values = sorted(set(labels.values()))
+        for _ in range(data.draw(st.integers(0, 3), label="moved")):
+            labels[data.draw(st.sampled_from(covers))] = \
+                data.draw(st.sampled_from(values))
+    assert verify_el(p, labels) == el_by_chain_enumeration(p, labels)
+
+
+@pytest.mark.parametrize("n, s, swapped, merged", [
+    (3, 4, 1297, 1540),
+    (4, 2, 577, 1441),
+    (5, 1, 121, 721),
+])
+def test_sabotage_counterexamples_are_pinned(n, s, swapped, merged):
+    # values from el_by_chain_enumeration on the same labels
+    p = vector_partition_poset(n, s)
+    rep = verify_el(p, sabotaged_label_map(p, "swap-bottom-labels"))
+    assert rep.counterexample == (
+        0, swapped, "increasing chain is not lexicographically first")
+    rep = verify_el(p, sabotaged_label_map(p, "min-merge-label"))
+    assert rep.counterexample == (0, merged, "0 increasing chains")
+
+
+def test_verify_el_enumerates_no_chains(monkeypatch, p3s2):
+    from vpshell import labeling
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_el enumerated chains")
+
+    monkeypatch.setattr(labeling, "maximal_chains", refuse)
+    assert verify_el(p3s2).ok
+
+
+@pytest.mark.parametrize("check", [verify_el, verify_label_structure,
+                                   sorted_labeled_chains, lex_shelling_order])
+def test_unlabeled_poset_without_labels_is_refused(check):
+    p = build_poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    with pytest.raises(MissingLabels):
+        check(p)
 
 
 def test_default_labels_are_read_not_recomputed(monkeypatch):
