@@ -25,7 +25,6 @@ class SimplicialComplex:
     """
 
     facets: tuple  # of frozenset[int], canonical order
-    vertices: frozenset
 
     @property
     def is_empty(self) -> bool:
@@ -66,8 +65,7 @@ def simplicial_complex(facets) -> SimplicialComplex:
             for b in sets:
                 if a < b:
                     raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
-    verts = frozenset().union(*sets) if sets else frozenset()
-    return SimplicialComplex(facets=tuple(sets), vertices=verts)
+    return SimplicialComplex(facets=tuple(sets))
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
@@ -77,7 +75,7 @@ def order_complex(p: Poset) -> SimplicialComplex:
     complex is then empty (is_empty flags it).
     """
     if p.height < 2:
-        return SimplicialComplex(facets=(), vertices=frozenset())
+        return SimplicialComplex(facets=())
     facets = [c[1:-1] for c in maximal_chains(p)]
     return simplicial_complex(facets)
 

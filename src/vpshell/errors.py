@@ -49,12 +49,6 @@ class MalformedWord(VpshellError):
     """An atom word is not a concatenation of permutations of 1..n."""
 
 
-class MalformedDocument(VpshellError):
-    """A serialized element or poset does not have the shape its loader
-    reads: the wrong JSON type, a missing key, a cover index outside the
-    elements, or a declared bottom or top that the covers contradict."""
-
-
 class NotACover(VpshellError):
     """The pair of elements is not a cover relation."""
 

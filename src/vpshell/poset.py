@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import (CycleDetected, DuplicateElement, MalformedDocument,
-                     NotBounded, NotComparable, NotGraded, UnknownElement)
+from .errors import (CycleDetected, DuplicateElement, NotBounded,
+                     NotComparable, NotGraded, UnknownElement)
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,11 @@ class Poset:
     """Immutable bounded graded poset.
 
     Use build_poset() or build_indexed_poset() to construct: they
-    validate acyclicity, unique bottom and top, and gradedness.  Derived structure (adjacency, reachability)
-    is computed lazily and cached on the instance.  edge_labels, when
-    present, is a read-only mapping (lo, hi) -> label over every cover,
-    attached by a builder that labels each cover as it generates it; it
-    takes no part in equality.
+    validate acyclicity, unique bottom and top, and gradedness.  Derived
+    structure (adjacency, reachability) is computed lazily and cached on
+    the instance.  edge_labels, when present, is a read-only mapping
+    (lo, hi) -> label over every cover, attached by a builder that labels
+    each cover as it generates it; it takes no part in equality.
     """
 
     elements: tuple
@@ -97,10 +97,6 @@ class Poset:
     def up_set(self, x: int) -> list[int]:
         """Sorted indices of the elements above x, x included."""
         return _mask_indices(self._above[x])
-
-    def interval(self, x: int, y: int) -> list[int]:
-        """Sorted indices of [x, y].  Empty when x is not below y."""
-        return _mask_indices(self._above[x] & self._below[y])
 
 
 def build_poset(elements, covers) -> Poset:
@@ -198,13 +194,16 @@ def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list
     """All saturated chains from x to y, in lexicographic index order.
 
     Defaults to the full interval [bottom, top].  Raises NotComparable
-    when x is not below y.
+    when x is not below y.  Every element lies below the top, so a walk
+    up to the top tests no order relation and builds no reachability
+    table.
     """
     if x is None:
         x = p.bottom
     if y is None:
         y = p.top
-    if not p.leq(x, y):
+    below_top = y != p.top
+    if below_top and not p.leq(x, y):
         raise NotComparable(f"{x} is not below {y}")
     out: list[tuple[int, ...]] = []
     path = [x]
@@ -214,7 +213,7 @@ def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list
             out.append(tuple(path))
             return
         for w in p.up[v]:
-            if p.leq(w, y):
+            if not below_top or p.leq(w, y):
                 path.append(w)
                 walk(w)
                 path.pop()
@@ -279,63 +278,6 @@ def poset_to_json(p: Poset, edge_labels: dict | None = None) -> str:
         "top": p.top,
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def poset_from_json(text: str) -> Poset:
-    """Rebuild (and re-validate) a poset from poset_to_json output.
-
-    Element keys come back as strings.  Labeled covers are accepted;
-    their labels are ignored here.  A document of any other shape raises
-    MalformedDocument: text that is not JSON, a top level that is not an
-    object, a missing "elements", "covers", "bottom" or "top", elements
-    that are not distinct strings, a cover that is neither a [lo, hi]
-    pair nor an object with "lo" and "hi", a cover index that is not an
-    integer in range(len(elements)), or a declared bottom or top that
-    the covers contradict.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not a JSON document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedDocument(
-            f"a poset is a JSON object, not {type(doc).__name__}")
-    for name in ("elements", "covers", "bottom", "top"):
-        if name not in doc:
-            raise MalformedDocument(f"a poset object needs the key {name!r}")
-    elements, covers = doc["elements"], doc["covers"]
-    if (not isinstance(elements, list)
-            or not all(isinstance(k, str) for k in elements)
-            or len(set(elements)) != len(elements)):
-        raise MalformedDocument('"elements" is not a list of distinct strings')
-    if not isinstance(covers, list):
-        raise MalformedDocument('"covers" is not a list')
-
-    def index(i):
-        if type(i) is not int or not 0 <= i < len(elements):
-            raise MalformedDocument(
-                f"cover index {i!r} is not an element index "
-                f"0..{len(elements) - 1}")
-        return i
-
-    pairs = []
-    for c in covers:
-        if isinstance(c, dict) and "lo" in c and "hi" in c:
-            lo, hi = c["lo"], c["hi"]
-        elif isinstance(c, list) and len(c) == 2:
-            lo, hi = c
-        else:
-            raise MalformedDocument(
-                f"cover {c!r} is neither [lo, hi] nor an object with "
-                f"lo and hi")
-        pairs.append((index(lo), index(hi)))
-    p = build_indexed_poset(elements, pairs)
-    declared = (doc["bottom"], doc["top"])
-    if any(type(d) is not int for d in declared) \
-            or declared != (p.bottom, p.top):
-        raise MalformedDocument(
-            "declared bottom/top disagree with cover relation")
-    return p
 
 
 def poset_to_dot(p: Poset, edge_labels: dict | None = None) -> str:

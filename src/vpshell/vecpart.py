@@ -12,15 +12,13 @@ an ascending tuple, labels aligned positionally with blocks.
 """
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, factorial
 
 from .errors import (BottomHasNoAtom, DimensionMismatch, EqualWords,
-                     InvalidPartition, MalformedDocument, MalformedWord,
-                     ResourceLimit, SizeMismatch)
+                     InvalidPartition, MalformedWord, ResourceLimit,
+                     SizeMismatch)
 from .poset import Poset, build_indexed_poset
 
 
@@ -137,65 +135,6 @@ def format_element(v: VectorPartition) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in sets)
 
     return "|".join([part(v.blocks)] + [part(lab) for lab in v.labels])
-
-
-_SET_RE = re.compile(r"\{([0-9,]*)\}")
-
-
-def parse_element(text: str, n: int, s: int) -> VectorPartition:
-    """Inverse of format_element; validates through canonicalize."""
-    text = text.strip()
-    if text == "BOTTOM":
-        return bottom_element(n, s)
-    parts = text.split("|")
-    if len(parts) != s + 1:
-        raise SizeMismatch(f"expected blocks plus {s} labelings")
-
-    def sets_of(chunk: str):
-        pieces = _SET_RE.findall(chunk)
-        if "".join("{" + p + "}" for p in pieces) != chunk.replace(" ", ""):
-            raise InvalidPartition(f"cannot parse {chunk!r}")
-        return [tuple(int(x) for x in p.split(",") if x) for p in pieces]
-
-    blocks = sets_of(parts[0])
-    labels = [sets_of(c) for c in parts[1:]]
-    return canonicalize(n, s, blocks, labels)
-
-
-def element_to_json(v: VectorPartition) -> str:
-    doc = {"n": v.n, "s": v.s,
-           "blocks": [list(b) for b in v.blocks],
-           "labels": [[list(l) for l in lab] for lab in v.labels]}
-    return json.dumps(doc, sort_keys=True)
-
-
-def element_from_json(text: str) -> VectorPartition:
-    """Parse an element given either as the JSON document form or as the
-    canonical string form.  Dimensions of a canonical string are inferred
-    from the text, so a bare "BOTTOM" (which fixes neither n nor s) is
-    rejected here; use parse_element or bottom_element for that case."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = text
-    if isinstance(doc, str):
-        stripped = doc.strip()
-        if stripped == "BOTTOM":
-            raise SizeMismatch("BOTTOM does not determine n and s")
-        parts = stripped.split("|")
-        n = sum(1 for grp in _SET_RE.findall(parts[0])
-                for x in grp.split(",") if x)
-        return parse_element(stripped, n, len(parts) - 1)
-    if not isinstance(doc, dict):
-        raise MalformedDocument(
-            f"an element is a JSON object or a canonical string, "
-            f"not {type(doc).__name__}")
-    if "n" not in doc or "s" not in doc:
-        raise MalformedDocument("an element object needs the keys n and s")
-    blocks, labels = doc.get("blocks", []), doc.get("labels", [])
-    if not blocks and not labels:
-        return bottom_element(doc["n"], doc["s"])
-    return canonicalize(doc["n"], doc["s"], blocks, labels)
 
 
 # ── order relation ───────────────────────────────────────────────────────
@@ -434,15 +373,6 @@ def first_word_difference(a, b, n: int, s: int) -> tuple:
             if a[pos] != b[pos]:
                 return (k, i, b[pos])
     raise EqualWords("atom words are identical")
-
-
-def word_to_atom(word, n: int, s: int) -> VectorPartition:
-    """The atom whose word this is (singleton blocks, singleton labels)."""
-    check_atom_word(word, n, s)
-    blocks = tuple((k,) for k in range(1, n + 1))
-    labels = tuple(tuple((word[i * n + k],) for k in range(n))
-                   for i in range(s))
-    return VectorPartition(n=n, s=s, blocks=blocks, labels=labels)
 
 
 def check_atom_word(word, n: int, s: int) -> None:

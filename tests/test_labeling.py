@@ -6,6 +6,7 @@ from vpshell import (
     EqualWords,
     MissingLabels,
     NotACover,
+    NotSaturated,
     SABOTAGES,
     atom_word,
     bottom_element,
@@ -295,6 +296,8 @@ def test_lex_shelling_two_atom_case(p2s1):
 def test_chain_label_single_cover():
     a = canonicalize(2, 1, [(1,), (2,)], [[(1,), (2,)]])
     assert chain_label((a, top_element(2, 1))) == ((2, 2, 0),)
+    with pytest.raises(NotSaturated):
+        chain_label((bottom_element(3, 1), top_element(3, 1)))
 
 
 def test_lex_shelling_order_is_valid(p3s1):

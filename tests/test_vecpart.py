@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpshell import (
+    BottomHasNoAtom,
+    DimensionMismatch,
     InvalidPartition,
-    MalformedDocument,
     MalformedWord,
     ResourceLimit,
     SizeMismatch,
@@ -18,8 +19,6 @@ from vpshell import (
     check_atom_word,
     cover_label,
     element_count,
-    element_from_json,
-    element_to_json,
     enumerate_elements,
     format_element,
     is_cover,
@@ -28,13 +27,11 @@ from vpshell import (
     maximal_chains,
     merge_blocks,
     mobius,
-    parse_element,
     perm_lex_rank,
     set_partition_lattice,
     set_partitions,
     top_element,
     vector_partition_poset,
-    word_to_atom,
 )
 from conftest import (merge_blocks_by_sorting, poset_from_element_covers,
                       sorted_word_rank)
@@ -91,38 +88,11 @@ def test_rank_and_atoms():
     assert not top_element(3, 1).is_atom
 
 
-def test_format_parse_roundtrip():
+def test_format_element_pinned():
     v = canonicalize(4, 2, [(1, 4), (2, 3)],
                      [[(2, 4), (1, 3)], [(1, 2), (3, 4)]])
-    assert parse_element(format_element(v), 4, 2) == v
-    b = bottom_element(4, 2)
-    assert parse_element(format_element(b), 4, 2) == b
-
-
-def test_element_json_roundtrip():
-    v = canonicalize(3, 1, [(1, 3), (2,)], [[(1, 2), (3,)]])
-    assert element_from_json(element_to_json(v)) == v
-
-
-def test_element_from_json_accepts_canonical_text():
-    v = canonicalize(6, 2,
-                     [(1, 4, 6), (2, 3), (5,)],
-                     [[(2, 3, 5), (1, 4), (6,)],
-                      [(1, 2, 6), (3, 5), (4,)]])
-    assert element_from_json(format_element(v)) == v
-    with pytest.raises(SizeMismatch):
-        element_from_json("BOTTOM")  # dimensions are not inferable
-
-
-@pytest.mark.parametrize("text", ["[1,2]", "3", "null", "{}", '{"n": 2}'])
-def test_element_from_json_rejects_other_json_shapes(text):
-    with pytest.raises(MalformedDocument):
-        element_from_json(text)
-
-
-def test_element_from_json_missing_labels_is_a_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        element_from_json('{"n": 2, "s": 1, "blocks": [[1], [2]]}')
+    assert format_element(v) == "{1,4}{2,3}|{2,4}{1,3}|{1,2}{3,4}"
+    assert format_element(bottom_element(4, 2)) == "BOTTOM"
 
 
 def test_is_leq_refinement():
@@ -134,6 +104,8 @@ def test_is_leq_refinement():
     assert is_leq(bottom_element(3, 1), x)
     assert is_leq(x, x)
     assert not is_leq(y, x)
+    with pytest.raises(DimensionMismatch):
+        is_leq(x, bottom_element(3, 2))
 
 
 def test_is_cover_and_upper_covers():
@@ -218,6 +190,8 @@ def test_atom_word_anchor():
     v = canonicalize(8, 1, [(1, 4, 8), (2, 3, 7), (5, 6)],
                      [[(2, 3, 7), (1, 5, 6), (4, 8)]])
     assert atom_word(v) == (2, 1, 5, 3, 4, 8, 6, 7)
+    with pytest.raises(BottomHasNoAtom):
+        atom_word(bottom_element(3, 1))
 
 
 def test_atom_word_of_atom_is_its_own_word():
@@ -232,14 +206,14 @@ def test_atom_word_is_lex_least_atom_below():
     for n in (1, 2, 3, 4):
         for s in (1, 2):
             els = enumerate_elements(n, s)
-            atoms = [(atom_word(a), a) for a in els
-                     if not a.is_bottom and a.rank == 1]
+            atoms = {atom_word(a): a for a in els
+                     if not a.is_bottom and a.rank == 1}
             for x in els:
                 if x.is_bottom:
                     continue
                 w = atom_word(x)
-                assert w == min(aw for aw, a in atoms if is_leq(a, x))
-                assert is_leq(word_to_atom(w, n, s), x)
+                assert w == min(aw for aw, a in atoms.items() if is_leq(a, x))
+                assert is_leq(atoms[w], x)
 
 
 def test_top_atom_word_is_identity_repeated():
@@ -250,14 +224,6 @@ def test_top_atom_word_is_identity_repeated():
 def test_identity_word_ranks_first():
     assert atom_lex_rank(tuple(range(1, 6)), 5, 1) == 1
     assert atom_lex_rank((1, 2, 3, 1, 2, 3), 3, 2) == 1
-
-
-def test_word_to_atom_roundtrip():
-    for n, s in [(3, 1), (3, 2), (2, 3)]:
-        els = enumerate_elements(n, s)
-        for e in els:
-            if e.is_atom:
-                assert word_to_atom(atom_word(e), n, s) == e
 
 
 def test_check_atom_word_rejects_junk():
@@ -330,8 +296,9 @@ def test_same_atom_interval_is_partition_lattice():
     n, s = 3, 2
     p = vector_partition_poset(n, s)
     lat = set_partition_lattice(n)
-    atom = p.index[word_to_atom(tuple(range(1, n + 1)) * s, n, s)]
-    inside = sorted(p.interval(atom, p.top),
+    atom = next(t for t in p.up[p.bottom]
+                if atom_word(p.elements[t]) == tuple(range(1, n + 1)) * s)
+    inside = sorted([t for t in p.up_set(atom) if p.leq(t, p.top)],
                     key=lambda t: (p.ranks[t], p.elements[t].sort_key))
     assert len(inside) == len(lat.elements)
 
@@ -347,11 +314,12 @@ def test_same_atom_interval_is_partition_lattice():
 def _projection_matches(p, lat, x, y):
     # dropping labels must map [x, y] order-isomorphically onto the
     # partition-lattice interval between the underlying partitions
-    inside = p.interval(x, y)
+    inside = [t for t in p.up_set(x) if p.leq(t, y)]
     image = [lat.index[p.elements[t].blocks] for t in inside]
     assert len(set(image)) == len(inside)
-    want = lat.interval(lat.index[p.elements[x].blocks],
-                        lat.index[p.elements[y].blocks])
+    lx = lat.index[p.elements[x].blocks]
+    ly = lat.index[p.elements[y].blocks]
+    want = [t for t in lat.up_set(lx) if lat.leq(t, ly)]
     assert sorted(image) == want
     for a, qa in zip(inside, image):
         for b, qb in zip(inside, image):
