@@ -21,11 +21,13 @@ class Poset:
     """Immutable bounded graded poset.
 
     Use build_poset() or build_indexed_poset() to construct: they
-    validate acyclicity, unique bottom and top, and gradedness.  Derived
-    structure (adjacency, reachability) is computed lazily and cached on
-    the instance.  edge_labels, when present, is a read-only mapping
-    (lo, hi) -> label over every cover, attached by a builder that labels
-    each cover as it generates it; it takes no part in equality.
+    validate acyclicity, unique bottom and top, and gradedness.  The only
+    derived structure is adjacency (up, down, index), computed lazily and
+    cached on the instance; reachability (leq, up_set, intervals) is
+    walked through the covers on demand, never tabulated.  edge_labels,
+    when present, is a read-only mapping (lo, hi) -> label over every
+    cover, attached by a builder that labels each cover as it generates
+    it; it takes no part in equality.
     """
 
     elements: tuple
@@ -60,35 +62,8 @@ class Poset:
             lists[hi].append(lo)
         return tuple(tuple(sorted(l)) for l in lists)
 
-    @cached_property
-    def _above(self) -> tuple:
-        # above[i] = bitmask of j with i <= j; DP over descending rank
-        n = len(self.elements)
-        above = [0] * n
-        for i in sorted(range(n), key=lambda t: -self.ranks[t]):
-            m = 1 << i
-            for j in self.up[i]:
-                m |= above[j]
-            above[i] = m
-        return tuple(above)
-
-    @cached_property
-    def _below(self) -> tuple:
-        n = len(self.elements)
-        below = [0] * n
-        for i in sorted(range(n), key=lambda t: self.ranks[t]):
-            m = 1 << i
-            for j in self.down[i]:
-                m |= below[j]
-            below[i] = m
-        return tuple(below)
-
-    @cached_property
-    def _mobius_cache(self) -> dict:
-        return {}
-
     def leq(self, x: int, y: int) -> bool:
-        return bool((self._above[x] >> y) & 1)
+        return y in self._walk(x, self.up, self.ranks[y] - self.ranks[x])
 
     @property
     def height(self) -> int:
@@ -96,7 +71,18 @@ class Poset:
 
     def up_set(self, x: int) -> list[int]:
         """Sorted indices of the elements above x, x included."""
-        return _mask_indices(self._above[x])
+        return sorted(self._walk(x, self.up))
+
+    def _walk(self, start: int, step: tuple,
+              levels: int | None = None) -> set[int]:
+        """start and what step (up or down) reaches from it in at most
+        levels steps, by default any number.  A step changes the rank by
+        one, so each level is the step image of the one before."""
+        seen = level = {start}
+        for _ in range(self.height if levels is None else levels):
+            level = {w for v in level for w in step[v]}
+            seen |= level
+        return seen
 
 
 def build_poset(elements, covers) -> Poset:
@@ -194,17 +180,19 @@ def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list
     """All saturated chains from x to y, in lexicographic index order.
 
     Defaults to the full interval [bottom, top].  Raises NotComparable
-    when x is not below y.  Every element lies below the top, so a walk
-    up to the top tests no order relation and builds no reachability
-    table.
+    when x is not below y.  Below a proper upper end y the walk keeps to
+    the down-set of y, found once; every element lies below the top, so
+    a walk up to the top tests no order relation.
     """
     if x is None:
         x = p.bottom
     if y is None:
         y = p.top
-    below_top = y != p.top
-    if below_top and not p.leq(x, y):
-        raise NotComparable(f"{x} is not below {y}")
+    inside = None
+    if y != p.top:
+        inside = p._walk(y, p.down, p.ranks[y] - p.ranks[x])
+        if x not in inside:
+            raise NotComparable(f"{x} is not below {y}")
     out: list[tuple[int, ...]] = []
     path = [x]
 
@@ -213,7 +201,7 @@ def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list
             out.append(tuple(path))
             return
         for w in p.up[v]:
-            if not below_top or p.leq(w, y):
+            if inside is None or w in inside:
                 path.append(w)
                 walk(w)
                 path.pop()
@@ -226,36 +214,25 @@ def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list
 
 
 def mobius(p: Poset, x: int, y: int) -> int:
-    """Mobius function mu(x, y), by the defining recursion.
+    """Mobius function mu(x, y), by the dual of the defining recursion.
 
-    mu(x, x) = 1 and sum of mu(x, z) over x <= z <= y vanishes for x < y.
-    Values for a fixed lower endpoint are computed in one sweep and cached
-    on the poset.
+    mu(y, y) = 1 and mu(z, y) = -sum of mu(v, y) over z < v <= y, filled
+    over [x, y] from y downward (Rota 1964).  Each z walks its up-set no
+    higher than y and sums the values found, so a call costs the covers
+    met on those walks, about the comparable pairs of the interval times
+    the up-degree.  Nothing is cached on the poset.
     """
-    if not p.leq(x, y):
+    levels = p.ranks[y] - p.ranks[x]
+    above_x = p._walk(x, p.up, levels)
+    if y not in above_x:
         raise NotComparable(f"{x} is not below {y}")
-    cache = p._mobius_cache
-    if x not in cache:
-        zs = sorted(p.up_set(x), key=lambda z: p.ranks[z])
-        mu: dict[int, int] = {}
-        for z in zs:
-            if z == x:
-                mu[z] = 1
-                continue
-            below_z = p._below[z]
-            mu[z] = -sum(v for w, v in mu.items() if (below_z >> w) & 1)
-        cache[x] = mu
-    return cache[x][y]
-
-
-def _mask_indices(mask: int) -> list[int]:
-    """Ascending positions of the set bits, one step per set bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    interval = above_x & p._walk(y, p.down, levels)
+    mu: dict[int, int] = {}
+    for z in sorted(interval, key=p.ranks.__getitem__, reverse=True):
+        # mu holds exactly the elements of [x, y] ranked above z
+        mu[z] = 1 if z == y else -sum(
+            mu.get(v, 0) for v in p._walk(z, p.up, p.ranks[y] - p.ranks[z]))
+    return mu[x]
 
 
 # ── serialization ────────────────────────────────────────────────────────

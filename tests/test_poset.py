@@ -1,6 +1,7 @@
 """Poset core: validation, chains, Mobius, serialization."""
 import gc
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -13,6 +14,7 @@ from vpshell import (
     UnknownElement,
     VpshellError,
     build_poset,
+    is_leq,
     maximal_chains,
     mobius,
     order_complex,
@@ -123,13 +125,19 @@ def test_interval_chains_against_powerset_oracle(p3s1):
         assert maximal_chains(p, a, p.top) == chains_by_powerset(p, a, p.top)
 
 
-def test_whole_poset_walks_build_no_reachability_table():
-    # every element is below the top, so the N^2-bit _above table is
-    # never needed on the way up to it
+def test_order_queries_cache_only_adjacency():
+    # leq, up_set, mobius and interval chains walk the covers; the only
+    # state they may leave on the poset is its adjacency
     p = vector_partition_poset(3, 2)
-    assert len(maximal_chains(p)) == 108
-    assert len(order_complex(p).facets) == 108
-    assert "_above" not in p.__dict__
+    atom = p.up[p.bottom][0]
+    coatom = p.down[p.top][0]
+    assert mobius(p, p.bottom, p.top) == -46
+    assert p.leq(atom, p.top) and not p.leq(p.top, atom)
+    assert p.up_set(atom)[-1] == p.top
+    assert len(maximal_chains(p, atom, p.top)) == 3
+    assert len(maximal_chains(p, p.bottom, coatom)) == 4
+    derived = set(p.__dict__) - {f.name for f in fields(p)}
+    assert derived == {"up", "down"}
 
 
 def test_mobius_chain():
@@ -177,6 +185,16 @@ def test_up_set_lists_the_elements_above():
     for p in (diamond(), chain4()):
         for x in range(len(p)):
             assert p.up_set(x) == [t for t in range(len(p)) if p.leq(x, t)]
+
+
+def test_leq_matches_element_order(p3s1, p2s2, p3s2):
+    # is_leq decides the order on the vector partitions themselves, so it
+    # checks the cover walk behind leq and up_set independently
+    for p in (p3s1, p2s2, p3s2):
+        els = p.elements
+        for a in range(len(p)):
+            for b in range(len(p)):
+                assert p.leq(a, b) == is_leq(els[a], els[b])
 
 
 def test_json_roundtrip():
