@@ -2,15 +2,15 @@
 
 Usage:
   vpshell build      --n N --s S [--labels] [--format json|dot] [-o PATH]
-  vpshell verify-el  --n N --s S [--sabotage NAME]
+  vpshell verify-el  --n N --s S [--sabotage NAME] [-o PATH]
   vpshell count      --n N --s S [--method M] [-o PATH]
   vpshell sequence   --s S --max-n N [-o PATH]
 
 Exit codes: 0 success, 1 verification failure, 2 oracle mismatch,
-3 budget exceeded or out of memory, 4 bad input.  Enumeration budgets
-default to 10^6 elements and 10^7 chains; flags --max-elements and
---max-chains or the environment variables VPSHELL_MAX_ELEMENTS and
-VPSHELL_MAX_CHAINS override.
+3 budget exceeded or out of memory, 4 bad input.  build, verify-el and
+count refuse over 10^6 elements (--max-elements or VPSHELL_MAX_ELEMENTS);
+verify-el and count refuse to walk over 10^7 maximal chains (--max-chains
+or VPSHELL_MAX_CHAINS), checked before any walk.  sequence has no budget.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
@@ -60,30 +60,30 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_n=True):
+    def common(sp, *budgets, with_n=True):
         if with_n:
             sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--s", type=int, required=True,
                         help="number of labelings (at least 1)")
         sp.add_argument("-o", "--out", default=None,
                         help="write output here instead of stdout")
-        sp.add_argument("--max-elements", type=int, default=None)
-        sp.add_argument("--max-chains", type=int, default=None)
+        for name in budgets:
+            sp.add_argument(f"--max-{name}", type=int, default=None)
 
     b = sub.add_parser("build", help="emit the validated poset")
-    common(b)
+    common(b, "elements")
     b.add_argument("--labels", action="store_true",
                    help="attach edge labels to covers")
     b.add_argument("--format", dest="fmt", choices=("json", "dot"),
                    default="json")
 
     v = sub.add_parser("verify-el", help="check the EL property")
-    common(v)
+    common(v, "elements", "chains")
     v.add_argument("--sabotage", choices=labeling.SABOTAGES, default=None,
                    help="inject a deliberate defect first")
 
     c = sub.add_parser("count", help="count spheres in the wedge")
-    common(c)
+    common(c, "elements", "chains")
     c.add_argument("--method", choices=spherecount.METHODS + ("all",),
                    default="all")
 
@@ -94,16 +94,16 @@ def _build_parser() -> _Parser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parsed arguments, sizes checked and each budget resolved: the
-    flag, else its environment variable, else the default."""
+    """Parsed arguments, sizes checked and each budget the command takes
+    resolved: the flag, else its environment variable, else the default."""
     args = _build_parser().parse_args(argv)
     if args.s < 1 or getattr(args, "n", 1) < 1 \
             or getattr(args, "max_n", 1) < 1:
         raise _BadInput("n, s, and max-n must be positive")
-    if args.max_elements is None:
+    if "max_elements" in args and args.max_elements is None:
         args.max_elements = _env_int("VPSHELL_MAX_ELEMENTS",
                                      DEFAULT_MAX_ELEMENTS)
-    if args.max_chains is None:
+    if "max_chains" in args and args.max_chains is None:
         args.max_chains = _env_int("VPSHELL_MAX_CHAINS", DEFAULT_MAX_CHAINS)
     return args
 
@@ -130,6 +130,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_el(args: argparse.Namespace) -> int:
+    if args.sabotage is not None:  # the shelling check walks every chain
+        spherecount.check_chain_budget(args.n, args.s, args.max_chains)
     p = vecpart.vector_partition_poset(args.n, args.s,
                                        max_elements=args.max_elements)
     lines = []

@@ -19,12 +19,12 @@ from .poset import Poset, maximal_chains
 class SimplicialComplex:
     """Facet-presented complex over integer vertices.
 
-    facets are inclusion-maximal; the constructor-side factory
-    simplicial_complex() validates that no facet contains another.
-    The empty complex (no facets) is allowed and flagged by is_empty.
+    Every face is the ascending tuple of its vertices; facets are
+    inclusion-maximal, as the factory simplicial_complex() checks.  The
+    empty complex (no facets) is allowed and flagged by is_empty.
     """
 
-    facets: tuple  # of frozenset[int], canonical order
+    facets: tuple  # of ascending int tuples, in ascending order
 
     @property
     def is_empty(self) -> bool:
@@ -36,12 +36,11 @@ class SimplicialComplex:
 
     @cached_property
     def faces_by_dim(self) -> dict:
-        """dim -> sorted list of faces (as sorted tuples), downward closure."""
+        """dim -> sorted list of faces, downward closure."""
         seen: dict[int, set] = {}
         for f in self.facets:
-            fs = sorted(f)
-            for k in range(1, len(fs) + 1):
-                seen.setdefault(k - 1, set()).update(combinations(fs, k))
+            for k in range(1, len(f) + 1):
+                seen.setdefault(k - 1, set()).update(combinations(f, k))
         return {d: sorted(faces) for d, faces in seen.items()}
 
     def f_vector(self) -> tuple:
@@ -53,19 +52,20 @@ class SimplicialComplex:
 def simplicial_complex(facets) -> SimplicialComplex:
     """Build a complex from an iterable of vertex iterables.
 
-    Deduplicates, orders facets canonically, and rejects a facet contained
-    in another.  The pairwise containment scan, O(F^2) in the number of
+    Makes each facet the ascending tuple of its vertices, deduplicates,
+    orders facets ascending, and rejects a facet contained in another.
+    The pairwise containment scan, O(F^2) in the number of
     facets, runs only when the facets differ in size: distinct facets of
     one size cannot contain one another, so for the equal-sized maximal
     chains of a graded poset the check is skipped, not weakened.
     """
-    sets = sorted({frozenset(f) for f in facets}, key=lambda f: tuple(sorted(f)))
-    if len({len(f) for f in sets}) > 1:
-        for a in sets:
-            for b in sets:
-                if a < b:
-                    raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
-    return SimplicialComplex(facets=tuple(sets))
+    faces = sorted({tuple(sorted(set(f))) for f in facets})
+    if len({len(f) for f in faces}) > 1:
+        for a in faces:
+            for b in faces:
+                if len(a) < len(b) and set(a) <= set(b):
+                    raise ValueError(f"facet {list(a)} is contained in {list(b)}")
+    return SimplicialComplex(facets=tuple(faces))
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
@@ -76,8 +76,7 @@ def order_complex(p: Poset) -> SimplicialComplex:
     """
     if p.height < 2:
         return SimplicialComplex(facets=())
-    facets = [c[1:-1] for c in maximal_chains(p)]
-    return simplicial_complex(facets)
+    return simplicial_complex(c[1:-1] for c in maximal_chains(p))
 
 
 def reduced_euler_characteristic(c: SimplicialComplex) -> int:
@@ -163,11 +162,12 @@ class ShellingReport:
 def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
     """Check that the given facet order is a shelling of c.
 
-    order: iterable of vertex iterables; it must list every facet of c
-    exactly once.  At each position i >= 1, the intersection of facet F_i
-    with the union of the earlier facets must be pure of dimension
-    |F_i| - 2; when |F_i| = 1 that intersection is the empty face alone,
-    treated as vacuously pure.  Failures are reported, never raised.
+    order: iterable of vertex iterables, each read as the ascending tuple
+    of its vertices; it must list every facet of c exactly once.  At each
+    position i >= 1, the intersection of facet F_i with the union of the
+    earlier facets must be pure of dimension |F_i| - 2; when |F_i| = 1
+    that intersection is the empty face alone, treated as vacuously pure.
+    Failures are reported, never raised.
 
     The test uses restriction faces (Bjorner, "Shellable and
     Cohen-Macaulay partially ordered sets", Trans. AMS 1980; Bjorner and
@@ -180,10 +180,10 @@ def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
     R(F_i) = F_i.  The cost is one dictionary entry per face of every
     facet, sum of 2^|F|, instead of F^2 facet intersections.
     """
-    given = [frozenset(f) for f in order]
+    facets = [tuple(sorted(set(f))) for f in order]
     known = set(c.facets)
     seen: set = set()
-    for i, f in enumerate(given):
+    for i, f in enumerate(facets):
         if f not in known:
             return ShellingReport(False, i, (),
                                   f"entry {i} is not a facet of the complex")
@@ -191,12 +191,10 @@ def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
             return ShellingReport(False, i, (),
                                   f"facet at position {i} listed twice")
         seen.add(f)
-    if len(given) != len(c.facets):
+    if len(facets) != len(c.facets):
         return ShellingReport(False, None, (),
                               "order does not list every facet")
 
-    # faces are keyed as sorted tuples: smaller than frozensets
-    facets = [tuple(sorted(f)) for f in given]
     first: dict[tuple, int] = {}
     for i, fi in enumerate(facets):
         for k in range(len(fi) + 1):

@@ -58,7 +58,7 @@ class EqualWords(VpshellError):
 
 
 class MissingLabels(VpshellError):
-    """A labeling check got no labels and the poset carries no table."""
+    """No labels were given and the poset has none, or a cover has none."""
 
 
 class NotSaturated(VpshellError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import MissingLabels, NotACover, NotSaturated
 from .poset import Poset, maximal_chains
@@ -282,11 +283,12 @@ def lex_shelling_order(p: Poset, labels: Mapping | None = None) -> list:
     """Facets of the proper-part complex in induced shelling order.
 
     Maximal chains are sorted by label word (ties by canonical chain
-    order) and stripped of bottom and top.  Height-1 posets give [].
+    order) and stripped of bottom and top, leaving index tuples that
+    ascend when elements are indexed by rank.  Height-1 posets give [].
     """
     if p.height < 2:
         return []
-    return [frozenset(c[1:-1]) for _, c in sorted_labeled_chains(p, labels)]
+    return [c[1:-1] for _, c in sorted_labeled_chains(p, labels)]
 
 
 # ── deliberate defects, for exercising the verifiers ─────────────────────
@@ -331,11 +333,5 @@ def sabotaged_shelling_order(p: Poset, name: str) -> list:
     """
     if name != "drop-tie-break":
         return lex_shelling_order(p, sabotaged_label_map(p, name))
-    out = []
-    seen_words = set()
-    for word, c in sorted_labeled_chains(p):
-        if word in seen_words:
-            continue
-        seen_words.add(word)
-        out.append(frozenset(c[1:-1]))
-    return out
+    return [next(tied)[1][1:-1] for _, tied in
+            groupby(sorted_labeled_chains(p), key=lambda pair: pair[0])]

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import (CycleDetected, DuplicateElement, NotBounded,
-                     NotComparable, NotGraded, UnknownElement)
+from .errors import (CycleDetected, DuplicateElement, MissingLabels,
+                     NotACover, NotBounded, NotComparable, NotGraded,
+                     UnknownElement)
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,9 @@ def build_indexed_poset(elements, covers, edge_labels=None) -> Poset:
 
     Raises CycleDetected, NotBounded, or NotGraded when the data does not
     describe a bounded graded poset, UnknownElement for an index outside
-    elements, and DuplicateElement for duplicate keys.  Ranks are
-    longest-path distances from the bottom; a cover whose endpoints
+    elements, DuplicateElement for duplicate keys, MissingLabels for a
+    cover with no label, and NotACover for a label on a non-cover.  Ranks
+    are longest-path distances from the bottom; a cover whose endpoints
     differ by more than one rank (a transitive edge in disguise) trips
     NotGraded.
     """
@@ -137,15 +139,15 @@ def build_indexed_poset(elements, covers, edge_labels=None) -> Poset:
         up[i].append(j)
         indeg[j] += 1
     if edge_labels is not None and edge_labels.keys() != pairs:
-        raise ValueError("edge labels do not match the covers")
+        if missing := pairs - edge_labels.keys():
+            raise MissingLabels(f"cover {min(missing)} has no edge label")
+        extra = min(edge_labels.keys() - pairs)
+        raise NotACover(f"labelled pair {extra} is not a cover")
 
     # Kahn's algorithm; leftover nodes witness a cycle
     order = [i for i in range(n) if indeg[i] == 0]
-    head = 0
     indeg_w = list(indeg)
-    while head < len(order):
-        v = order[head]
-        head += 1
+    for v in order:  # order grows while it is walked
         for w in up[v]:
             indeg_w[w] -= 1
             if indeg_w[w] == 0:

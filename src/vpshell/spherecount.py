@@ -37,7 +37,8 @@ Chain = tuple  # (bottom, C_1, ..., C_n), VectorPartition entries
 
 # ── enumeration, route one: filter the built poset ──────────────────────
 
-def _check_chain_budget(n: int, s: int, max_chains: int | None) -> None:
+def check_chain_budget(n: int, s: int, max_chains: int | None) -> None:
+    """ResourceLimit when maximal_chain_count exceeds max_chains."""
     total = maximal_chain_count(n, s)
     if max_chains is not None and total > max_chains:
         raise ResourceLimit(
@@ -133,7 +134,7 @@ def decreasing_chains(n: int, s: int, max_chains: int | None = None,
     the maximal chains the filter walks, which are at least as many as
     the decreasing chains generated.
     """
-    _check_chain_budget(n, s, max_chains)
+    check_chain_budget(n, s, max_chains)
     if poset is None:
         poset = vector_partition_poset(n, s)
     key = lambda c: tuple(v.sort_key for v in c)
@@ -421,19 +422,19 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     The mobius entry reports |mu(bottom, top)|; the signed value rides
     along under "signed_mobius".  Every method that needs the poset reads
     one build of it, and homology and Euler read one order complex.
+    max_chains bounds every chain walk, checked once before the build.
     """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method {unknown[0]!r}")
-    if "enumerate" in methods:
-        _check_chain_budget(n, s, max_chains)
+    if {"enumerate", "homology", "euler"} & set(methods):
+        check_chain_budget(n, s, max_chains)
     p = (vector_partition_poset(n, s, max_elements=max_elements)
          if any(m != "recursion" for m in methods) else None)
     values: dict[str, int | None] = {}
     info: dict = {}
     if "enumerate" in methods:
-        values["enumerate"] = len(decreasing_chains(
-            n, s, max_chains=max_chains, poset=p))
+        values["enumerate"] = len(decreasing_chains(n, s, poset=p))
     if "recursion" in methods:
         values["recursion"] = count_total(n, s)
     if "mobius" in methods:

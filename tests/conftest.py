@@ -83,19 +83,21 @@ def sorted_word_rank(word, n, s):
 
 def facets_by_pairwise_containment(facets):
     """Canonical facet tuple of simplicial_complex, with the containment
-    check run on every pair of facets whatever their sizes."""
+    check run on every pair of facets whatever their sizes, as frozensets."""
     sets = sorted({frozenset(f) for f in facets}, key=lambda f: tuple(sorted(f)))
     for a in sets:
         for b in sets:
             if a < b:
                 raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
-    return tuple(sets)
+    return tuple(tuple(sorted(f)) for f in sets)
 
 
 def shelling_by_intersections(c, order):
     """verify_shelling by the definition: intersect each facet with every
-    earlier one and test the maximal intersections.  O(F^2) in facets."""
-    given = [frozenset(f) for f in order]
+    earlier one and test the maximal intersections.  O(F^2) in facets.
+    Entries are checked against c as ascending tuples and intersected as
+    frozensets."""
+    given = [tuple(sorted(set(f))) for f in order]
     known = set(c.facets)
     seen = set()
     for i, f in enumerate(given):
@@ -110,6 +112,7 @@ def shelling_by_intersections(c, order):
         return ShellingReport(False, None, (),
                               "order does not list every facet")
 
+    given = [frozenset(f) for f in given]
     homology = []
     for i in range(1, len(given)):
         fi = given[i]

@@ -47,6 +47,31 @@ def test_count_budget_exit(capsys):
     assert "budget" in err
 
 
+def test_chain_budget_bounds_every_chain_walk(capsys):
+    # (4,2) has 10,368 maximal chains; each of these walks them all
+    for argv in (("count", "--method", "homology"),
+                 ("count", "--method", "euler"),
+                 ("verify-el", "--sabotage", "min-merge-label")):
+        code, out, err = run(capsys, *argv, "--n", "4", "--s", "2",
+                             "--max-chains", "5")
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("budget exceeded: poset has 10368 maximal "
+                              "chains, budget is 5"), argv
+
+
+def test_only_the_walks_that_use_a_budget_take_it(capsys):
+    assert run(capsys, "sequence", "--s", "1", "--max-n", "3",
+               "--max-elements", "1")[0] == 4
+    assert run(capsys, "sequence", "--s", "1", "--max-n", "3",
+               "--max-chains", "1")[0] == 4
+    assert run(capsys, "build", "--n", "2", "--s", "1",
+               "--max-chains", "1")[0] == 4
+    # the mobius and recursion routes walk no chain
+    code, out, _ = run(capsys, "count", "--n", "3", "--s", "1",
+                       "--method", "mobius", "--max-chains", "5")
+    assert code == 0 and json.loads(out)["methods"] == {"mobius": 4}
+
+
 def test_count_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("VPSHELL_MAX_CHAINS", "5")
     code, _, _ = run(capsys, "count", "--n", "3", "--s", "1")

@@ -300,6 +300,17 @@ def test_chain_label_single_cover():
         chain_label((bottom_element(3, 1), top_element(3, 1)))
 
 
+def test_shelling_orders_are_the_complex_facets_as_tuples(p3s2, p4s1):
+    # one face format: ascending vertex tuples, facets and orders alike
+    for p in (p3s2, p4s1):
+        c = order_complex(p)
+        order = lex_shelling_order(p)
+        sabotaged = sabotaged_shelling_order(p, "min-merge-label")
+        for faces in (c.facets, order, sabotaged):
+            assert all(type(f) is tuple for f in faces)
+        assert sorted(order) == list(c.facets)
+
+
 def test_lex_shelling_order_is_valid(p3s1):
     order = lex_shelling_order(p3s1)
     rep = verify_shelling(order_complex(p3s1), order)

@@ -8,6 +8,8 @@ import pytest
 from vpshell import (
     CycleDetected,
     DuplicateElement,
+    MissingLabels,
+    NotACover,
     NotBounded,
     NotComparable,
     NotGraded,
@@ -70,6 +72,18 @@ def test_build_rejects_unbounded():
     # two minimal elements
     with pytest.raises(NotBounded):
         build_poset("ab1", [("a", "1"), ("b", "1")])
+
+
+def test_build_rejects_labels_off_the_covers():
+    from vpshell.poset import build_indexed_poset
+    covers = [(0, 1), (1, 2)]
+    with pytest.raises(MissingLabels, match=r"cover \(1, 2\)"):
+        build_indexed_poset("abc", covers, {(0, 1): "x"})
+    with pytest.raises(NotACover, match=r"pair \(0, 2\)"):
+        build_indexed_poset("abc", covers,
+                            {(0, 1): "x", (1, 2): "y", (0, 2): "z"})
+    p = build_indexed_poset("abc", covers, {(0, 1): "x", (1, 2): "y"})
+    assert p.edge_labels[(1, 2)] == "y"
 
 
 def test_build_rejects_transitive_edge():
