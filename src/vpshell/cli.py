@@ -7,7 +7,7 @@ Usage:
   vpshell sequence   --s S --max-n N [-o PATH]
 
 Exit codes: 0 success, 1 verification failure, 2 oracle mismatch,
-3 budget exceeded or out of memory, 4 bad input.  build, verify-el and
+3 budget exceeded or out of memory, 4 bad input or an unwritable -o path.  build, verify-el and
 count refuse over 10^6 elements (--max-elements or VPSHELL_MAX_ELEMENTS);
 verify-el and count refuse to walk over 10^7 maximal chains (--max-chains
 or VPSHELL_MAX_CHAINS), checked before any walk.  sequence has no budget.
@@ -114,8 +114,11 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _BadInput(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _cmd_build(args: argparse.Namespace) -> int:

@@ -30,7 +30,7 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self.facets
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
 
@@ -100,46 +100,41 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _boundary_ranks(c: SimplicialComplex) -> list[int]:
-    """ranks[d] = rank of the d-th reduced boundary map for 0 <= d <= dim.
+def _boundary_rank(c: SimplicialComplex, d: int) -> int:
+    """Rank of the d-th reduced boundary map, from d-faces to (d-1)-faces.
 
     The reduced complex augments with the empty face, so the 0-th map is
-    the all-ones augmentation (rank 1 whenever a vertex exists).
+    the all-ones augmentation (rank 1 whenever a vertex exists); above
+    c.dim there are no faces and the rank is 0.
     """
+    if d > c.dim:
+        return 0
+    if d == 0:
+        return 1
     fb = c.faces_by_dim
-    if not fb:
-        return []
-    ranks = [1]  # augmentation
-    for d in range(1, c.dim + 1):
-        idx = {face: i for i, face in enumerate(fb[d - 1])}
-        cols = []
-        for face in fb[d]:
-            m = 0
-            for sub in combinations(face, d):
-                m |= 1 << idx[sub]
-            cols.append(m)
-        ranks.append(_gf2_rank(cols))
-    return ranks
+    idx = {face: i for i, face in enumerate(fb[d - 1])}
+    # a column sums the distinct bits of the d + 1 faces in its boundary
+    return _gf2_rank([sum(1 << idx[sub] for sub in combinations(face, d))
+                      for face in fb[d]])
 
 
 def betti(c: SimplicialComplex, d: int) -> int:
-    """Reduced Betti number over GF(2) in dimension d >= 0."""
+    """Reduced Betti number over GF(2) in dimension d >= 0; it reads only
+    the two boundary maps at d and d + 1."""
     if d < 0:
         raise ValueError("betti is defined here for dimensions >= 0")
-    bettis = reduced_betti_numbers(c)
-    return bettis[d] if d < len(bettis) else 0
+    if d > c.dim:
+        return 0
+    return (len(c.faces_by_dim[d]) - _boundary_rank(c, d)
+            - _boundary_rank(c, d + 1))
 
 
 def reduced_betti_numbers(c: SimplicialComplex) -> tuple:
-    """(b_0, ..., b_dim) over GF(2); empty tuple for the empty complex."""
-    if c.is_empty:
-        return ()
-    ranks = _boundary_ranks(c)
-    out = []
-    for d in range(c.dim + 1):
-        r_up = ranks[d + 1] if d + 1 <= c.dim else 0
-        out.append(len(c.faces_by_dim[d]) - ranks[d] - r_up)
-    return tuple(out)
+    """(b_0, ..., b_dim) over GF(2); empty tuple for the empty complex.
+    Each boundary map is reduced once."""
+    ranks = [_boundary_rank(c, d) for d in range(c.dim + 2)]
+    return tuple(len(c.faces_by_dim[d]) - ranks[d] - ranks[d + 1]
+                 for d in range(c.dim + 1))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,18 @@ def test_count_single_method(capsys):
     assert doc["match"] is True
 
 
+def test_count_matches_when_every_value_is_null(capsys):
+    # at n = 1 the proper part is empty, so homology and Euler give null
+    # and no two values differ
+    for method in ("homology", "euler"):
+        code, out, _ = run(capsys, "count", "--n", "1", "--s", "1",
+                           "--method", method)
+        assert code == 0, method
+        doc = json.loads(out)
+        assert doc["methods"] == {method: None}
+        assert doc["match"] is True
+
+
 def test_count_is_byte_deterministic(capsys):
     a = run(capsys, "count", "--n", "3", "--s", "1")
     b = run(capsys, "count", "--n", "3", "--s", "1")
@@ -155,6 +167,15 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["match"] is True
+
+
+def test_unwritable_output_exits_4(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "count", "--n", "2", "--s", "1",
+                         "-o", str(target))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
 
 
 def test_build_respects_element_budget(capsys):

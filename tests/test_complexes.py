@@ -64,6 +64,26 @@ def test_betti_filled_triangle():
     assert reduced_euler_characteristic(c) == 0
 
 
+def test_betti_mixed_complex():
+    # a hollow tetrahedron, a circle and a point: reduced homology in
+    # every dimension, the three components giving b_0 = 2
+    c = simplicial_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+                            (5, 6), (6, 7), (5, 7), (8,)])
+    assert c.f_vector() == (8, 9, 4)
+    assert reduced_betti_numbers(c) == (2, 1, 1)
+    assert [betti(c, d) for d in range(4)] == [2, 1, 1, 0]
+    assert reduced_euler_characteristic(c) == 2
+
+
+def test_top_betti_reduces_only_the_top_map(monkeypatch, p4s1):
+    from vpshell import complexes
+    honest, calls = complexes._gf2_rank, []
+    monkeypatch.setattr(complexes, "_gf2_rank",
+                        lambda rows: calls.append(1) or honest(rows))
+    assert betti(order_complex(p4s1), 2) == 33
+    assert len(calls) == 1
+
+
 def test_betti_rejects_negative_dimension():
     with pytest.raises(ValueError):
         betti(hollow_triangle(), -1)

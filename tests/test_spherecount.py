@@ -55,8 +55,18 @@ def test_decreasing_chain_structure():
 
 
 def test_chain_budget():
+    from vpshell import spherecount
     with pytest.raises(ResourceLimit):
-        decreasing_chains(9, 3, max_chains=100)
+        spherecount.check_chain_budget(9, 3, 100)
+
+
+def test_filter_route_comes_out_in_canonical_order(p4s1, p3s2):
+    # decreasing_chains sorts only the generated route, relying on this
+    from vpshell.spherecount import _filtered_decreasing
+    for p in (p4s1, p3s2):
+        chains = _filtered_decreasing(p)
+        assert chains == sorted(
+            chains, key=lambda c: tuple(v.sort_key for v in c))
 
 
 def test_top_label_classification():
@@ -146,7 +156,7 @@ def test_certificate_degenerate_case():
 
 
 def test_decompose_recompose_roundtrip():
-    for (n, s) in KNOWN:
+    for (n, s) in [*KNOWN, (4, 2)]:
         for c in decreasing_chains(n, s):
             d = decompose_chain(c)
             assert recompose(d) == c
@@ -155,7 +165,7 @@ def test_decompose_recompose_roundtrip():
 def test_recompose_decompose_roundtrip():
     # the other composition order: every decomposition datum that arises
     # maps back to itself
-    for (n, s) in [(3, 1), (2, 2), (3, 2)]:
+    for (n, s) in [(3, 1), (2, 2), (3, 2), (4, 2)]:
         for c in decreasing_chains(n, s):
             d = decompose_chain(c)
             assert decompose_chain(recompose(d)) == d
@@ -247,3 +257,10 @@ def test_enumeration_routes_are_compared(monkeypatch, capsys):
     code = main(["count", "--n", "3", "--s", "2", "--method", "enumerate"])
     assert code == 2
     assert "oracle mismatch" in capsys.readouterr().err
+    # the filter route is not sorted, so one out of order is caught too
+    monkeypatch.setattr(spherecount, "_generated_decreasing", honest)
+    filtered = spherecount._filtered_decreasing
+    monkeypatch.setattr(spherecount, "_filtered_decreasing",
+                        lambda p: filtered(p)[::-1])
+    with pytest.raises(OracleMismatch):
+        decreasing_chains(3, 2)
