@@ -7,10 +7,11 @@ Usage:
   vpshell sequence   --s S --max-n N [-o PATH]
 
 Exit codes: 0 success, 1 verification failure, 2 oracle mismatch,
-3 budget exceeded or out of memory, 4 bad input or an unwritable -o path.  build, verify-el and
-count refuse over 10^6 elements (--max-elements or VPSHELL_MAX_ELEMENTS);
-verify-el and count refuse to walk over 10^7 maximal chains (--max-chains
-or VPSHELL_MAX_CHAINS), checked before any walk.  sequence has no budget.
+3 budget exceeded or out of memory, 4 bad input (a negative budget too)
+or an unwritable -o path.  build, verify-el and count refuse over 10^6
+elements (--max-elements or VPSHELL_MAX_ELEMENTS); verify-el and count
+refuse to walk over 10^7 maximal chains (--max-chains or
+VPSHELL_MAX_CHAINS), checked before any walk.  sequence has no budget.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
@@ -105,6 +106,9 @@ def _parse(argv) -> argparse.Namespace:
                                      DEFAULT_MAX_ELEMENTS)
     if "max_chains" in args and args.max_chains is None:
         args.max_chains = _env_int("VPSHELL_MAX_CHAINS", DEFAULT_MAX_CHAINS)
+    if min(getattr(args, "max_elements", 0),
+           getattr(args, "max_chains", 0)) < 0:
+        raise _BadInput("a budget must not be negative")
     return args
 
 

@@ -268,27 +268,20 @@ def verify_label_structure(p: Poset,
     return bad
 
 
-def sorted_labeled_chains(p: Poset, labels: Mapping | None = None) -> list:
-    """Maximal bottom-top chains as (word, chain) pairs, sorted by label
-    word with ties broken by the chains' element-index tuples.  labels
-    defaults to p.edge_labels."""
-    lab = _label_table(p, labels)
-    pairs = [(tuple(lab[e] for e in zip(c, c[1:])), c)
-             for c in maximal_chains(p)]
-    pairs.sort()
-    return pairs
-
-
 def lex_shelling_order(p: Poset, labels: Mapping | None = None) -> list:
     """Facets of the proper-part complex in induced shelling order.
 
-    Maximal chains are sorted by label word (ties by canonical chain
-    order) and stripped of bottom and top, leaving index tuples that
-    ascend when elements are indexed by rank.  Height-1 posets give [].
+    Maximal chains, walked in canonical order, are stably sorted by label
+    word (ties keep that order) and stripped of bottom and top, leaving
+    index tuples that ascend when elements are indexed by rank.  labels
+    defaults to p.edge_labels.  Height-1 posets give [].
     """
     if p.height < 2:
         return []
-    return [c[1:-1] for _, c in sorted_labeled_chains(p, labels)]
+    lab = _label_table(p, labels)
+    chains = maximal_chains(p)
+    chains.sort(key=lambda c: tuple([lab[e] for e in zip(c, c[1:])]))
+    return [c[1:-1] for c in chains]
 
 
 # ── deliberate defects, for exercising the verifiers ─────────────────────
@@ -299,17 +292,18 @@ SABOTAGES = ("swap-bottom-labels", "min-merge-label", "drop-tie-break")
 def sabotaged_label_map(p: Poset, name: str) -> dict:
     """Edge labels with one deliberate defect, for mutation testing.
 
-    swap-bottom-labels: the two lexicographically least atoms trade their
-    bottom-edge labels.  min-merge-label: equal-atom-word covers use the
-    min of the merged blocks instead of the max.  drop-tie-break mutates
-    the shelling order, not the labels; see sabotaged_shelling_order.
+    swap-bottom-labels: the two lexicographically least atoms (if n > 1)
+    trade their bottom-edge labels.  min-merge-label: equal-atom-word
+    covers use the min of the merged blocks instead of the max.
+    drop-tie-break leaves the labels; see sabotaged_shelling_order.
     """
     lab = dict(_label_table(p, None))
     if name == "swap-bottom-labels":
         bottom_edges = sorted(
             (e for e in lab if e[0] == p.bottom), key=lambda e: lab[e])
-        a, b = bottom_edges[0], bottom_edges[1]
-        lab[a], lab[b] = lab[b], lab[a]
+        if len(bottom_edges) > 1:  # n = 1 has a single atom
+            a, b = bottom_edges[:2]
+            lab[a], lab[b] = lab[b], lab[a]
     elif name == "min-merge-label":
         for (lo, hi), (_, _, j) in lab.items():
             # j = 0 marks the bottom edges and the equal-atom-word covers
@@ -328,10 +322,11 @@ def sabotaged_label_map(p: Poset, name: str) -> dict:
 def sabotaged_shelling_order(p: Poset, name: str) -> list:
     """Shelling order under the named defect.
 
-    drop-tie-break keeps only the first chain of every label-word tie
-    group, so tied facets silently vanish from the order.
+    drop-tie-break keeps only the first facet of every label-word tie
+    group of lex_shelling_order, so tied facets silently vanish from it.
     """
     if name != "drop-tie-break":
         return lex_shelling_order(p, sabotaged_label_map(p, name))
-    return [next(tied)[1][1:-1] for _, tied in
-            groupby(sorted_labeled_chains(p), key=lambda pair: pair[0])]
+    return [next(tied) for _, tied in groupby(
+        lex_shelling_order(p), key=lambda f: tuple(
+            [p.edge_labels[e] for e in zip((p.bottom, *f), (*f, p.top))]))]

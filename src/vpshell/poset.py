@@ -144,29 +144,27 @@ def build_indexed_poset(elements, covers, edge_labels=None) -> Poset:
         extra = min(edge_labels.keys() - pairs)
         raise NotACover(f"labelled pair {extra} is not a cover")
 
-    # Kahn's algorithm; leftover nodes witness a cycle
+    # Kahn's algorithm, ranking longest paths on the way: w joins the
+    # order after all its lower covers; leftover nodes witness a cycle
     order = [i for i in range(n) if indeg[i] == 0]
-    indeg_w = list(indeg)
+    sources = len(order)
+    ranks = [0] * n
     for v in order:  # order grows while it is walked
         for w in up[v]:
-            indeg_w[w] -= 1
-            if indeg_w[w] == 0:
+            if ranks[v] + 1 > ranks[w]:
+                ranks[w] = ranks[v] + 1
+            indeg[w] -= 1
+            if indeg[w] == 0:
                 order.append(w)
     if len(order) != n:
         raise CycleDetected("cover relation contains a cycle")
 
-    sources = [i for i in range(n) if indeg[i] == 0]
     sinks = [i for i in range(n) if not up[i]]
-    if len(sources) != 1 or len(sinks) != 1:
+    if sources != 1 or len(sinks) != 1:
         raise NotBounded(
-            f"{len(sources)} minimal and {len(sinks)} maximal elements")
-    bottom, top = sources[0], sinks[0]
+            f"{sources} minimal and {len(sinks)} maximal elements")
+    bottom, top = order[0], sinks[0]
 
-    ranks = [0] * n
-    for v in order:  # topological; longest path from bottom
-        for w in up[v]:
-            if ranks[v] + 1 > ranks[w]:
-                ranks[w] = ranks[v] + 1
     for i, j in pairs:
         if ranks[j] != ranks[i] + 1:
             raise NotGraded(

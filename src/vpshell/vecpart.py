@@ -205,27 +205,16 @@ def _merged(sets: tuple, a: int, b: int) -> tuple:
 # ── enumeration ──────────────────────────────────────────────────────────
 
 def set_partitions(n: int) -> list[tuple]:
-    """All set partitions of {1..n} via restricted-growth strings.
+    """All set partitions of {1..n}, each in canonical form.
 
-    Blocks come out ordered by minimum with ascending entries, so each
-    partition is already in canonical form.
+    The partitions of {1..m} come from those of {1..m-1} by putting m
+    into each block in turn or into a new block of its own.  m is the
+    largest entry so far, so blocks stay ascending and ordered by minimum.
     """
-    out: list[tuple] = []
-    a = [0] * n
-
-    def rec(k: int, mx: int) -> None:
-        if k == n:
-            nblocks = mx + 1
-            blocks: list[list[int]] = [[] for _ in range(nblocks)]
-            for pos, v in enumerate(a):
-                blocks[v].append(pos + 1)
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for v in range(mx + 2):
-            a[k] = v
-            rec(k + 1, max(mx, v))
-
-    rec(1, 0)
+    out = [()]
+    for m in range(1, n + 1):
+        out = [p[:t] + (p[t] + (m,),) + p[t + 1:] for p in out
+               for t in range(len(p))] + [p + ((m,),) for p in out]
     return out
 
 
@@ -292,7 +281,8 @@ def vector_partition_poset(n: int, s: int,
     (see labeling.cover_label, the definition this table must equal),
     and the table is stored on the poset as edge_labels:
 
-    * bottom to the atom of lexicographic rank m: (n-1, s+m, 0);
+    * bottom to the atom at index t: (n-1, s+t, 0), since atoms share
+      their blocks and so follow the bottom in atom-word order;
     * merging blocks I, J changes the atom word: its first difference;
     * merging blocks I, J keeps the atom word: (n, max(I u J), 0).
 
@@ -310,7 +300,7 @@ def vector_partition_poset(n: int, s: int,
         word = words[t]
         m = len(blocks)
         if m == n:
-            table[(0, t)] = (n - 1, s + atom_lex_rank(word, n, s), 0)
+            table[(0, t)] = (n - 1, s + t, 0)
         for a in range(m):
             for b in range(a + 1, m):
                 u = index[(_merged(blocks, a, b),

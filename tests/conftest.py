@@ -4,6 +4,7 @@ The oracles recompute quantities the library also computes, by methods
 deliberately unlike the library's: maximal chains by powerset filtering,
 the Mobius function by alternating chain counts, atom ranks by sorting
 the full list of words, shellings by intersecting every pair of facets,
+the shelling order by sorting (word, chain) pairs,
 merges by re-sorting the blocks, the whole poset from element keys, and
 the indexed sphere counts from math.comb, and the EL property by
 enumerating the maximal chains of every interval.
@@ -130,6 +131,16 @@ def shelling_by_intersections(c, order):
         if all(any(fi - {v} <= given[j] for j in range(i)) for v in fi):
             homology.append(i)
     return ShellingReport(True, None, tuple(homology), None)
+
+
+def shelling_order_by_pairs(p, labels):
+    """lex_shelling_order as (word, facet) pairs: every maximal chain
+    paired with its label word under labels, the pairs sorted, so that
+    tied words fall back on the chains' index tuples, and each chain
+    stripped of bottom and top."""
+    pairs = sorted((tuple(labels[e] for e in zip(c, c[1:])), c)
+                   for c in maximal_chains(p))
+    return [(word, c[1:-1]) for word, c in pairs]
 
 
 def el_by_chain_enumeration(p, labels):

@@ -94,6 +94,20 @@ def test_count_env_budget(capsys, monkeypatch):
     assert "VPSHELL_MAX_CHAINS" in err
 
 
+def test_negative_budgets_exit_4(capsys, monkeypatch):
+    code, out, err = run(capsys, "count", "--n", "3", "--s", "1",
+                         "--max-chains", "-1")
+    assert (code, out) == (4, "") and "negative" in err
+    monkeypatch.setenv("VPSHELL_MAX_ELEMENTS", "-3")
+    code, out, err = run(capsys, "build", "--n", "2", "--s", "1")
+    assert (code, out) == (4, "") and "negative" in err
+    # 0 is a budget, one that refuses every poset
+    monkeypatch.setenv("VPSHELL_MAX_ELEMENTS", "0")
+    assert run(capsys, "build", "--n", "2", "--s", "1")[0] == 3
+    assert run(capsys, "count", "--n", "3", "--s", "1",
+               "--max-chains", "0")[0] == 3
+
+
 def test_bad_input_exits_4(capsys):
     assert run(capsys, "count", "--n", "0", "--s", "1")[0] == 4
     assert run(capsys, "count", "--n", "3")[0] == 4
@@ -113,6 +127,18 @@ def test_verify_el_sabotages_exit_1(capsys):
         code, out, _ = run(capsys, "verify-el", "--n", "3", "--s", "1",
                            "--sabotage", name)
         assert code == 1, name
+
+
+def test_sabotages_at_n_1_change_nothing(capsys):
+    # one atom and no facet: no bottom labels to swap, no tie to drop
+    for s in ("1", "2"):
+        for name in ("swap-bottom-labels", "min-merge-label",
+                     "drop-tie-break"):
+            code, out, err = run(capsys, "verify-el", "--n", "1", "--s", s,
+                                 "--sabotage", name)
+            assert (code, err) == (0, ""), (s, name)
+            assert "EL verification passed" in out, (s, name)
+            assert "shelling valid" in out, (s, name)
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):

@@ -23,7 +23,6 @@ from vpshell import (
     sabotaged_label_map,
     sabotaged_shelling_order,
     set_partition_lattice,
-    sorted_labeled_chains,
     top_element,
     vector_partition_poset,
     verify_el,
@@ -31,7 +30,8 @@ from vpshell import (
     verify_shelling,
 )
 from vpshell.poset import build_indexed_poset
-from conftest import el_by_chain_enumeration, shelling_by_intersections
+from conftest import (el_by_chain_enumeration, shelling_by_intersections,
+                      shelling_order_by_pairs)
 
 _EL_POSETS = {"(2,1)": vector_partition_poset(2, 1),
               "(3,1)": vector_partition_poset(3, 1),
@@ -236,7 +236,7 @@ def test_verify_el_enumerates_no_chains(monkeypatch, p3s2):
 
 
 @pytest.mark.parametrize("check", [verify_el, verify_label_structure,
-                                   sorted_labeled_chains, lex_shelling_order])
+                                   lex_shelling_order])
 def test_unlabeled_poset_without_labels_is_refused(check):
     p = build_poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     with pytest.raises(MissingLabels):
@@ -279,10 +279,38 @@ def test_verify_label_structure_sees_defects(p3s1):
     assert bad[3] and bad[5]
 
 
-def test_sorted_labeled_chains_words_are_sorted(p3s1):
-    words = [w for w, _ in sorted_labeled_chains(p3s1)]
+def test_lex_shelling_order_words_are_sorted(p3s1):
+    # words from cover_label on the element keys, not from the table
+    keys, ends = p3s1.elements, (p3s1.bottom, p3s1.top)
+    words = [chain_label([keys[t] for t in (ends[0], *f, ends[1])])
+             for f in lex_shelling_order(p3s1)]
     assert words == sorted(words)
     assert len(words) == 18
+
+
+@pytest.mark.parametrize("fixture", ["p3s1", "p3s2", "p4s1", "p4s2"])
+def test_lex_shelling_order_matches_pair_sort(fixture, request):
+    # the stable sort of the walked chains breaks word ties in chain
+    # order, as sorting (word, chain) pairs does, under the honest labels
+    # and under each label sabotage
+    p = request.getfixturevalue(fixture)
+    for labels in (p.edge_labels,
+                   sabotaged_label_map(p, "swap-bottom-labels"),
+                   sabotaged_label_map(p, "min-merge-label")):
+        assert lex_shelling_order(p, labels) == \
+            [f for _, f in shelling_order_by_pairs(p, labels)]
+    first = {}
+    for word, f in shelling_order_by_pairs(p, p.edge_labels):
+        first.setdefault(word, f)
+    assert sabotaged_shelling_order(p, "drop-tie-break") == \
+        list(first.values())
+
+
+def test_sabotaged_orders_at_n_1_are_empty():
+    # height 1: no facet to order, one atom, no tie to drop
+    p = vector_partition_poset(1, 1)
+    assert sabotaged_shelling_order(p, "drop-tie-break") == []
+    assert sabotaged_label_map(p, "swap-bottom-labels") == p.edge_labels
 
 
 def test_lex_shelling_two_atom_case(p2s1):

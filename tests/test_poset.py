@@ -86,6 +86,21 @@ def test_build_rejects_labels_off_the_covers():
     assert p.edge_labels[(1, 2)] == "y"
 
 
+def test_build_checks_cycle_then_bounds_then_grading():
+    from vpshell.poset import build_indexed_poset
+    # two minimal elements and a cycle: the cycle is reported
+    with pytest.raises(CycleDetected):
+        build_poset("abcd", [("a", "b"), ("b", "c"), ("c", "b"),
+                             ("d", "c")])
+    # two maximal elements and a transitive edge: unbounded first
+    with pytest.raises(NotBounded):
+        build_poset("0abx", [("0", "a"), ("a", "b"), ("0", "b"),
+                             ("0", "x")])
+    # ranks are longest paths whatever the index order
+    p = build_indexed_poset("tmb", [(2, 1), (1, 0)])
+    assert (p.ranks, p.bottom, p.top) == ((2, 1, 0), 2, 0)
+
+
 def test_build_rejects_transitive_edge():
     with pytest.raises(NotGraded):
         build_poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])

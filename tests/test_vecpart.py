@@ -137,9 +137,14 @@ def test_labels_born_with_covers_match_cover_label(n, s):
 
 
 def test_set_partitions_counts():
-    # Bell numbers 1, 2, 5, 15, 52
-    for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
-        assert len(set_partitions(n)) == bell
+    # Bell numbers 1, 2, 5, 15, 52, 203; each partition canonical, as
+    # canonicalize (which also checks it partitions 1..n) leaves it, and
+    # none listed twice
+    for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)]:
+        parts = set_partitions(n)
+        assert len(parts) == len(set(parts)) == bell
+        for blocks in parts:
+            assert canonicalize(n, 1, blocks, [blocks]).blocks == blocks
 
 
 def test_enumerate_counts_match_formula():
