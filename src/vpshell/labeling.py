@@ -91,24 +91,30 @@ class ELReport:
 
 
 def _label_table(p: Poset, labels: Mapping | None) -> Mapping:
-    """labels, else the table p carries; MissingLabels when neither exists."""
-    if labels is not None:
-        return labels
-    if p.edge_labels is None:
-        raise MissingLabels("the poset carries no edge labels and none "
-                            "were given")
-    return p.edge_labels
+    """labels, checked to hold every cover, else the table p carries;
+    MissingLabels when neither exists or labels misses a cover."""
+    if labels is None:
+        if p.edge_labels is None:
+            raise MissingLabels("the poset carries no edge labels and none "
+                                "were given")
+        return p.edge_labels
+    for lo, his in enumerate(p.up):
+        for hi in his:
+            if (lo, hi) not in labels:
+                raise MissingLabels(f"cover ({lo}, {hi}) has no edge label")
+    return labels
 
 
 def verify_el(p: Poset, labels: Mapping | None = None) -> ELReport:
     """Check the EL property on every interval of p.
 
     labels maps every cover (lo, hi) to its label; None reads the table
-    the poset carries, p.edge_labels, and MissingLabels is raised when
-    there is neither.  For each x < y: among the maximal chains of
-    [x, y] exactly one may have a strictly increasing label word, and
-    that word must strictly precede every other chain's word.  The first
-    failure, scanning pairs (x, y) in ascending index order, is reported.
+    the poset carries, p.edge_labels.  MissingLabels is raised when there
+    is neither, or when labels misses a cover.  For each x < y: among
+    the maximal chains of [x, y] exactly one may have a strictly
+    increasing label word, and that word must strictly precede every
+    other chain's word.  The first failure, scanning pairs (x, y) in
+    ascending index order, is reported.
 
     No chain is enumerated (the definition, Bjorner-Wachs 1983, is
     checked exactly).  One pass per lower endpoint x walks the up-set of
@@ -201,9 +207,9 @@ def verify_label_structure(p: Poset,
     all pairs exactly when it holds on every cover.
 
     p must be a vector-partition poset; labels defaults to its
-    p.edge_labels (MissingLabels when there is neither).  Returns
-    {condition: [text]}, every list empty exactly when the condition
-    holds; each list is capped at five entries.
+    p.edge_labels (MissingLabels when there is neither, or labels
+    misses a cover).  Returns {condition: [text]}, every list empty
+    exactly when the condition holds; each list is capped at five.
     """
     bad: dict[int, list] = {c: [] for c in (1, 2, 3, 4, 5)}
     lab = _label_table(p, labels)
@@ -229,7 +235,7 @@ def verify_label_structure(p: Poset,
     for a in p.up[p.bottom]:
         climb(a, lab[(p.bottom, a)])
 
-    for (lo, hi) in sorted(p.covers):
+    for lo, hi in p.covers:
         if lo == p.bottom:
             continue
         if not words[hi] <= words[lo]:
@@ -300,7 +306,7 @@ def sabotaged_label_map(p: Poset, name: str) -> dict:
     lab = dict(_label_table(p, None))
     if name == "swap-bottom-labels":
         bottom_edges = sorted(
-            (e for e in lab if e[0] == p.bottom), key=lambda e: lab[e])
+            ((p.bottom, a) for a in p.up[p.bottom]), key=lab.__getitem__)
         if len(bottom_edges) > 1:  # n = 1 has a single atom
             a, b = bottom_edges[:2]
             lab[a], lab[b] = lab[b], lab[a]

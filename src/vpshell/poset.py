@@ -8,60 +8,45 @@ bottom.  Gradedness is validated at build time, never assumed.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 
-from .errors import (CycleDetected, DuplicateElement, MissingLabels,
-                     NotACover, NotBounded, NotComparable, NotGraded,
-                     UnknownElement)
+from .errors import (CycleDetected, DuplicateElement, NotBounded,
+                     NotComparable, NotGraded, UnknownElement)
 
 
 @dataclass(frozen=True)
 class Poset:
-    """Immutable bounded graded poset.
+    """Immutable bounded graded poset, held as its Hasse diagram.
 
     Use build_poset() or build_indexed_poset() to construct: they
-    validate acyclicity, unique bottom and top, and gradedness.  The only
-    derived structure is adjacency (up, down, index), computed lazily and
-    cached on the instance; reachability (leq, up_set, intervals) is
-    walked through the covers on demand, never tabulated.  edge_labels,
-    when present, is a read-only mapping (lo, hi) -> label over every
-    cover, attached by a builder that labels each cover as it generates
-    it; it takes no part in equality.
+    validate acyclicity, unique bottom and top, and gradedness.  up[i]
+    and down[i] are the ascending indices covering i and covered by i;
+    they are the only record of the covers, and nothing is derived from
+    them or cached on the instance: reachability (leq, up_set,
+    intervals) is walked through them on demand.  edge_labels, when
+    present, is a read-only mapping (lo, hi) -> label over every cover,
+    passed with the covers by a builder that labels each cover as it
+    generates it; it takes no part in equality.
     """
 
     elements: tuple
-    covers: frozenset  # of (lo, hi) index pairs
+    up: tuple
+    down: tuple
     ranks: tuple
     bottom: int
     top: int
-    edge_labels: MappingProxyType | None = field(
+    edge_labels: Mapping | None = field(
         default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def index(self) -> dict:
-        """Element key -> index."""
-        return {k: i for i, k in enumerate(self.elements)}
-
-    @cached_property
-    def up(self) -> tuple:
-        """up[i]: sorted indices covering i."""
-        lists: list[list[int]] = [[] for _ in self.elements]
-        for lo, hi in self.covers:
-            lists[lo].append(hi)
-        return tuple(tuple(sorted(l)) for l in lists)
-
-    @cached_property
-    def down(self) -> tuple:
-        """down[i]: sorted indices covered by i."""
-        lists: list[list[int]] = [[] for _ in self.elements]
-        for lo, hi in self.covers:
-            lists[hi].append(lo)
-        return tuple(tuple(sorted(l)) for l in lists)
+    @property
+    def covers(self) -> list[tuple[int, int]]:
+        """The (lo, hi) index pairs of the covers, ascending."""
+        return [(lo, hi) for lo, his in enumerate(self.up) for hi in his]
 
     def leq(self, x: int, y: int) -> bool:
         return y in self._walk(x, self.up, self.ranks[y] - self.ranks[x])
@@ -105,19 +90,18 @@ def build_poset(elements, covers) -> Poset:
     return build_indexed_poset(elements, pairs)
 
 
-def build_indexed_poset(elements, covers, edge_labels=None) -> Poset:
+def build_indexed_poset(elements, covers) -> Poset:
     """Validate a cover relation given as index pairs and assemble a Poset.
 
-    elements:    sequence of unique hashable keys.
-    covers:      iterable of (lo, hi) index pairs into elements.
-    edge_labels: optional mapping (lo, hi) -> label over exactly these
-                 covers, stored read-only on the poset.
+    elements: sequence of unique hashable keys.
+    covers:   iterable of (lo, hi) index pairs into elements, or a
+              mapping (lo, hi) -> label, whose keys are the covers and
+              which is stored read-only as the poset's edge_labels.
 
     Raises CycleDetected, NotBounded, or NotGraded when the data does not
     describe a bounded graded poset, UnknownElement for an index outside
-    elements, DuplicateElement for duplicate keys, MissingLabels for a
-    cover with no label, and NotACover for a label on a non-cover.  Ranks
-    are longest-path distances from the bottom; a cover whose endpoints
+    elements, and DuplicateElement for duplicate keys.  Ranks are
+    longest-path distances from the bottom; a cover whose endpoints
     differ by more than one rank (a transitive edge in disguise) trips
     NotGraded.
     """
@@ -127,25 +111,24 @@ def build_indexed_poset(elements, covers, edge_labels=None) -> Poset:
     n = len(elements)
     if n == 0:
         raise NotBounded("empty poset")
-    pairs = frozenset(covers)
+    if isinstance(covers, Mapping):
+        edge_labels = MappingProxyType(covers)
+    else:
+        edge_labels, covers = None, set(covers)
 
     up: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i, j in pairs:
+    down: list[list[int]] = [[] for _ in range(n)]
+    for i, j in covers:
         if not (0 <= i < n and 0 <= j < n):
             raise UnknownElement(f"cover ({i}, {j}) leaves 0..{n - 1}")
         if i == j:
             raise CycleDetected(f"self-cover at element {i}")
         up[i].append(j)
-        indeg[j] += 1
-    if edge_labels is not None and edge_labels.keys() != pairs:
-        if missing := pairs - edge_labels.keys():
-            raise MissingLabels(f"cover {min(missing)} has no edge label")
-        extra = min(edge_labels.keys() - pairs)
-        raise NotACover(f"labelled pair {extra} is not a cover")
+        down[j].append(i)
 
     # Kahn's algorithm, ranking longest paths on the way: w joins the
     # order after all its lower covers; leftover nodes witness a cycle
+    indeg = [len(d) for d in down]
     order = [i for i in range(n) if indeg[i] == 0]
     sources = len(order)
     ranks = [0] * n
@@ -165,15 +148,17 @@ def build_indexed_poset(elements, covers, edge_labels=None) -> Poset:
             f"{sources} minimal and {len(sinks)} maximal elements")
     bottom, top = order[0], sinks[0]
 
-    for i, j in pairs:
-        if ranks[j] != ranks[i] + 1:
-            raise NotGraded(
-                f"cover ({i}, {j}) spans ranks {ranks[i]} -> {ranks[j]}")
+    for i, js in enumerate(up):
+        for j in js:
+            if ranks[j] != ranks[i] + 1:
+                raise NotGraded(
+                    f"cover ({i}, {j}) spans ranks {ranks[i]} -> {ranks[j]}")
 
-    return Poset(elements=elements, covers=pairs,
+    return Poset(elements=elements,
+                 up=tuple(tuple(sorted(js)) for js in up),
+                 down=tuple(tuple(sorted(js)) for js in down),
                  ranks=tuple(ranks), bottom=bottom, top=top,
-                 edge_labels=(None if edge_labels is None
-                              else MappingProxyType(edge_labels)))
+                 edge_labels=edge_labels)
 
 
 def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list[tuple[int, ...]]:
@@ -237,17 +222,16 @@ def mobius(p: Poset, x: int, y: int) -> int:
 
 # ── serialization ────────────────────────────────────────────────────────
 
-def poset_to_json(p: Poset, edge_labels: dict | None = None) -> str:
+def poset_to_json(p: Poset, edge_labels: Mapping | None = None) -> str:
     """JSON document with element keys (via str), covers, bottom and top.
 
     With edge_labels, covers become objects carrying a "label" field.
     """
-    covers = sorted(p.covers)
     if edge_labels is None:
-        cov = [[lo, hi] for lo, hi in covers]
+        cov = [[lo, hi] for lo, his in enumerate(p.up) for hi in his]
     else:
         cov = [{"lo": lo, "hi": hi, "label": list(edge_labels[(lo, hi)])}
-               for lo, hi in covers]
+               for lo, his in enumerate(p.up) for hi in his]
     doc = {
         "elements": [str(k) for k in p.elements],
         "covers": cov,
@@ -257,7 +241,7 @@ def poset_to_json(p: Poset, edge_labels: dict | None = None) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def poset_to_dot(p: Poset, edge_labels: dict | None = None) -> str:
+def poset_to_dot(p: Poset, edge_labels: Mapping | None = None) -> str:
     """GraphViz DOT text for the Hasse diagram, bottom drawn lowest."""
     def esc(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
@@ -265,10 +249,11 @@ def poset_to_dot(p: Poset, edge_labels: dict | None = None) -> str:
     lines = ["digraph poset {", "  rankdir=BT;"]
     for i, k in enumerate(p.elements):
         lines.append(f'  n{i} [label="{esc(str(k))}"];')
-    for lo, hi in sorted(p.covers):
-        if edge_labels is not None:
-            lines.append(f'  n{lo} -> n{hi} [label="{esc(str(edge_labels[(lo, hi)]))}"];')
-        else:
-            lines.append(f"  n{lo} -> n{hi};")
+    for lo, his in enumerate(p.up):
+        for hi in his:
+            if edge_labels is not None:
+                lines.append(f'  n{lo} -> n{hi} [label="{esc(str(edge_labels[(lo, hi)]))}"];')
+            else:
+                lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -310,7 +310,7 @@ def vector_partition_poset(n: int, s: int,
                 else:
                     lbl = (n, max(blocks[a][-1], blocks[b][-1]), 0)
                 table[(t, u)] = shared.setdefault(lbl, lbl)
-    return build_indexed_poset(elements, table, table)
+    return build_indexed_poset(elements, table)
 
 
 def set_partition_lattice(n: int) -> Poset:
@@ -328,7 +328,7 @@ def set_partition_lattice(n: int) -> Poset:
             for b in range(a + 1, m):
                 u = index[_merged(blocks, a, b)]
                 table[(t, u)] = max(blocks[a][-1], blocks[b][-1])
-    return build_indexed_poset(elements, table, table)
+    return build_indexed_poset(elements, table)
 
 
 # ── atom words ───────────────────────────────────────────────────────────

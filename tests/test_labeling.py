@@ -133,7 +133,7 @@ def test_monotonicity_predicates():
 def test_merge_max_label_partition_lattice():
     # the lattice labels each cover with the max of the two merged blocks
     def label(lat, x, y):
-        return lat.edge_labels[(lat.index[x], lat.index[y])]
+        return lat.edge_labels[(lat.elements.index(x), lat.elements.index(y))]
 
     lat = set_partition_lattice(3)
     x = ((1,), (2,), (3,))
@@ -168,7 +168,7 @@ def test_verify_el_reports_the_least_failing_index():
     # alone; 1 has the smaller index, so it is the one reported
     p = build_poset("01abt", [("0", "a"), ("0", "b"), ("a", "t"),
                               ("b", "t"), ("t", "1")])
-    i = p.index
+    i = {k: t for t, k in enumerate(p.elements)}
     labels = {(i["0"], i["a"]): 2, (i["a"], i["t"]): 1,
               (i["0"], i["b"]): 3, (i["b"], i["t"]): 4,
               (i["t"], i["1"]): 5}
@@ -195,7 +195,7 @@ def test_verify_el_matches_chain_enumeration_oracle(data):
             elements[to[i]] = key
         moved = {(to[lo], to[hi]): label
                  for (lo, hi), label in p.edge_labels.items()}
-        p = build_indexed_poset(elements, moved, moved)
+        p = build_indexed_poset(elements, moved)
     covers = sorted(p.covers)
     if data.draw(st.booleans(), label="random labels"):
         alphabet = st.integers(1, data.draw(st.integers(1, 3)))
@@ -241,6 +241,19 @@ def test_unlabeled_poset_without_labels_is_refused(check):
     p = build_poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     with pytest.raises(MissingLabels):
         check(p)
+
+
+@pytest.mark.parametrize("check", [verify_el, verify_label_structure,
+                                   lex_shelling_order])
+def test_labels_missing_a_cover_are_refused(check, p3s1):
+    # the least missing cover is named, whichever the check reads first
+    covers = p3s1.covers
+    labels = dict(p3s1.edge_labels)
+    del labels[covers[20]], labels[covers[-1]]
+    lo, hi = covers[20]
+    with pytest.raises(MissingLabels,
+                       match=rf"^cover \({lo}, {hi}\) has no edge label$"):
+        check(p3s1, labels)
 
 
 def test_default_labels_are_read_not_recomputed(monkeypatch):

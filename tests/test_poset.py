@@ -8,8 +8,6 @@ import pytest
 from vpshell import (
     CycleDetected,
     DuplicateElement,
-    MissingLabels,
-    NotACover,
     NotBounded,
     NotComparable,
     NotGraded,
@@ -22,6 +20,7 @@ from vpshell import (
     order_complex,
     poset_to_dot,
     poset_to_json,
+    set_partition_lattice,
     vector_partition_poset,
 )
 from conftest import chains_by_powerset, hall_mobius
@@ -74,16 +73,29 @@ def test_build_rejects_unbounded():
         build_poset("ab1", [("a", "1"), ("b", "1")])
 
 
-def test_build_rejects_labels_off_the_covers():
+def test_build_takes_labels_with_the_covers():
+    # a mapping is the covers and their labels at once; pairs carry none
     from vpshell.poset import build_indexed_poset
-    covers = [(0, 1), (1, 2)]
-    with pytest.raises(MissingLabels, match=r"cover \(1, 2\)"):
-        build_indexed_poset("abc", covers, {(0, 1): "x"})
-    with pytest.raises(NotACover, match=r"pair \(0, 2\)"):
-        build_indexed_poset("abc", covers,
-                            {(0, 1): "x", (1, 2): "y", (0, 2): "z"})
-    p = build_indexed_poset("abc", covers, {(0, 1): "x", (1, 2): "y"})
-    assert p.edge_labels[(1, 2)] == "y"
+    labels = {(0, 1): "x", (1, 2): "y"}
+    p = build_indexed_poset("abc", labels)
+    assert p.edge_labels == labels
+    assert sorted(p.edge_labels) == p.covers == [(0, 1), (1, 2)]
+    with pytest.raises(TypeError):
+        p.edge_labels[(0, 1)] = "z"
+    q = build_indexed_poset("abc", [(1, 2), (0, 1)])
+    assert q.edge_labels is None and q == p
+
+
+def test_covers_are_the_ascending_pairs_of_up(p3s2):
+    from vpshell.poset import build_indexed_poset
+    for p in (diamond(), chain4(), p3s2, set_partition_lattice(4),
+              build_indexed_poset("tmb", [(2, 1), (1, 0)])):
+        assert p.covers == sorted(p.covers)
+        assert p.covers == [(lo, hi) for lo in range(len(p))
+                            for hi in p.up[lo]]
+        assert all(list(js) == sorted(js) for js in p.up + p.down)
+        assert sorted((lo, hi) for hi in range(len(p))
+                      for lo in p.down[hi]) == p.covers
 
 
 def test_build_checks_cycle_then_bounds_then_grading():
@@ -108,8 +120,8 @@ def test_build_rejects_transitive_edge():
 
 def test_leq_and_interval():
     p = diamond()
-    a = p.index["a"]
-    b = p.index["b"]
+    a = p.elements.index("a")
+    b = p.elements.index("b")
     assert p.leq(p.bottom, a)
     assert p.leq(a, p.top)
     assert not p.leq(a, b)
@@ -128,12 +140,12 @@ def test_maximal_chains_diamond():
 def test_maximal_chains_not_comparable():
     p = diamond()
     with pytest.raises(NotComparable):
-        maximal_chains(p, p.index["a"], p.index["b"])
+        maximal_chains(p, p.elements.index("a"), p.elements.index("b"))
 
 
 def test_maximal_chains_degenerate_interval():
     p = diamond()
-    a = p.index["a"]
+    a = p.elements.index("a")
     assert maximal_chains(p, a, a) == [(a,)]
 
 
@@ -154,19 +166,26 @@ def test_interval_chains_against_powerset_oracle(p3s1):
         assert maximal_chains(p, a, p.top) == chains_by_powerset(p, a, p.top)
 
 
-def test_order_queries_cache_only_adjacency():
-    # leq, up_set, mobius and interval chains walk the covers; the only
-    # state they may leave on the poset is its adjacency
-    p = vector_partition_poset(3, 2)
-    atom = p.up[p.bottom][0]
-    coatom = p.down[p.top][0]
-    assert mobius(p, p.bottom, p.top) == -46
+@pytest.mark.parametrize("make, mu, above_atom, below_coatom", [
+    (lambda: vector_partition_poset(3, 2), -46, 3, 4),
+    (lambda: set_partition_lattice(4), -6, 3, 3),
+    (diamond, 1, 1, 1)], ids=["(3,2)", "lattice(4)", "diamond"])
+def test_queries_leave_no_state_on_the_poset(make, mu, above_atom,
+                                             below_coatom):
+    # order queries, the writers and the EL scan walk the covers; none
+    # of them may leave anything on the poset beyond its fields
+    from vpshell import verify_el
+    p = make()
+    labels = p.edge_labels or dict.fromkeys(p.covers, 1)
+    atom, coatom = p.up[p.bottom][0], p.down[p.top][0]
     assert p.leq(atom, p.top) and not p.leq(p.top, atom)
     assert p.up_set(atom)[-1] == p.top
-    assert len(maximal_chains(p, atom, p.top)) == 3
-    assert len(maximal_chains(p, p.bottom, coatom)) == 4
-    derived = set(p.__dict__) - {f.name for f in fields(p)}
-    assert derived == {"up", "down"}
+    assert mobius(p, p.bottom, p.top) == mu
+    assert len(maximal_chains(p, atom, p.top)) == above_atom
+    assert len(maximal_chains(p, p.bottom, coatom)) == below_coatom
+    assert poset_to_json(p) and poset_to_dot(p, labels)
+    verify_el(p, labels)
+    assert set(p.__dict__) == {f.name for f in fields(p)}
 
 
 def test_mobius_chain():
@@ -182,7 +201,6 @@ def test_mobius_diamond():
 
 
 def test_mobius_partition_lattice():
-    from vpshell import set_partition_lattice
     lat = set_partition_lattice(3)
     assert mobius(lat, lat.bottom, lat.top) == 2
     # (n-1)! with alternating sign in general

@@ -310,7 +310,8 @@ def test_same_atom_interval_is_partition_lattice():
     def blocks_of(t):
         return p.elements[t].blocks
 
-    match = {t: lat.index[blocks_of(t)] for t in inside}
+    index = {k: t for t, k in enumerate(lat.elements)}
+    match = {t: index[blocks_of(t)] for t in inside}
     for a in inside:
         for b in inside:
             assert p.leq(a, b) == lat.leq(match[a], match[b])
@@ -319,11 +320,12 @@ def test_same_atom_interval_is_partition_lattice():
 def _projection_matches(p, lat, x, y):
     # dropping labels must map [x, y] order-isomorphically onto the
     # partition-lattice interval between the underlying partitions
+    index = {k: t for t, k in enumerate(lat.elements)}
     inside = [t for t in p.up_set(x) if p.leq(t, y)]
-    image = [lat.index[p.elements[t].blocks] for t in inside]
+    image = [index[p.elements[t].blocks] for t in inside]
     assert len(set(image)) == len(inside)
-    lx = lat.index[p.elements[x].blocks]
-    ly = lat.index[p.elements[y].blocks]
+    lx = index[p.elements[x].blocks]
+    ly = index[p.elements[y].blocks]
     want = [t for t in lat.up_set(lx) if lat.leq(t, ly)]
     assert sorted(image) == want
     for a, qa in zip(inside, image):
