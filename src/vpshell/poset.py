@@ -225,35 +225,48 @@ def mobius(p: Poset, x: int, y: int) -> int:
 def poset_to_json(p: Poset, edge_labels: Mapping | None = None) -> str:
     """JSON document with element keys (via str), covers, bottom and top.
 
-    With edge_labels, covers become objects carrying a "label" field.
+    With edge_labels, covers become objects carrying a "label" field,
+    written as json.dumps writes the label.  The text is the one
+    json.dumps(doc, sort_keys=True) gives for the document, written
+    directly: keys in sorted order, ", " and ": " separators.
     """
     if edge_labels is None:
-        cov = [[lo, hi] for lo, his in enumerate(p.up) for hi in his]
+        cov = [f"[{lo}, {hi}]" for lo, his in enumerate(p.up) for hi in his]
     else:
-        cov = [{"lo": lo, "hi": hi, "label": list(edge_labels[(lo, hi)])}
-               for lo, his in enumerate(p.up) for hi in his]
-    doc = {
-        "elements": [str(k) for k in p.elements],
-        "covers": cov,
-        "bottom": p.bottom,
-        "top": p.top,
-    }
-    return json.dumps(doc, sort_keys=True)
+        cov = [f'{{"hi": {hi}, "label": {text}, "lo": {lo}}}'
+               for lo, hi, text in _label_texts(p, edge_labels, json.dumps)]
+    return (f'{{"bottom": {p.bottom}, "covers": [{", ".join(cov)}], '
+            f'"elements": {json.dumps([str(k) for k in p.elements])}, '
+            f'"top": {p.top}}}')
 
 
 def poset_to_dot(p: Poset, edge_labels: Mapping | None = None) -> str:
     """GraphViz DOT text for the Hasse diagram, bottom drawn lowest."""
-    def esc(s: str) -> str:
-        return s.replace("\\", "\\\\").replace('"', '\\"')
+    def esc(s) -> str:
+        return str(s).replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph poset {", "  rankdir=BT;"]
-    for i, k in enumerate(p.elements):
-        lines.append(f'  n{i} [label="{esc(str(k))}"];')
-    for lo, his in enumerate(p.up):
-        for hi in his:
-            if edge_labels is not None:
-                lines.append(f'  n{lo} -> n{hi} [label="{esc(str(edge_labels[(lo, hi)]))}"];')
-            else:
-                lines.append(f"  n{lo} -> n{hi};")
+    lines += [f'  n{i} [label="{esc(k)}"];' for i, k in enumerate(p.elements)]
+    if edge_labels is None:
+        lines += [f"  n{lo} -> n{hi};"
+                  for lo, his in enumerate(p.up) for hi in his]
+    else:
+        lines += [f'  n{lo} -> n{hi} [label="{text}"];'
+                  for lo, hi, text in _label_texts(p, edge_labels, esc)]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _label_texts(p: Poset, edge_labels: Mapping, render):
+    """(lo, hi, render(label)) for every cover, ascending.  A label
+    object met again reuses its text, so a table whose equal labels
+    share one object renders each distinct label once."""
+    texts: dict = {}
+    for lo, his in enumerate(p.up):
+        for hi in his:
+            label = edge_labels[(lo, hi)]
+            hit = texts.get(id(label))
+            if hit is None:
+                # holding label keeps its id from being reused
+                hit = texts[id(label)] = (label, render(label))
+            yield lo, hi, hit[1]

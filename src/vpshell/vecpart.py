@@ -286,31 +286,75 @@ def vector_partition_poset(n: int, s: int,
     * merging blocks I, J changes the atom word: its first difference;
     * merging blocks I, J keeps the atom word: (n, max(I u J), 0).
 
-    The upper cover of a merge is found by its (blocks, labels) key, so
-    no element is built or compared per cover.  Equal labels share one
-    tuple: far fewer distinct labels occur than covers.
+    Each non-bottom element is keyed by its block records (see
+    _block_record), one packed int per block in block order.  Merging
+    blocks a < b ORs their records into position a, so the upper cover
+    is found by splicing the key: no element is built or compared per
+    cover.  A merge changes the atom word at the entries of I u J alone,
+    so its label depends on the two records only and is computed once
+    per pair of records (_merge_label).  Equal labels share one tuple:
+    far fewer distinct labels occur than covers.
     """
     elements = enumerate_elements(n, s, max_elements=max_elements)
-    index = {(v.blocks, v.labels): t for t, v in enumerate(elements)}
-    words = [None] + [atom_word(v) for v in elements[1:]]
+    records: dict = {}  # (block, label_1, ..., label_s) -> its record
+    keys = [None] + [tuple([records.get(col) or records.setdefault(
+        col, _block_record(n, col)) for col in zip(v.blocks, *v.labels)])
+        for v in elements[1:]]  # a record is never 0: blocks are not empty
+    index = {key: t for t, key in enumerate(keys)}
     table = {}
+    memo: dict = {}
     shared: dict = {}
     for t in range(1, len(elements)):
-        blocks, labels = elements[t].blocks, elements[t].labels
-        word = words[t]
-        m = len(blocks)
+        key = keys[t]
+        m = len(key)
         if m == n:
             table[(0, t)] = (n - 1, s + t, 0)
         for a in range(m):
+            ra, head = key[a], key[:a]
             for b in range(a + 1, m):
-                u = index[(_merged(blocks, a, b),
-                           tuple([_merged(lab, a, b) for lab in labels]))]
-                if words[u] != word:
-                    lbl = first_word_difference(word, words[u], n, s)
-                else:
-                    lbl = (n, max(blocks[a][-1], blocks[b][-1]), 0)
-                table[(t, u)] = shared.setdefault(lbl, lbl)
+                rb = key[b]
+                u = index[head + (ra | rb,) + key[a + 1:b] + key[b + 1:]]
+                lbl = memo.get((ra, rb))
+                if lbl is None:
+                    lbl = _merge_label(elements[t], a, b)
+                    lbl = memo[(ra, rb)] = shared.setdefault(lbl, lbl)
+                table[(t, u)] = lbl
     return build_indexed_poset(elements, table)
+
+
+def _block_record(n: int, column) -> int:
+    """A block and its label sets, column = (block, label_1, ..., label_s),
+    packed into one int: bit k-1 is set when k is in the block, bit
+    i*n + j-1 when j is in label_i.  Merging two blocks ORs their
+    records, and the records of an element fix it."""
+    r = 0
+    for i, part in enumerate(column):
+        for k in part:
+            r |= 1 << (i * n + k - 1)
+    return r
+
+
+def _merge_label(v: VectorPartition, a: int, b: int) -> tuple:
+    """Label of the cover that merges blocks a and b of v: the first
+    difference of the two atom words, else (n, max(I u J), 0).
+
+    The words differ only at entries k of I u J.  Before the merge, k
+    takes the label entry at its position in its own block; after it,
+    the entry at its position in I u J, of the merged label.  Entries
+    are scanned k major, labeling minor, as first_word_difference does,
+    so the label depends on the two blocks and their labels alone.
+    """
+    old = {}
+    for c in (a, b):
+        for pos, k in enumerate(v.blocks[c]):
+            old[k] = [lab[c][pos] for lab in v.labels]
+    merged = sorted(v.blocks[a] + v.blocks[b])
+    new = [sorted(lab[a] + lab[b]) for lab in v.labels]
+    for pos, k in enumerate(merged):
+        for i, lab in enumerate(new):
+            if lab[pos] != old[k][i]:
+                return (k, i + 1, lab[pos])
+    return (v.n, merged[-1], 0)
 
 
 def set_partition_lattice(n: int) -> Poset:

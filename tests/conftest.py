@@ -6,10 +6,12 @@ the Mobius function by alternating chain counts, atom ranks by sorting
 the full list of words, shellings by intersecting every pair of facets,
 the shelling order by sorting (word, chain) pairs,
 merges by re-sorting the blocks, the whole poset from element keys, and
-the indexed sphere counts from math.comb, and the EL property by
-enumerating the maximal chains of every interval.
+the indexed sphere counts from math.comb, the EL property by
+enumerating the maximal chains of every interval, and the JSON and DOT
+texts of a poset through a document of dicts or one escape per edge.
 They are slow and only fit tiny inputs, which is the point.
 """
+import json
 from itertools import combinations, permutations
 from math import comb
 
@@ -193,6 +195,43 @@ def poset_from_element_covers(n, s):
         covers += [(v, merge_blocks_by_sorting(v, a, b))
                    for a, b in combinations(range(v.num_blocks), 2)]
     return build_poset(elements, covers)
+
+
+def poset_to_json_by_dict(p, edge_labels=None):
+    """poset_to_json through a document of dicts and lists handed to
+    json.dumps(sort_keys=True).  Each label goes through list(), so the
+    labels must be sequences."""
+    if edge_labels is None:
+        cov = [[lo, hi] for lo, his in enumerate(p.up) for hi in his]
+    else:
+        cov = [{"lo": lo, "hi": hi, "label": list(edge_labels[(lo, hi)])}
+               for lo, his in enumerate(p.up) for hi in his]
+    doc = {
+        "elements": [str(k) for k in p.elements],
+        "covers": cov,
+        "bottom": p.bottom,
+        "top": p.top,
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def poset_to_dot_by_edges(p, edge_labels=None):
+    """poset_to_dot with every element and label escaped where its line
+    is written."""
+    def esc(s: str) -> str:
+        return s.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph poset {", "  rankdir=BT;"]
+    for i, k in enumerate(p.elements):
+        lines.append(f'  n{i} [label="{esc(str(k))}"];')
+    for lo, his in enumerate(p.up):
+        for hi in his:
+            if edge_labels is not None:
+                lines.append(f'  n{lo} -> n{hi} [label="{esc(str(edge_labels[(lo, hi)]))}"];')
+            else:
+                lines.append(f"  n{lo} -> n{hi};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def indexed_counts_by_comb(max_n, s):

@@ -23,7 +23,8 @@ from vpshell import (
     set_partition_lattice,
     vector_partition_poset,
 )
-from conftest import chains_by_powerset, hall_mobius
+from conftest import (chains_by_powerset, hall_mobius, poset_to_dot_by_edges,
+                      poset_to_json_by_dict)
 
 
 def diamond():
@@ -273,6 +274,36 @@ def test_dot_output():
     assert dot.count("->") == 4
     labeled = poset_to_dot(p, {e: (1, 2, 3) for e in p.covers})
     assert 'label="(1, 2, 3)"' in labeled
+
+
+@pytest.mark.parametrize("size", ["p3s2", "p4s2", "p5s1"])
+def test_writers_match_the_oracles(size, request):
+    p = request.getfixturevalue(size)
+    for labels in (None, p.edge_labels):
+        assert poset_to_json(p, labels) == poset_to_json_by_dict(p, labels)
+        assert poset_to_dot(p, labels) == poset_to_dot_by_edges(p, labels)
+
+
+def test_writers_escape_keys_and_labels_as_the_oracles_do():
+    keys = ['lo"', "back\\slash", "new\nline", "\u00e9t\u00e9 \u2192 \U0001d53d", "hi"]
+    p = build_poset(keys, [(keys[0], k) for k in keys[1:4]]
+                    + [(k, keys[4]) for k in keys[1:4]])
+    labels = {(lo, hi): (keys[lo], hi) for lo, hi in p.covers}
+    for lab in (None, labels):
+        assert poset_to_json(p, lab) == poset_to_json_by_dict(p, lab)
+        assert poset_to_dot(p, lab) == poset_to_dot_by_edges(p, lab)
+    assert json.loads(poset_to_json(p))["elements"] == keys
+
+
+def test_json_writes_int_labels_of_the_partition_lattice():
+    lat = set_partition_lattice(4)
+    doc = json.loads(poset_to_json(lat, lat.edge_labels))
+    assert len(doc["covers"]) == len(lat.covers)
+    for cover in doc["covers"]:
+        below = set(lat.elements[cover["lo"]])
+        merged = next(b for b in lat.elements[cover["hi"]] if b not in below)
+        assert cover["label"] == max(merged)
+        assert type(cover["label"]) is int
 
 
 def test_chains_are_freed_without_the_cyclic_collector(p3s2):

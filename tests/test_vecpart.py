@@ -125,7 +125,7 @@ def test_merge_blocks_splice_matches_sorting_oracle(n, s):
             assert merge_blocks(v, a, b) == merge_blocks_by_sorting(v, a, b)
 
 
-@pytest.mark.parametrize("n,s", ORACLE_SIZES)
+@pytest.mark.parametrize("n,s", ORACLE_SIZES + [(5, 1)])
 def test_labels_born_with_covers_match_cover_label(n, s):
     p = vector_partition_poset(n, s)
     assert p == poset_from_element_covers(n, s)
