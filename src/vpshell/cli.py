@@ -113,10 +113,10 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):  # stdout and a file get the same bytes
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         try:
             with open(out, "w") as fh:

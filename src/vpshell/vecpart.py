@@ -126,15 +126,18 @@ def _check_partition(n: int, sets, what: str) -> None:
 
 # ── serialization ────────────────────────────────────────────────────────
 
+_SET_TEXT: dict = {}  # set tuple -> "{1,2,3}": one string per distinct set
+
+
 def format_element(v: VectorPartition) -> str:
-    """Canonical text form: blocks, then one labeling per '|' separator."""
+    """Canonical text form: blocks, then one labeling per '|' separator.
+    Each distinct set is rendered once and its text shared after that."""
     if v.is_bottom:
         return "BOTTOM"
-
-    def part(sets) -> str:
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in sets)
-
-    return "|".join([part(v.blocks)] + [part(lab) for lab in v.labels])
+    text = _SET_TEXT
+    return "|".join(["".join([text.get(b) or text.setdefault(
+        b, "{" + ",".join(map(str, b)) + "}") for b in sets])
+        for sets in (v.blocks, *v.labels)])
 
 
 # ── order relation ───────────────────────────────────────────────────────
@@ -205,7 +208,8 @@ def _merged(sets: tuple, a: int, b: int) -> tuple:
 # ── enumeration ──────────────────────────────────────────────────────────
 
 def set_partitions(n: int) -> list[tuple]:
-    """All set partitions of {1..n}, each in canonical form.
+    """All set partitions of {1..n}, each in canonical form, the most
+    blocks first and ties by blocks: the elements' (rank, blocks) order.
 
     The partitions of {1..m} come from those of {1..m-1} by putting m
     into each block in turn or into a new block of its own.  m is the
@@ -215,7 +219,7 @@ def set_partitions(n: int) -> list[tuple]:
     for m in range(1, n + 1):
         out = [p[:t] + (p[t] + (m,),) + p[t + 1:] for p in out
                for t in range(len(p))] + [p + ((m,),) for p in out]
-    return out
+    return sorted(out, key=lambda p: (-len(p), p))
 
 
 def element_count(n: int, s: int) -> int:
@@ -255,19 +259,25 @@ def enumerate_elements(n: int, s: int,
                        max_elements: int | None = None) -> list[VectorPartition]:
     """Every element including the bottom and the top, canonically ordered
     by (rank, blocks, labels).  Raises ResourceLimit when the arithmetic
-    element count exceeds max_elements."""
+    element count exceeds max_elements.  They are generated in that
+    order: the partitions come in (rank, blocks) order, and the product
+    of lex-ordered label assignments, one list per block sizes, is lex
+    ordered."""
     count = element_count(n, s)
     if max_elements is not None and count > max_elements:
         raise ResourceLimit(
             f"poset has {count} elements, budget is {max_elements}")
     out = [bottom_element(n, s)]
     full = tuple(range(1, n + 1))
+    by_sizes: dict = {}  # block sizes -> label tuples, lex order
     for blocks in set_partitions(n):
-        sizes = tuple(len(b) for b in blocks)
-        assignments = list(_label_assignments(sizes, full))
-        for labs in product(assignments, repeat=s):
-            out.append(VectorPartition(n=n, s=s, blocks=blocks, labels=labs))
-    out.sort(key=lambda v: v.sort_key)
+        sizes = tuple(map(len, blocks))
+        labels = by_sizes.get(sizes)
+        if labels is None:
+            labels = by_sizes[sizes] = list(
+                product(_label_assignments(sizes, full), repeat=s))
+        out += [VectorPartition(n=n, s=s, blocks=blocks, labels=labs)
+                for labs in labels]
     return out
 
 
@@ -363,7 +373,7 @@ def set_partition_lattice(n: int) -> Poset:
     is labelled where it is generated with max(I u J), the larger maximum
     of the two merged blocks I, J (the classical EL-labeling), and the
     table is stored on the lattice as edge_labels."""
-    elements = sorted(set_partitions(n), key=lambda p: (-len(p), p))
+    elements = set_partitions(n)
     index = {blocks: t for t, blocks in enumerate(elements)}
     table = {}
     for t, blocks in enumerate(elements):

@@ -7,8 +7,9 @@ the full list of words, shellings by intersecting every pair of facets,
 the shelling order by sorting (word, chain) pairs,
 merges by re-sorting the blocks, the whole poset from element keys, and
 the indexed sphere counts from math.comb, the EL property by
-enumerating the maximal chains of every interval, and the JSON and DOT
-texts of a poset through a document of dicts or one escape per edge.
+enumerating the maximal chains of every interval, the JSON and DOT
+texts of a poset through a document of dicts or one escape per edge, and
+an element's text by joining every set afresh.
 They are slow and only fit tiny inputs, which is the point.
 """
 import json
@@ -195,6 +196,18 @@ def poset_from_element_covers(n, s):
         covers += [(v, merge_blocks_by_sorting(v, a, b))
                    for a, b in combinations(range(v.num_blocks), 2)]
     return build_poset(elements, covers)
+
+
+def format_element_by_joins(v):
+    """format_element with the text of every set rebuilt by nested joins
+    wherever it occurs."""
+    if v.is_bottom:
+        return "BOTTOM"
+
+    def part(sets) -> str:
+        return "".join("{" + ",".join(map(str, b)) + "}" for b in sets)
+
+    return "|".join([part(v.blocks)] + [part(lab) for lab in v.labels])
 
 
 def poset_to_json_by_dict(p, edge_labels=None):

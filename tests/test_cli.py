@@ -195,6 +195,20 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["match"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("build", "--n", "3", "--s", "1"),
+    ("build", "--n", "3", "--s", "2", "--labels", "--format", "dot"),
+    ("count", "--n", "3", "--s", "1"),
+    ("verify-el", "--n", "3", "--s", "1"),
+    ("sequence", "--s", "2", "--max-n", "4"),
+])
+def test_output_file_gets_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "-o", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode()
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     target = tmp_path / "missing" / "out.json"
     code, out, err = run(capsys, "count", "--n", "2", "--s", "1",
@@ -328,3 +342,19 @@ def test_golden_output_digests(capsys):
         code, out, _ = run(capsys, *line.split())
         got[line] = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
     assert got == GOLDEN
+
+
+# the benchmark's build jobs: (exit code, first 16 hex digits of the
+# SHA-256 of stdout), recorded before the elements were generated in order
+BUILD_GOLDEN = {
+    "build --n 4 --s 2 --labels --format dot": (0, "1c7cf5931228ee97"),
+    "build --n 5 --s 1 --labels": (0, "f9a0dd7cec6a1739"),
+}
+
+
+def test_build_benchmark_outputs_pinned(capsys):
+    got = {}
+    for line in BUILD_GOLDEN:
+        code, out, _ = run(capsys, *line.split())
+        got[line] = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert got == BUILD_GOLDEN

@@ -31,10 +31,11 @@ from vpshell import (
     set_partition_lattice,
     set_partitions,
     top_element,
+    vecpart,
     vector_partition_poset,
 )
-from conftest import (merge_blocks_by_sorting, poset_from_element_covers,
-                      sorted_word_rank)
+from conftest import (format_element_by_joins, merge_blocks_by_sorting,
+                      poset_from_element_covers, sorted_word_rank)
 
 ORACLE_SIZES = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 1), (3, 3),
                 (4, 2)]
@@ -95,6 +96,25 @@ def test_format_element_pinned():
     assert format_element(bottom_element(4, 2)) == "BOTTOM"
 
 
+def test_format_element_matches_the_joining_oracle():
+    els = [v for n, s in ((3, 2), (4, 2), (5, 1))
+           for v in enumerate_elements(n, s)]
+    ten = canonicalize(10, 2, [(1, 10), (2, 3, 4, 5, 6, 7, 8, 9)],
+                       [[(9, 10), (1, 2, 3, 4, 5, 6, 7, 8)],
+                        [(3, 7), (1, 2, 4, 5, 6, 8, 9, 10)]])
+    els += [ten, top_element(10, 1), bottom_element(10, 2)]
+    sets = {b for v in els for part in (v.blocks, *v.labels) for b in part}
+    seen = len(vecpart._SET_TEXT)
+    first = [format_element(v) for v in els]
+    assert first == [format_element_by_joins(v) for v in els]
+    assert str(ten) == "{1,10}{2,3,4,5,6,7,8,9}|{9,10}{1,2,3,4,5,6,7,8}" \
+        "|{3,7}{1,2,4,5,6,8,9,10}"
+    # once the memo holds every set, the texts stay the same, and it
+    # holds one string per distinct set, nothing per element
+    assert [str(v) for v in els] == first
+    assert len(vecpart._SET_TEXT) - seen <= len(sets) < len(els)
+
+
 def test_is_leq_refinement():
     x = canonicalize(3, 1, [(1,), (2,), (3,)], [[(2,), (1,), (3,)]])
     y = canonicalize(3, 1, [(1, 2), (3,)], [[(1, 2), (3,)]])
@@ -153,6 +173,13 @@ def test_enumerate_counts_match_formula():
         assert len(els) == element_count(n, s)
         atoms = [e for e in els if e.is_atom]
         assert len(atoms) == factorial(n) ** s
+
+
+@pytest.mark.parametrize("n,s", [(3, 2), (3, 4), (4, 2), (5, 1), (6, 1)])
+def test_elements_are_generated_in_canonical_order(n, s):
+    els = enumerate_elements(n, s)
+    assert els == sorted(els, key=lambda v: v.sort_key)
+    assert len(set(els)) == len(els) == element_count(n, s)
 
 
 def test_enumerate_known_sizes():
