@@ -12,8 +12,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import (CycleDetected, DuplicateElement, NotBounded,
-                     NotComparable, NotGraded, UnknownElement)
+from .errors import (CycleDetected, DuplicateElement, MissingLabels,
+                     NotBounded, NotComparable, NotGraded, UnknownElement)
 
 
 @dataclass(frozen=True)
@@ -226,9 +226,10 @@ def poset_to_json(p: Poset, edge_labels: Mapping | None = None) -> str:
     """JSON document with element keys (via str), covers, bottom and top.
 
     With edge_labels, covers become objects carrying a "label" field,
-    written as json.dumps writes the label.  The text is the one
-    json.dumps(doc, sort_keys=True) gives for the document, written
-    directly: keys in sorted order, ", " and ": " separators.
+    written as json.dumps writes the label; MissingLabels names a cover
+    with none.  The text is the one json.dumps(doc, sort_keys=True)
+    gives for the document, written directly: keys in sorted order,
+    ", " and ": " separators.
     """
     if edge_labels is None:
         cov = [f"[{lo}, {hi}]" for lo, his in enumerate(p.up) for hi in his]
@@ -258,13 +259,18 @@ def poset_to_dot(p: Poset, edge_labels: Mapping | None = None) -> str:
 
 
 def _label_texts(p: Poset, edge_labels: Mapping, render):
-    """(lo, hi, render(label)) for every cover, ascending.  A label
+    """(lo, hi, render(label)) for every cover, ascending, and
+    MissingLabels at the least cover edge_labels misses.  A label
     object met again reuses its text, so a table whose equal labels
     share one object renders each distinct label once."""
     texts: dict = {}
     for lo, his in enumerate(p.up):
         for hi in his:
-            label = edge_labels[(lo, hi)]
+            try:
+                label = edge_labels[(lo, hi)]
+            except KeyError:
+                raise MissingLabels(
+                    f"cover ({lo}, {hi}) has no edge label") from None
             hit = texts.get(id(label))
             if hit is None:
                 # holding label keeps its id from being reused

@@ -258,9 +258,12 @@ class Decomposition:
 
     @property
     def top_index(self) -> int:
-        """First labeling index whose left split misses 1."""
-        return next(h for h in range(1, len(self.splits))
-                    if 1 not in self.splits[h][0])
+        """First labeling index whose left split misses 1; IncompatibleData
+        when every labeling keeps 1 on the left."""
+        for h in range(1, len(self.splits)):
+            if 1 not in self.splits[h][0]:
+                return h
+        raise IncompatibleData("every labeling keeps 1 on the left")
 
 
 def _restriction(chain: Chain, side: tuple, maps: tuple) -> Chain:
@@ -322,35 +325,23 @@ def recompose(d: Decomposition) -> Chain:
     side chain, pulled back through the inverse renumbering.  Walking
     down from the join of the two side tops, the side that holds the
     leftmost non-singleton block takes the next step.  Raises
-    IncompatibleData when the pieces cannot form a decreasing chain
-    (inconsistent split sizes, or a left top index below the index the
-    splits force).
+    IncompatibleData unless the result is a decreasing chain that
+    decompose_chain maps back to d.
     """
     splits = d.splits
+    if len(splits) < 2:
+        raise IncompatibleData("need a block split and a labeling split")
     s = len(splits) - 1
     alpha = d.alpha
-    left_ground = set(splits[0][0])
     n = len(splits[0][0]) + len(splits[0][1])
     for h, (le, ri) in enumerate(splits):
         if len(le) != alpha or set(le) | set(ri) != set(range(1, n + 1)) \
                 or set(le) & set(ri):
             raise IncompatibleData(f"split {h} is not an {alpha}/{n - alpha} "
                                    f"bipartition of 1..{n}")
-    if 1 not in splits[0][0]:
-        raise IncompatibleData("the left block must contain 1")
-    try:
-        i = d.top_index
-    except StopIteration:
-        raise IncompatibleData(
-            "every labeling keeps 1 on the left; the top cover would not "
-            "change the atom word") from None
+    # the walk below indexes the sides by position and stops at an atom
     _check_side(d.left, alpha, s, "left")
     _check_side(d.right, n - alpha, s, "right")
-    if alpha >= 2:
-        i_left = cover_label(d.left[-2], d.left[-1])[1]
-        if i_left < i:
-            raise IncompatibleData(
-                f"left top index {i_left} below required {i}")
 
     # inv[h][side][t - 1] is the original of t on that side, for the
     # blocks (h = 0) and each labeling; increasing, so sets stay ascending
@@ -368,14 +359,18 @@ def recompose(d: Decomposition) -> Chain:
     chain_desc = [top_element(n, s), join(left[0], right[0])]
     while not chain_desc[-1].is_atom:
         low = next(blk[0] for blk in chain_desc[-1].blocks if len(blk) > 1)
-        if low in left_ground:
+        if low in splits[0][0]:
             a += 1
         else:
             b += 1
         chain_desc.append(join(left[a], right[b]))
     chain = (bottom_element(n, s),) + tuple(reversed(chain_desc))
-    if not is_weakly_decreasing(chain_label(chain)):
-        raise IncompatibleData("reassembled chain is not decreasing")
+    try:
+        back = decompose_chain(chain)
+    except NotDecreasing as exc:
+        raise IncompatibleData(f"reassembled chain: {exc}") from exc
+    if back != d:
+        raise IncompatibleData("reassembled chain decomposes to other data")
     return chain
 
 
@@ -386,8 +381,6 @@ def _check_side(chain: Chain, m: int, s: int, name: str) -> None:
         raise IncompatibleData(f"{name} chain is not maximal over 1..{m}")
     if not all(is_cover(a, b) for a, b in zip(chain, chain[1:])):
         raise IncompatibleData(f"{name} chain is not saturated")
-    if not is_weakly_decreasing(chain_label(chain)):
-        raise IncompatibleData(f"{name} chain is not decreasing")
 
 
 # ── the five-way certificate ─────────────────────────────────────────────

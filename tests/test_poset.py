@@ -8,6 +8,7 @@ import pytest
 from vpshell import (
     CycleDetected,
     DuplicateElement,
+    MissingLabels,
     NotBounded,
     NotComparable,
     NotGraded,
@@ -293,6 +294,15 @@ def test_writers_escape_keys_and_labels_as_the_oracles_do():
         assert poset_to_json(p, lab) == poset_to_json_by_dict(p, lab)
         assert poset_to_dot(p, lab) == poset_to_dot_by_edges(p, lab)
     assert json.loads(poset_to_json(p))["elements"] == keys
+
+
+@pytest.mark.parametrize("writer", [poset_to_json, poset_to_dot])
+def test_writers_name_the_least_cover_a_short_table_misses(writer, p3s1):
+    labels = dict(p3s1.edge_labels)
+    del labels[(0, 6)], labels[p3s1.covers[-1]]
+    with pytest.raises(MissingLabels,
+                       match=r"^cover \(0, 6\) has no edge label$"):
+        writer(p3s1, labels)
 
 
 def test_json_writes_int_labels_of_the_partition_lattice():

@@ -156,7 +156,7 @@ def test_certificate_degenerate_case():
 
 
 def test_decompose_recompose_roundtrip():
-    for (n, s) in [*KNOWN, (4, 2)]:
+    for (n, s) in [*KNOWN, (4, 2), (5, 1), (3, 4)]:
         for c in decreasing_chains(n, s):
             d = decompose_chain(c)
             assert recompose(d) == c
@@ -240,8 +240,48 @@ def test_recompose_rejects_bad_splits():
     good = decompose_chain(decreasing_chains(3, 1)[0])
     from dataclasses import replace
     overlap = tuple(((1, 2), (2, 3)) for _ in good.splits)
+    for splits in (overlap, ()):
+        with pytest.raises(IncompatibleData):
+            recompose(replace(good, splits=splits))
+
+
+def test_top_index_needs_a_labeling_that_moves_1():
+    good = decompose_chain(decreasing_chains(3, 1)[0])
+    from dataclasses import replace
+    stuck = replace(good, splits=(good.splits[0], good.splits[0]))
     with pytest.raises(IncompatibleData):
-        recompose(replace(good, splits=overlap))
+        stuck.top_index
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (3, 2)])
+def test_recompose_rejects_malformed_decompositions(n, s):
+    # data that no decreasing chain decomposes to raise IncompatibleData
+    # and nothing else; data that one does recompose to that chain
+    from dataclasses import replace
+    chains = decreasing_chains(n, s)
+    valid = {decompose_chain(c): c for c in chains}
+    tried = 0
+    for d in valid:
+        swapped = tuple((ri, le) for le, ri in d.splits)
+        data = [
+            replace(d, splits=swapped),
+            replace(d, alpha=n - d.alpha, splits=swapped),
+            replace(d, left=d.right, right=d.left),
+            replace(d, alpha=n - d.alpha, left=d.right, right=d.left),
+            replace(d, alpha=n - d.alpha, left=d.right, right=d.left,
+                    splits=swapped),
+            replace(d, splits=(d.splits[0],) * (s + 1)),
+        ]
+        for e in valid:
+            data += [replace(d, splits=e.splits), replace(d, left=e.left)]
+        for datum in data:
+            if datum in valid:
+                assert recompose(datum) == valid[datum]
+            else:
+                tried += 1
+                with pytest.raises(IncompatibleData):
+                    recompose(datum)
+    assert tried > 2 * len(valid)
 
 
 def test_enumeration_routes_are_compared(monkeypatch, capsys):
