@@ -128,11 +128,11 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     p = vecpart.vector_partition_poset(args.n, args.s,
                                        max_elements=args.max_elements)
-    edge_labels = p.edge_labels if args.labels else None
+    up_labels = p.up_labels if args.labels else None
     if args.fmt == "dot":
-        _emit(poset_to_dot(p, edge_labels), args.out)
+        _emit(poset_to_dot(p, up_labels), args.out)
     else:
-        _emit(poset_to_json(p, edge_labels), args.out)
+        _emit(poset_to_json(p, up_labels), args.out)
     return EXIT_OK
 
 

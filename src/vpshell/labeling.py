@@ -17,9 +17,10 @@ precedes the word of every other maximal chain of the interval.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 
 from .errors import MissingLabels, NotACover, NotSaturated
 from .poset import Poset, maximal_chains
@@ -35,8 +36,8 @@ def cover_label(x: VectorPartition, y: VectorPartition) -> EdgeLabel:
     """The (k, i, j) label of the cover x <. y; raises NotACover else.
 
     This is the definition.  vector_partition_poset labels every cover
-    the same way as it generates it and stores the table on the poset,
-    so the verifiers read that table instead of calling this per cover.
+    the same way as it generates it and stores the labels on the poset,
+    so the verifiers read them instead of calling this per cover.
     """
     if not is_cover(x, y):
         raise NotACover(f"{x} <. {y} fails")
@@ -90,26 +91,35 @@ class ELReport:
         return f"EL verification FAILED on interval ({x}, {y}): {why}"
 
 
-def _label_table(p: Poset, labels: Mapping | None) -> Mapping:
-    """labels, checked to hold every cover, else the table p carries;
+def _label_table(p: Poset, labels: Mapping | None) -> tuple:
+    """Labels aligned with p.up as in Poset.up_labels: the mapping labels,
+    (lo, hi) -> label, read once into that form, else p.up_labels.
     MissingLabels when neither exists or labels misses a cover."""
     if labels is None:
-        if p.edge_labels is None:
+        if p.up_labels is None:
             raise MissingLabels("the poset carries no edge labels and none "
                                 "were given")
-        return p.edge_labels
-    for lo, his in enumerate(p.up):
-        for hi in his:
-            if (lo, hi) not in labels:
-                raise MissingLabels(f"cover ({lo}, {hi}) has no edge label")
-    return labels
+        return p.up_labels
+    try:
+        return tuple(tuple([labels[(lo, hi)] for hi in his])
+                     for lo, his in enumerate(p.up))
+    except KeyError:
+        lo, hi = next(e for e in p.covers if e not in labels)
+        raise MissingLabels(f"cover ({lo}, {hi}) has no edge label") from None
+
+
+def _word(p: Poset, lab: tuple, c) -> tuple:
+    """Label word of the index chain c under lab, aligned with p.up: the
+    label of lo <. hi sits where hi does in the ascending p.up[lo]."""
+    return tuple([lab[lo][bisect_left(p.up[lo], hi)]
+                  for lo, hi in zip(c, c[1:])])
 
 
 def verify_el(p: Poset, labels: Mapping | None = None) -> ELReport:
     """Check the EL property on every interval of p.
 
-    labels maps every cover (lo, hi) to its label; None reads the table
-    the poset carries, p.edge_labels.  MissingLabels is raised when there
+    labels maps every cover (lo, hi) to its label; None reads the labels
+    the poset carries, p.up_labels.  MissingLabels is raised when there
     is neither, or when labels misses a cover.  For each x < y: among
     the maximal chains of [x, y] exactly one may have a strictly
     increasing label word, and that word must strictly precede every
@@ -118,8 +128,9 @@ def verify_el(p: Poset, labels: Mapping | None = None) -> ELReport:
 
     No chain is enumerated (the definition, Bjorner-Wachs 1983, is
     checked exactly).  One pass per lower endpoint x walks the up-set of
-    x rank by rank through the covers and gives each y three values,
-    all read off y's lower covers z above x:
+    x rank by rank, pushing along the covers z <. y from each z of the
+    rank just done, with their labels in p.up's order, and gives each y
+    three values, all read off y's lower covers z above x:
       * the least label word of [x, y], the least of least(z) + (label
         of z <. y,).  p is graded, so the words of [x, y] share one
         length and the least word extends a lower cover's least word;
@@ -130,7 +141,7 @@ def verify_el(p: Poset, labels: Mapping | None = None) -> ELReport:
     [x, y] fails when it has k != 1 increasing chains, or when its one
     increasing chain does not carry the least word (a second chain with
     the least word would be a second increasing chain).  The cost is the
-    sum, over comparable pairs x < y, of the lower covers of y; a pass
+    sum, over comparable pairs z < y, of the upper covers of z; a pass
     keeps one word per element of the up-set of x.
     """
     lab = _label_table(p, labels)
@@ -141,9 +152,10 @@ def verify_el(p: Poset, labels: Mapping | None = None) -> ELReport:
     return ELReport(True)
 
 
-def _first_el_failure(p: Poset, lab: Mapping, x: int) -> tuple | None:
-    """(y, diagnosis) for the least index y whose [x, y] is not EL."""
-    up, down = p.up, p.down
+def _first_el_failure(p: Poset, lab: tuple, x: int) -> tuple | None:
+    """(y, diagnosis) for the least index y whose [x, y] is not EL, under
+    the labels lab, aligned with p.up."""
+    up = p.up
     # least[y]: the least label word of [x, y]; rises[y]: whether it
     # strictly increases; rising[y]: last label -> number of strictly
     # increasing chains of [x, y] ending in it
@@ -154,28 +166,32 @@ def _first_el_failure(p: Poset, lab: Mapping, x: int) -> tuple | None:
     level = [x]
     while level:
         # p is graded, so the lower covers above x of every element of
-        # the next level lie in the level just done
-        level = {w for z in level for w in up[z]}
-        for y in level:
-            word = None
-            counts: dict = {}
-            for z in down[y]:
-                w = least.get(z)
-                if w is None:
-                    continue
-                label = lab[(z, y)]
-                if word is None or (w, label) < (word, last):
-                    word, last, via = w, label, z
+        # the next level lie in the level just done.  first[y] is the
+        # least (least[z], label of z <. y, z) pushed to y so far; ties
+        # share their word, so which z comes first does not matter
+        first: dict[int, tuple] = {}
+        counts: dict[int, dict] = {}
+        for z in level:
+            w, rz = least[z], rising.get(z)
+            for y, label in zip(up[z], lab[z]):
+                at = first.get(y)
+                if at is None or (w, label) < at[:2]:
+                    first[y] = (w, label, z)
+                c = counts.get(y)
+                if c is None:
+                    c = counts[y] = {}
                 if z == x:
-                    counts[label] = 1
+                    c[label] = 1
                     continue
-                k = sum(c for l, c in rising[z].items() if l < label)
+                k = sum(n for l, n in rz.items() if l < label)
                 if k:
-                    counts[label] = counts.get(label, 0) + k
+                    c[label] = c.get(label, 0) + k
+        level = first
+        for y, (word, last, via) in first.items():
             least[y] = word + (last,)
             rises[y] = rises[via] and (not word or word[-1] < last)
-            rising[y] = counts
-            k = sum(counts.values())
+            rising[y] = counts[y]
+            k = sum(counts[y].values())
             if k != 1:
                 why = f"{k} increasing chains"
             elif not rises[y]:
@@ -207,7 +223,7 @@ def verify_label_structure(p: Poset,
     all pairs exactly when it holds on every cover.
 
     p must be a vector-partition poset; labels defaults to its
-    p.edge_labels (MissingLabels when there is neither, or labels
+    p.up_labels (MissingLabels when there is neither, or labels
     misses a cover).  Returns {condition: [text]}, every list empty
     exactly when the condition holds; each list is capped at five.
     """
@@ -220,8 +236,7 @@ def verify_label_structure(p: Poset,
     # DFS over increasing chains from the bottom only; extensions of a
     # non-increasing word stay non-increasing, so pruning loses nothing
     def climb(v: int, last: EdgeLabel) -> None:
-        for w in p.up[v]:
-            lbl = lab[(v, w)]
+        for w, lbl in zip(p.up[v], lab[v]):
             if not lbl > last:
                 continue
             if words[v] != words[w]:
@@ -232,10 +247,10 @@ def verify_label_structure(p: Poset,
                 continue
             climb(w, lbl)
 
-    for a in p.up[p.bottom]:
-        climb(a, lab[(p.bottom, a)])
+    for a, lbl in zip(p.up[p.bottom], lab[p.bottom]):
+        climb(a, lbl)
 
-    for lo, hi in p.covers:
+    for (lo, hi), (k, i, j) in zip(p.covers, chain.from_iterable(lab)):
         if lo == p.bottom:
             continue
         if not words[hi] <= words[lo]:
@@ -243,7 +258,6 @@ def verify_label_structure(p: Poset,
                 bad[1].append(f"{els[lo]} <. {els[hi]} but atom words rise")
         if words[lo] == words[hi]:
             continue
-        k, i, j = lab[(lo, hi)]
         pos = (i - 1) * n + (k - 1)
         if not (words[lo][pos] > j and words[hi][pos] == j):
             if len(bad[3]) < _REPORTED:
@@ -264,7 +278,7 @@ def verify_label_structure(p: Poset,
                 continue
             first = first_word_difference(words[x], words[y], n, s)
             for c in maximal_chains(p, x, y):
-                word = tuple(lab[e] for e in zip(c, c[1:]))
+                word = _word(p, lab, c)
                 if word.count(first) != 1 or any(l < first for l in word):
                     if len(bad[5]) < _REPORTED:
                         bad[5].append(
@@ -280,13 +294,13 @@ def lex_shelling_order(p: Poset, labels: Mapping | None = None) -> list:
     Maximal chains, walked in canonical order, are stably sorted by label
     word (ties keep that order) and stripped of bottom and top, leaving
     index tuples that ascend when elements are indexed by rank.  labels
-    defaults to p.edge_labels.  Height-1 posets give [].
+    defaults to p.up_labels.  Height-1 posets give [].
     """
     if p.height < 2:
         return []
     lab = _label_table(p, labels)
     chains = maximal_chains(p)
-    chains.sort(key=lambda c: tuple([lab[e] for e in zip(c, c[1:])]))
+    chains.sort(key=lambda c: _word(p, lab, c))
     return [c[1:-1] for c in chains]
 
 
@@ -303,7 +317,7 @@ def sabotaged_label_map(p: Poset, name: str) -> dict:
     covers use the min of the merged blocks instead of the max.
     drop-tie-break leaves the labels; see sabotaged_shelling_order.
     """
-    lab = dict(_label_table(p, None))
+    lab = dict(zip(p.covers, chain.from_iterable(_label_table(p, None))))
     if name == "swap-bottom-labels":
         bottom_edges = sorted(
             ((p.bottom, a) for a in p.up[p.bottom]), key=lab.__getitem__)
@@ -333,6 +347,7 @@ def sabotaged_shelling_order(p: Poset, name: str) -> list:
     """
     if name != "drop-tie-break":
         return lex_shelling_order(p, sabotaged_label_map(p, name))
+    lab = _label_table(p, None)
     return [next(tied) for _, tied in groupby(
-        lex_shelling_order(p), key=lambda f: tuple(
-            [p.edge_labels[e] for e in zip((p.bottom, *f), (*f, p.top))]))]
+        lex_shelling_order(p), key=lambda f: _word(
+            p, lab, (p.bottom, *f, p.top)))]

@@ -8,9 +8,7 @@ bottom.  Gradedness is validated at build time, never assumed.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .errors import (CycleDetected, DuplicateElement, MissingLabels,
                      NotBounded, NotComparable, NotGraded, UnknownElement)
@@ -20,15 +18,13 @@ from .errors import (CycleDetected, DuplicateElement, MissingLabels,
 class Poset:
     """Immutable bounded graded poset, held as its Hasse diagram.
 
-    Use build_poset() or build_indexed_poset() to construct: they
-    validate acyclicity, unique bottom and top, and gradedness.  up[i]
-    and down[i] are the ascending indices covering i and covered by i;
-    they are the only record of the covers, and nothing is derived from
-    them or cached on the instance: reachability (leq, up_set,
-    intervals) is walked through them on demand.  edge_labels, when
-    present, is a read-only mapping (lo, hi) -> label over every cover,
-    passed with the covers by a builder that labels each cover as it
-    generates it; it takes no part in equality.
+    Use build_indexed_poset() to construct: it validates acyclicity,
+    unique bottom and top, and gradedness.  up[i] and down[i] are the
+    ascending indices covering i and covered by i, the only record of the
+    covers; nothing is cached on the instance, and reachability (leq,
+    up_set, intervals) is walked through them on demand.  up_labels, if
+    present, labels (i, up[i][k]) by up_labels[i][k]; it takes no part
+    in equality.
     """
 
     elements: tuple
@@ -37,8 +33,7 @@ class Poset:
     ranks: tuple
     bottom: int
     top: int
-    edge_labels: Mapping | None = field(
-        default=None, compare=False, repr=False)
+    up_labels: tuple | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -71,39 +66,20 @@ class Poset:
         return seen
 
 
-def build_poset(elements, covers) -> Poset:
-    """Validate a cover relation and assemble a Poset.
+def build_indexed_poset(elements, up, up_labels=None) -> Poset:
+    """Validate a Hasse diagram and assemble a Poset.
 
-    elements: iterable of unique hashable keys.
-    covers:   iterable of (lo_key, hi_key) pairs.
+    elements:  sequence of unique hashable keys.
+    up:        up[i] holds the indices covering elements[i], ascending.
+    up_labels: optional; up_labels[i][k] labels the cover (i, up[i][k]).
 
-    Raises UnknownElement when a cover names a key that is not an
-    element, and otherwise validates as build_indexed_poset does.
-    """
-    elements = tuple(elements)
-    index = {k: i for i, k in enumerate(elements)}
-    try:
-        pairs = {(index[lo], index[hi]) for lo, hi in covers}
-    except KeyError as exc:
-        raise UnknownElement(
-            f"cover names {exc.args[0]!r}, not an element") from None
-    return build_indexed_poset(elements, pairs)
-
-
-def build_indexed_poset(elements, covers) -> Poset:
-    """Validate a cover relation given as index pairs and assemble a Poset.
-
-    elements: sequence of unique hashable keys.
-    covers:   iterable of (lo, hi) index pairs into elements, or a
-              mapping (lo, hi) -> label, whose keys are the covers and
-              which is stored read-only as the poset's edge_labels.
-
-    Raises CycleDetected, NotBounded, or NotGraded when the data does not
-    describe a bounded graded poset, UnknownElement for an index outside
-    elements, and DuplicateElement for duplicate keys.  Ranks are
-    longest-path distances from the bottom; a cover whose endpoints
-    differ by more than one rank (a transitive edge in disguise) trips
-    NotGraded.
+    Raises DuplicateElement for duplicate keys, UnknownElement unless up
+    has one strictly ascending entry of indices per element, and
+    CycleDetected, NotBounded, or NotGraded when the data does not
+    describe a bounded graded poset; MissingLabels when up_labels does
+    not line up with up.  Ranks are longest-path distances from the
+    bottom; a cover whose endpoints differ by more than one rank (a
+    transitive edge in disguise) trips NotGraded.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
@@ -111,20 +87,20 @@ def build_indexed_poset(elements, covers) -> Poset:
     n = len(elements)
     if n == 0:
         raise NotBounded("empty poset")
-    if isinstance(covers, Mapping):
-        edge_labels = MappingProxyType(covers)
-    else:
-        edge_labels, covers = None, set(covers)
+    up = tuple(map(tuple, up))
+    if len(up) != n:
+        raise UnknownElement(f"{len(up)} upper-cover lists for {n} elements")
 
-    up: list[list[int]] = [[] for _ in range(n)]
+    # up is walked in ascending i, so each down[j] comes out ascending
     down: list[list[int]] = [[] for _ in range(n)]
-    for i, j in covers:
-        if not (0 <= i < n and 0 <= j < n):
-            raise UnknownElement(f"cover ({i}, {j}) leaves 0..{n - 1}")
-        if i == j:
-            raise CycleDetected(f"self-cover at element {i}")
-        up[i].append(j)
-        down[j].append(i)
+    for i, js in enumerate(up):
+        for prev, j in zip((-1,) + js, js):
+            if not prev < j < n:
+                raise UnknownElement(
+                    f"up[{i}] does not ascend strictly in 0..{n - 1}")
+            if i == j:
+                raise CycleDetected(f"self-cover at element {i}")
+            down[j].append(i)
 
     # Kahn's algorithm, ranking longest paths on the way: w joins the
     # order after all its lower covers; leftover nodes witness a cycle
@@ -154,11 +130,26 @@ def build_indexed_poset(elements, covers) -> Poset:
                 raise NotGraded(
                     f"cover ({i}, {j}) spans ranks {ranks[i]} -> {ranks[j]}")
 
-    return Poset(elements=elements,
-                 up=tuple(tuple(sorted(js)) for js in up),
-                 down=tuple(tuple(sorted(js)) for js in down),
+    if up_labels is not None:
+        up_labels = tuple(map(tuple, up_labels))
+        _check_aligned(up, up_labels)
+    return Poset(elements=elements, up=up,
+                 down=tuple(map(tuple, down)),
                  ranks=tuple(ranks), bottom=bottom, top=top,
-                 edge_labels=edge_labels)
+                 up_labels=up_labels)
+
+
+def _check_aligned(up: tuple, up_labels) -> None:
+    """MissingLabels unless up_labels[i] has one label per cover in up[i],
+    naming the least unlabelled cover when there is one."""
+    if len(up_labels) != len(up):
+        raise MissingLabels(f"{len(up_labels)} label lists, {len(up)} "
+                            "elements")
+    for lo, (his, labs) in enumerate(zip(up, up_labels)):
+        if len(labs) != len(his):
+            raise MissingLabels(
+                f"cover ({lo}, {his[len(labs)]}) has no edge label"
+                if len(labs) < len(his) else f"extra labels at {lo}")
 
 
 def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list[tuple[int, ...]]:
@@ -222,55 +213,51 @@ def mobius(p: Poset, x: int, y: int) -> int:
 
 # ── serialization ────────────────────────────────────────────────────────
 
-def poset_to_json(p: Poset, edge_labels: Mapping | None = None) -> str:
+def poset_to_json(p: Poset, up_labels: tuple | None = None) -> str:
     """JSON document with element keys (via str), covers, bottom and top.
 
-    With edge_labels, covers become objects carrying a "label" field,
-    written as json.dumps writes the label; MissingLabels names a cover
-    with none.  The text is the one json.dumps(doc, sort_keys=True)
-    gives for the document, written directly: keys in sorted order,
-    ", " and ": " separators.
+    With up_labels, aligned with p.up as Poset.up_labels is, covers
+    become objects carrying a "label" field, written as json.dumps writes
+    the label; MissingLabels names a cover with none.  The text is the
+    one json.dumps(doc, sort_keys=True) gives for the document, written
+    directly: keys in sorted order, ", " and ": " separators.
     """
-    if edge_labels is None:
+    if up_labels is None:
         cov = [f"[{lo}, {hi}]" for lo, his in enumerate(p.up) for hi in his]
     else:
         cov = [f'{{"hi": {hi}, "label": {text}, "lo": {lo}}}'
-               for lo, hi, text in _label_texts(p, edge_labels, json.dumps)]
+               for lo, hi, text in _label_texts(p, up_labels, json.dumps)]
     return (f'{{"bottom": {p.bottom}, "covers": [{", ".join(cov)}], '
             f'"elements": {json.dumps([str(k) for k in p.elements])}, '
             f'"top": {p.top}}}')
 
 
-def poset_to_dot(p: Poset, edge_labels: Mapping | None = None) -> str:
+def poset_to_dot(p: Poset, up_labels: tuple | None = None) -> str:
     """GraphViz DOT text for the Hasse diagram, bottom drawn lowest."""
     def esc(s) -> str:
         return str(s).replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph poset {", "  rankdir=BT;"]
     lines += [f'  n{i} [label="{esc(k)}"];' for i, k in enumerate(p.elements)]
-    if edge_labels is None:
+    if up_labels is None:
         lines += [f"  n{lo} -> n{hi};"
                   for lo, his in enumerate(p.up) for hi in his]
     else:
         lines += [f'  n{lo} -> n{hi} [label="{text}"];'
-                  for lo, hi, text in _label_texts(p, edge_labels, esc)]
+                  for lo, hi, text in _label_texts(p, up_labels, esc)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _label_texts(p: Poset, edge_labels: Mapping, render):
-    """(lo, hi, render(label)) for every cover, ascending, and
-    MissingLabels at the least cover edge_labels misses.  A label
-    object met again reuses its text, so a table whose equal labels
-    share one object renders each distinct label once."""
+def _label_texts(p: Poset, up_labels, render):
+    """(lo, hi, render(label)) for every cover, ascending, after
+    MissingLabels for the least cover up_labels misses.  A label object
+    met again reuses its text, so labels that share one object per
+    distinct label render each distinct label once."""
+    _check_aligned(p.up, up_labels)
     texts: dict = {}
-    for lo, his in enumerate(p.up):
-        for hi in his:
-            try:
-                label = edge_labels[(lo, hi)]
-            except KeyError:
-                raise MissingLabels(
-                    f"cover ({lo}, {hi}) has no edge label") from None
+    for lo, (his, labs) in enumerate(zip(p.up, up_labels)):
+        for hi, label in zip(his, labs):
             hit = texts.get(id(label))
             if hit is None:
                 # holding label keeps its id from being reused

@@ -5,9 +5,9 @@ a wedge of (n-2)-spheres, one per maximal chain whose label word is
 weakly decreasing.  This module counts those chains by
 
 * direct enumeration, itself implemented two independent ways that must
-  agree: filtering every maximal chain of the built poset, and top-down
-  generation from the one-block element by the structural splitting
-  rules (no poset required);
+  agree: a walk up the built poset along its labelled covers, and
+  top-down generation from the one-block element by the structural
+  splitting rules (no poset required);
 * an exact integer recursion over (n, top label index);
 * the Mobius function of the bounded poset (|mu| with sign (-1)^n);
 * reduced GF(2) homology of the proper part;
@@ -24,10 +24,11 @@ from itertools import combinations, product
 from math import comb
 
 from .complexes import betti, order_complex, reduced_euler_characteristic
-from .errors import (IncompatibleData, InvalidIndex, NotDecreasing,
-                     NotSaturated, OracleMismatch, ResourceLimit)
+from .errors import (DimensionMismatch, IncompatibleData, InvalidIndex,
+                     NotDecreasing, NotSaturated, OracleMismatch,
+                     ResourceLimit)
 from .labeling import chain_label, cover_label, is_weakly_decreasing
-from .poset import Poset, maximal_chains, mobius
+from .poset import Poset, mobius
 from .vecpart import (VectorPartition, bottom_element, is_cover,
                       maximal_chain_count, top_element,
                       vector_partition_poset)
@@ -35,7 +36,7 @@ from .vecpart import (VectorPartition, bottom_element, is_cover,
 Chain = tuple  # (bottom, C_1, ..., C_n), VectorPartition entries
 
 
-# ── enumeration, route one: filter the built poset ──────────────────────
+# ── enumeration, route one: walk the built poset ────────────────────────
 
 def check_chain_budget(n: int, s: int, max_chains: int | None) -> None:
     """ResourceLimit when maximal_chain_count exceeds max_chains."""
@@ -45,10 +46,18 @@ def check_chain_budget(n: int, s: int, max_chains: int | None) -> None:
             f"poset has {total} maximal chains, budget is {max_chains}")
 
 
-def _filtered_decreasing(p: Poset) -> list[Chain]:
-    lab = p.edge_labels
-    return [tuple(p.elements[i] for i in c) for c in maximal_chains(p)
-            if is_weakly_decreasing([lab[e] for e in zip(c, c[1:])])]
+def _walked_decreasing(p: Poset) -> list[Chain]:
+    """The weakly decreasing maximal chains of p, in lexicographic index
+    order: walked up p.up and p.up_labels a rank at a time, a chain at v
+    steps to w, in ascending w, only when the label of v <. w is at most
+    its last one, since a word that rises once cannot decrease weakly."""
+    up, lab = p.up, p.up_labels
+    chains = [((p.bottom, a), label)
+              for a, label in zip(up[p.bottom], lab[p.bottom])]
+    for _ in range(p.height - 1):
+        chains = [(c + (w,), label) for c, last in chains
+                  for w, label in zip(up[c[-1]], lab[c[-1]]) if label <= last]
+    return [tuple([p.elements[i] for i in c]) for c, _ in chains]
 
 
 # ── enumeration, route two: structural top-down generation ──────────────
@@ -133,24 +142,24 @@ def decreasing_chains(n: int, s: int,
     """All decreasing maximal chains, canonically sorted.
 
     Two independent routes must agree element for element, else
-    OracleMismatch: filtering every maximal chain of `poset`, which must
-    be vector_partition_poset(n, s) and is built when none is given, and
-    growing the chains structurally without a poset.  The filter yields
+    OracleMismatch: walking the labelled covers of `poset`, which must be
+    vector_partition_poset(n, s) and is built when none is given, and
+    growing the chains structurally without a poset.  The walk yields
     the chains in canonical order already, since elements are indexed in
-    sort_key order and maximal_chains walks in index order; only the
-    generated chains are sorted, so a filter out of order is a mismatch.
-    Callers bound the walk with check_chain_budget first.
+    sort_key order and it steps in index order; only the generated
+    chains are sorted, so a walk out of order is a mismatch.  Callers
+    bound the walk with check_chain_budget first.
     """
     if poset is None:
         poset = vector_partition_poset(n, s)
-    filtered = _filtered_decreasing(poset)
+    walked = _walked_decreasing(poset)
     generated = sorted(_generated_decreasing(n, s),
                        key=lambda c: tuple(v.sort_key for v in c))
-    if filtered != generated:
+    if walked != generated:
         raise OracleMismatch(
-            f"poset filter found {len(filtered)} decreasing chains, "
+            f"poset walk found {len(walked)} decreasing chains, "
             f"generation found {len(generated)}")
-    return filtered
+    return walked
 
 
 def top_label_index_counts(chains) -> dict:
@@ -295,12 +304,13 @@ def decompose_chain(chain: Chain) -> Decomposition:
 
     The second-from-top element has exactly two blocks; everything below
     restricts to the two sides independently.  Raises NotDecreasing when
-    the chain is not a decreasing maximal chain with n >= 2.
+    the chain is not a decreasing maximal chain with n >= 2, elements of
+    one (n, s) throughout.
     """
-    n = chain[-1].n
+    n = chain[-1].n if chain else 0
     try:
         word = chain_label(chain)
-    except NotSaturated as exc:
+    except (NotSaturated, DimensionMismatch) as exc:
         raise NotDecreasing(str(exc)) from exc
     if (n < 2 or len(chain) != n + 1 or not chain[0].is_bottom
             or chain[-1] != top_element(n, chain[-1].s)
@@ -329,8 +339,10 @@ def recompose(d: Decomposition) -> Chain:
     decompose_chain maps back to d.
     """
     splits = d.splits
-    if len(splits) < 2:
-        raise IncompatibleData("need a block split and a labeling split")
+    if len(splits) < 2 or not all(type(sp) is tuple and len(sp) == 2 and
+                                  type(sp[0]) is type(sp[1]) is tuple
+                                  for sp in splits):
+        raise IncompatibleData("need two or more splits, pairs of tuples")
     s = len(splits) - 1
     alpha = d.alpha
     n = len(splits[0][0]) + len(splits[0][1])

@@ -288,8 +288,8 @@ def vector_partition_poset(n: int, s: int,
     Keys are VectorPartition values; covers join each non-bottom element
     to its two-block merges, and the bottom to every atom.  Each cover is
     labelled where it is generated, from the atom words of its two ends
-    (see labeling.cover_label, the definition this table must equal),
-    and the table is stored on the poset as edge_labels:
+    (see labeling.cover_label, the definition these labels must equal),
+    and the labels are stored on the poset as up_labels, aligned with up:
 
     * bottom to the atom at index t: (n-1, s+t, 0), since atoms share
       their blocks and so follow the bottom in atom-word order;
@@ -311,25 +311,31 @@ def vector_partition_poset(n: int, s: int,
         col, _block_record(n, col)) for col in zip(v.blocks, *v.labels)])
         for v in elements[1:]]  # a record is never 0: blocks are not empty
     index = {key: t for t, key in enumerate(keys)}
-    table = {}
+    atoms = range(1, 1 + factorial(n) ** s)  # they follow the bottom
+    up = [tuple(atoms)]
+    up_labels = [tuple([(n - 1, s + t, 0) for t in atoms])]
     memo: dict = {}
     shared: dict = {}
-    for t in range(1, len(elements)):
-        key = keys[t]
+    for key, v in zip(keys[1:], elements[1:]):
         m = len(key)
-        if m == n:
-            table[(0, t)] = (n - 1, s + t, 0)
+        covers = []
         for a in range(m):
             ra, head = key[a], key[:a]
             for b in range(a + 1, m):
                 rb = key[b]
-                u = index[head + (ra | rb,) + key[a + 1:b] + key[b + 1:]]
                 lbl = memo.get((ra, rb))
                 if lbl is None:
-                    lbl = _merge_label(elements[t], a, b)
+                    lbl = _merge_label(v, a, b)
                     lbl = memo[(ra, rb)] = shared.setdefault(lbl, lbl)
-                table[(t, u)] = lbl
-    return build_indexed_poset(elements, table)
+                covers.append(
+                    (index[head + (ra | rb,) + key[a + 1:b] + key[b + 1:]],
+                     lbl))
+        # by index: two merges never give one element, so no label is
+        # compared; only the top has no cover
+        his, labs = zip(*sorted(covers)) if covers else ((), ())
+        up.append(his)
+        up_labels.append(labs)
+    return build_indexed_poset(elements, up, up_labels)
 
 
 def _block_record(n: int, column) -> int:
@@ -365,24 +371,6 @@ def _merge_label(v: VectorPartition, a: int, b: int) -> tuple:
             if lab[pos] != old[k][i]:
                 return (k, i + 1, lab[pos])
     return (v.n, merged[-1], 0)
-
-
-def set_partition_lattice(n: int) -> Poset:
-    """The ordinary partition lattice: keys are canonical partitions,
-    ordered by refinement, discrete partition at the bottom.  Each cover
-    is labelled where it is generated with max(I u J), the larger maximum
-    of the two merged blocks I, J (the classical EL-labeling), and the
-    table is stored on the lattice as edge_labels."""
-    elements = set_partitions(n)
-    index = {blocks: t for t, blocks in enumerate(elements)}
-    table = {}
-    for t, blocks in enumerate(elements):
-        m = len(blocks)
-        for a in range(m):
-            for b in range(a + 1, m):
-                u = index[_merged(blocks, a, b)]
-                table[(t, u)] = max(blocks[a][-1], blocks[b][-1])
-    return build_indexed_poset(elements, table)
 
 
 # ── atom words ───────────────────────────────────────────────────────────

@@ -8,19 +8,94 @@ the shelling order by sorting (word, chain) pairs,
 merges by re-sorting the blocks, the whole poset from element keys, and
 the indexed sphere counts from math.comb, the EL property by
 enumerating the maximal chains of every interval, the JSON and DOT
-texts of a poset through a document of dicts or one escape per edge, and
-an element's text by joining every set afresh.
+texts of a poset through a document of dicts or one escape per edge,
+an element's text by joining every set afresh, and the decreasing
+chains by filtering every maximal chain.
 They are slow and only fit tiny inputs, which is the point.
+
+The fixtures build posets the package has no use for: from cover pairs,
+of element keys or of indices, and the plain partition lattice.
 """
 import json
+from collections.abc import Mapping
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
-from vpshell import (ELReport, ShellingReport, VectorPartition, build_poset,
-                     enumerate_elements, is_increasing, maximal_chains,
+from vpshell import (ELReport, ShellingReport, UnknownElement,
+                     VectorPartition, enumerate_elements, is_increasing,
+                     is_weakly_decreasing, maximal_chains, set_partitions,
                      vector_partition_poset)
+from vpshell.poset import build_indexed_poset
+
+
+def poset_from_pairs(elements, covers):
+    """build_indexed_poset fed cover pairs: index pairs (lo, hi), of
+    which repeats count once, or a mapping (lo, hi) -> label, whose
+    labels become the poset's up_labels."""
+    up = [set() for _ in elements]
+    for lo, hi in covers:
+        up[lo].add(hi)
+    up = [sorted(his) for his in up]
+    up_labels = None
+    if isinstance(covers, Mapping):
+        up_labels = [[covers[(lo, hi)] for hi in his]
+                     for lo, his in enumerate(up)]
+    return build_indexed_poset(elements, up, up_labels)
+
+
+def build_poset(elements, covers):
+    """A poset from (lo_key, hi_key) cover pairs: UnknownElement for a
+    key that is not an element, else validated as build_indexed_poset
+    validates."""
+    elements = tuple(elements)
+    index = {k: i for i, k in enumerate(elements)}
+    try:
+        pairs = [(index[lo], index[hi]) for lo, hi in covers]
+    except KeyError as exc:
+        raise UnknownElement(
+            f"cover names {exc.args[0]!r}, not an element") from None
+    return poset_from_pairs(elements, pairs)
+
+
+def set_partition_lattice(n):
+    """The ordinary partition lattice: keys are canonical partitions,
+    ordered by refinement, discrete partition at the bottom.  Each cover
+    is labelled max(I u J), the larger maximum of the two merged blocks
+    I, J (the classical EL-labeling)."""
+    elements = set_partitions(n)
+    index = {blocks: t for t, blocks in enumerate(elements)}
+    labels = {}
+    for t, blocks in enumerate(elements):
+        for a, b in combinations(range(len(blocks)), 2):
+            rest = [blk for k, blk in enumerate(blocks) if k not in (a, b)]
+            merged = tuple(sorted(blocks[a] + blocks[b]))
+            labels[(t, index[tuple(sorted(rest + [merged]))])] = max(merged)
+    return poset_from_pairs(elements, labels)
+
+
+def label_map(p, up_labels=None):
+    """up_labels, by default p.up_labels, as a mapping (lo, hi) -> label."""
+    return {(lo, hi): label for lo, (his, labs)
+            in enumerate(zip(p.up, up_labels or p.up_labels))
+            for hi, label in zip(his, labs)}
+
+
+def aligned_labels(p, labels):
+    """A mapping (lo, hi) -> label over every cover, aligned with p.up as
+    Poset.up_labels is."""
+    return tuple(tuple(labels[(lo, hi)] for hi in his)
+                 for lo, his in enumerate(p.up))
+
+
+def decreasing_by_filter(p):
+    """The weakly decreasing maximal chains of p, as element tuples: every
+    maximal chain is listed, and those whose label word decreases weakly
+    are kept."""
+    lab = label_map(p)
+    return [tuple(p.elements[i] for i in c) for c in maximal_chains(p)
+            if is_weakly_decreasing([lab[e] for e in zip(c, c[1:])])]
 
 
 def chains_by_powerset(p, x=None, y=None):

@@ -108,7 +108,7 @@ def test_order_complex_proper_part(p3s1):
 
 
 def test_order_complex_height_one():
-    from vpshell import build_poset
+    from conftest import build_poset
     p = build_poset("01", [("0", "1")])
     assert order_complex(p).is_empty
 

@@ -10,7 +10,6 @@ from vpshell import (
     SABOTAGES,
     atom_word,
     bottom_element,
-    build_poset,
     canonicalize,
     chain_label,
     count_total,
@@ -22,16 +21,15 @@ from vpshell import (
     order_complex,
     sabotaged_label_map,
     sabotaged_shelling_order,
-    set_partition_lattice,
     top_element,
     vector_partition_poset,
     verify_el,
     verify_label_structure,
     verify_shelling,
 )
-from vpshell.poset import build_indexed_poset
-from conftest import (el_by_chain_enumeration, shelling_by_intersections,
-                      shelling_order_by_pairs)
+from conftest import (build_poset, el_by_chain_enumeration, label_map,
+                      poset_from_pairs, set_partition_lattice,
+                      shelling_by_intersections, shelling_order_by_pairs)
 
 _EL_POSETS = {"(2,1)": vector_partition_poset(2, 1),
               "(3,1)": vector_partition_poset(3, 1),
@@ -133,7 +131,7 @@ def test_monotonicity_predicates():
 def test_merge_max_label_partition_lattice():
     # the lattice labels each cover with the max of the two merged blocks
     def label(lat, x, y):
-        return lat.edge_labels[(lat.elements.index(x), lat.elements.index(y))]
+        return label_map(lat)[(lat.elements.index(x), lat.elements.index(y))]
 
     lat = set_partition_lattice(3)
     x = ((1,), (2,), (3,))
@@ -141,7 +139,7 @@ def test_merge_max_label_partition_lattice():
     assert label(lat, x, ((1, 3), (2,))) == 3
     lat = set_partition_lattice(4)
     assert label(lat, ((1, 2), (3, 4)), ((1, 2, 3, 4),)) == 4
-    assert set(lat.edge_labels) == set(lat.covers)
+    assert set(label_map(lat)) == set(lat.covers)
 
 
 def test_verify_el_on_partition_lattice():
@@ -194,15 +192,15 @@ def test_verify_el_matches_chain_enumeration_oracle(data):
         for i, key in enumerate(p.elements):
             elements[to[i]] = key
         moved = {(to[lo], to[hi]): label
-                 for (lo, hi), label in p.edge_labels.items()}
-        p = build_indexed_poset(elements, moved)
+                 for (lo, hi), label in label_map(p).items()}
+        p = poset_from_pairs(elements, moved)
     covers = sorted(p.covers)
     if data.draw(st.booleans(), label="random labels"):
         alphabet = st.integers(1, data.draw(st.integers(1, 3)))
         labels = dict(zip(covers, data.draw(st.lists(
             alphabet, min_size=len(covers), max_size=len(covers)))))
     else:
-        labels = dict(p.edge_labels)
+        labels = label_map(p)
         values = sorted(set(labels.values()))
         for _ in range(data.draw(st.integers(0, 3), label="moved")):
             labels[data.draw(st.sampled_from(covers))] = \
@@ -248,12 +246,27 @@ def test_unlabeled_poset_without_labels_is_refused(check):
 def test_labels_missing_a_cover_are_refused(check, p3s1):
     # the least missing cover is named, whichever the check reads first
     covers = p3s1.covers
-    labels = dict(p3s1.edge_labels)
+    labels = label_map(p3s1)
     del labels[covers[20]], labels[covers[-1]]
     lo, hi = covers[20]
     with pytest.raises(MissingLabels,
                        match=rf"^cover \({lo}, {hi}\) has no edge label$"):
         check(p3s1, labels)
+
+
+@pytest.mark.parametrize("fixture", ["p3s1", "p2s2", "p3s2", "p4s1"])
+def test_a_mapping_reads_as_the_labels_the_poset_carries(fixture, request):
+    # labels=None reads p.up_labels; the same labels as a mapping, read
+    # once into that form, give the same results, honest or sabotaged
+    from dataclasses import replace
+    from conftest import aligned_labels
+    p = request.getfixturevalue(fixture)
+    for labels in (label_map(p), sabotaged_label_map(p, "min-merge-label"),
+                   sabotaged_label_map(p, "swap-bottom-labels")):
+        q = replace(p, up_labels=aligned_labels(p, labels))
+        for check in (verify_el, verify_label_structure, lex_shelling_order):
+            assert check(q) == check(q, labels) == check(p, labels)
+    assert not verify_el(q).ok
 
 
 def test_default_labels_are_read_not_recomputed(monkeypatch):
@@ -267,7 +280,7 @@ def test_default_labels_are_read_not_recomputed(monkeypatch):
     p = vector_partition_poset(3, 2)
     assert verify_el(p).ok
     assert not any(verify_label_structure(p).values())
-    assert sabotaged_label_map(p, "drop-tie-break") == p.edge_labels
+    assert sabotaged_label_map(p, "drop-tie-break") == label_map(p)
 
 
 def test_verify_label_structure_clean(p3s1, p2s2):
@@ -281,7 +294,7 @@ def test_verify_label_structure_sees_defects(p3s1):
     # of the upper one; conditions (3) and (5) must both object
     from vpshell import atom_word
     p = p3s1
-    lab = dict(p.edge_labels)
+    lab = label_map(p)
     for (lo, hi), (k, i, j) in sorted(lab.items()):
         x, y = p.elements[lo], p.elements[hi]
         if lo != p.bottom and atom_word(x) != atom_word(y):
@@ -307,13 +320,13 @@ def test_lex_shelling_order_matches_pair_sort(fixture, request):
     # order, as sorting (word, chain) pairs does, under the honest labels
     # and under each label sabotage
     p = request.getfixturevalue(fixture)
-    for labels in (p.edge_labels,
+    for labels in (label_map(p),
                    sabotaged_label_map(p, "swap-bottom-labels"),
                    sabotaged_label_map(p, "min-merge-label")):
         assert lex_shelling_order(p, labels) == \
             [f for _, f in shelling_order_by_pairs(p, labels)]
     first = {}
-    for word, f in shelling_order_by_pairs(p, p.edge_labels):
+    for word, f in shelling_order_by_pairs(p, label_map(p)):
         first.setdefault(word, f)
     assert sabotaged_shelling_order(p, "drop-tie-break") == \
         list(first.values())
@@ -323,7 +336,7 @@ def test_sabotaged_orders_at_n_1_are_empty():
     # height 1: no facet to order, one atom, no tie to drop
     p = vector_partition_poset(1, 1)
     assert sabotaged_shelling_order(p, "drop-tie-break") == []
-    assert sabotaged_label_map(p, "swap-bottom-labels") == p.edge_labels
+    assert sabotaged_label_map(p, "swap-bottom-labels") == label_map(p)
 
 
 def test_lex_shelling_two_atom_case(p2s1):
@@ -396,7 +409,7 @@ def test_sabotages_are_detected(p3s1):
 
 
 def test_sabotage_swap_bottom_changes_two_edges(p3s1):
-    honest = p3s1.edge_labels
+    honest = label_map(p3s1)
     swapped = sabotaged_label_map(p3s1, "swap-bottom-labels")
     diff = {e for e in honest if honest[e] != swapped[e]}
     assert len(diff) == 2

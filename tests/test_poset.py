@@ -14,18 +14,17 @@ from vpshell import (
     NotGraded,
     UnknownElement,
     VpshellError,
-    build_poset,
     is_leq,
     maximal_chains,
     mobius,
     order_complex,
     poset_to_dot,
     poset_to_json,
-    set_partition_lattice,
     vector_partition_poset,
 )
-from conftest import (chains_by_powerset, hall_mobius, poset_to_dot_by_edges,
-                      poset_to_json_by_dict)
+from conftest import (aligned_labels, build_poset, chains_by_powerset,
+                      hall_mobius, label_map, poset_to_dot_by_edges,
+                      poset_to_json_by_dict, set_partition_lattice)
 
 
 def diamond():
@@ -76,22 +75,41 @@ def test_build_rejects_unbounded():
 
 
 def test_build_takes_labels_with_the_covers():
-    # a mapping is the covers and their labels at once; pairs carry none
+    # labels come aligned with up, one tuple per element; without them
+    # the poset carries none, and equality ignores them
     from vpshell.poset import build_indexed_poset
-    labels = {(0, 1): "x", (1, 2): "y"}
-    p = build_indexed_poset("abc", labels)
-    assert p.edge_labels == labels
-    assert sorted(p.edge_labels) == p.covers == [(0, 1), (1, 2)]
-    with pytest.raises(TypeError):
-        p.edge_labels[(0, 1)] = "z"
-    q = build_indexed_poset("abc", [(1, 2), (0, 1)])
-    assert q.edge_labels is None and q == p
+    p = build_indexed_poset("abc", [[1], [2], []], [["x"], ["y"], []])
+    assert p.up_labels == (("x",), ("y",), ())
+    assert p.up == ((1,), (2,), ()) and p.covers == [(0, 1), (1, 2)]
+    q = build_indexed_poset("abc", [(1,), (2,), ()])
+    assert q.up_labels is None and q == p
+    with pytest.raises(MissingLabels,
+                       match=r"^cover \(1, 2\) has no edge label$"):
+        build_indexed_poset("abc", [(1,), (2,), ()], [("x",), (), ()])
+    with pytest.raises(MissingLabels):
+        build_indexed_poset("abc", [(1,), (2,), ()], [("x",), ("y", "z"), ()])
+    with pytest.raises(MissingLabels):
+        build_indexed_poset("abc", [(1,), (2,), ()], [("x",), ("y",)])
+
+
+def test_build_takes_one_ascending_cover_tuple_per_element():
+    from vpshell.poset import build_indexed_poset
+    with pytest.raises(UnknownElement):
+        build_indexed_poset("abc", [(1,), (2,)])
+    with pytest.raises(UnknownElement):
+        build_indexed_poset("abcd", [(2, 1), (3,), (3,), ()])
+    with pytest.raises(UnknownElement):
+        build_indexed_poset("abcd", [(1, 1, 2), (3,), (3,), ()])
+    with pytest.raises(UnknownElement):
+        build_indexed_poset("ab", [(1,), (2,)])
+    p = build_indexed_poset("abcd", [(1, 2), (3,), (3,), ()])
+    assert p.down == ((), (0,), (0,), (1, 2))
 
 
 def test_covers_are_the_ascending_pairs_of_up(p3s2):
     from vpshell.poset import build_indexed_poset
     for p in (diamond(), chain4(), p3s2, set_partition_lattice(4),
-              build_indexed_poset("tmb", [(2, 1), (1, 0)])):
+              build_indexed_poset("tmb", [(), (0,), (1,)])):
         assert p.covers == sorted(p.covers)
         assert p.covers == [(lo, hi) for lo in range(len(p))
                             for hi in p.up[lo]]
@@ -111,7 +129,7 @@ def test_build_checks_cycle_then_bounds_then_grading():
         build_poset("0abx", [("0", "a"), ("a", "b"), ("0", "b"),
                              ("0", "x")])
     # ranks are longest paths whatever the index order
-    p = build_indexed_poset("tmb", [(2, 1), (1, 0)])
+    p = build_indexed_poset("tmb", [(), (0,), (1,)])
     assert (p.ranks, p.bottom, p.top) == ((2, 1, 0), 2, 0)
 
 
@@ -178,15 +196,15 @@ def test_queries_leave_no_state_on_the_poset(make, mu, above_atom,
     # of them may leave anything on the poset beyond its fields
     from vpshell import verify_el
     p = make()
-    labels = p.edge_labels or dict.fromkeys(p.covers, 1)
+    up_labels = p.up_labels or tuple((1,) * len(his) for his in p.up)
     atom, coatom = p.up[p.bottom][0], p.down[p.top][0]
     assert p.leq(atom, p.top) and not p.leq(p.top, atom)
     assert p.up_set(atom)[-1] == p.top
     assert mobius(p, p.bottom, p.top) == mu
     assert len(maximal_chains(p, atom, p.top)) == above_atom
     assert len(maximal_chains(p, p.bottom, coatom)) == below_coatom
-    assert poset_to_json(p) and poset_to_dot(p, labels)
-    verify_el(p, labels)
+    assert poset_to_json(p) and poset_to_dot(p, up_labels)
+    verify_el(p, label_map(p, up_labels))
     assert set(p.__dict__) == {f.name for f in fields(p)}
 
 
@@ -256,7 +274,7 @@ def test_json_roundtrip():
 def test_json_labeled_covers():
     p = diamond()
     labels = {e: ("L", e) for e in p.covers}
-    doc = json.loads(poset_to_json(p, labels))
+    doc = json.loads(poset_to_json(p, aligned_labels(p, labels)))
     assert doc["elements"] == ["0", "a", "b", "1"]
     assert doc["covers"] == [{"lo": lo, "hi": hi, "label": ["L", [lo, hi]]}
                              for lo, hi in [(0, 1), (0, 2), (1, 3), (2, 3)]]
@@ -273,16 +291,17 @@ def test_dot_output():
     assert dot.startswith("digraph")
     assert "rankdir=BT" in dot
     assert dot.count("->") == 4
-    labeled = poset_to_dot(p, {e: (1, 2, 3) for e in p.covers})
+    labeled = poset_to_dot(p, aligned_labels(
+        p, {e: (1, 2, 3) for e in p.covers}))
     assert 'label="(1, 2, 3)"' in labeled
 
 
 @pytest.mark.parametrize("size", ["p3s2", "p4s2", "p5s1"])
 def test_writers_match_the_oracles(size, request):
     p = request.getfixturevalue(size)
-    for labels in (None, p.edge_labels):
-        assert poset_to_json(p, labels) == poset_to_json_by_dict(p, labels)
-        assert poset_to_dot(p, labels) == poset_to_dot_by_edges(p, labels)
+    for up_labels, labels in ((None, None), (p.up_labels, label_map(p))):
+        assert poset_to_json(p, up_labels) == poset_to_json_by_dict(p, labels)
+        assert poset_to_dot(p, up_labels) == poset_to_dot_by_edges(p, labels)
 
 
 def test_writers_escape_keys_and_labels_as_the_oracles_do():
@@ -290,24 +309,28 @@ def test_writers_escape_keys_and_labels_as_the_oracles_do():
     p = build_poset(keys, [(keys[0], k) for k in keys[1:4]]
                     + [(k, keys[4]) for k in keys[1:4]])
     labels = {(lo, hi): (keys[lo], hi) for lo, hi in p.covers}
-    for lab in (None, labels):
-        assert poset_to_json(p, lab) == poset_to_json_by_dict(p, lab)
-        assert poset_to_dot(p, lab) == poset_to_dot_by_edges(p, lab)
+    for up_labels, lab in ((None, None), (aligned_labels(p, labels), labels)):
+        assert poset_to_json(p, up_labels) == poset_to_json_by_dict(p, lab)
+        assert poset_to_dot(p, up_labels) == poset_to_dot_by_edges(p, lab)
     assert json.loads(poset_to_json(p))["elements"] == keys
 
 
 @pytest.mark.parametrize("writer", [poset_to_json, poset_to_dot])
 def test_writers_name_the_least_cover_a_short_table_misses(writer, p3s1):
-    labels = dict(p3s1.edge_labels)
-    del labels[(0, 6)], labels[p3s1.covers[-1]]
+    # (0, 6) is the last cover of the bottom: cut its row and the row of
+    # the last cover short by one label each
+    rows = list(p3s1.up_labels)
+    last = p3s1.covers[-1][0]
+    assert p3s1.up[0][-1] == 6
+    rows[0], rows[last] = rows[0][:-1], rows[last][:-1]
     with pytest.raises(MissingLabels,
                        match=r"^cover \(0, 6\) has no edge label$"):
-        writer(p3s1, labels)
+        writer(p3s1, tuple(rows))
 
 
 def test_json_writes_int_labels_of_the_partition_lattice():
     lat = set_partition_lattice(4)
-    doc = json.loads(poset_to_json(lat, lat.edge_labels))
+    doc = json.loads(poset_to_json(lat, lat.up_labels))
     assert len(doc["covers"]) == len(lat.covers)
     for cover in doc["covers"]:
         below = set(lat.elements[cover["lo"]])

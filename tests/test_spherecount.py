@@ -20,8 +20,9 @@ from vpshell import (
     sphere_count_certificate,
     top_element,
     top_label_index_counts,
+    vector_partition_poset,
 )
-from conftest import indexed_counts_by_comb
+from conftest import decreasing_by_filter, indexed_counts_by_comb
 
 KNOWN = {(2, 1): 1, (3, 1): 4, (4, 1): 33, (2, 2): 3, (3, 2): 46}
 
@@ -60,11 +61,21 @@ def test_chain_budget():
         spherecount.check_chain_budget(9, 3, 100)
 
 
+@pytest.mark.parametrize("n, s", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1),
+                                  (3, 4)])
+def test_walk_finds_the_chains_the_filter_keeps(n, s):
+    # the pruned walk along up and up_labels against the filter over
+    # every maximal chain: the same chains, in the same order
+    from vpshell.spherecount import _walked_decreasing
+    p = vector_partition_poset(n, s)
+    assert _walked_decreasing(p) == decreasing_by_filter(p)
+
+
 def test_filter_route_comes_out_in_canonical_order(p4s1, p3s2):
     # decreasing_chains sorts only the generated route, relying on this
-    from vpshell.spherecount import _filtered_decreasing
+    from vpshell.spherecount import _walked_decreasing
     for p in (p4s1, p3s2):
-        chains = _filtered_decreasing(p)
+        chains = _walked_decreasing(p)
         assert chains == sorted(
             chains, key=lambda c: tuple(v.sort_key for v in c))
 
@@ -225,6 +236,17 @@ def test_decompose_rejects_non_decreasing():
 def test_decompose_rejects_short_chain():
     with pytest.raises(NotDecreasing):
         decompose_chain((bottom_element(1, 1), top_element(1, 1)))
+    with pytest.raises(NotDecreasing):
+        decompose_chain(())
+
+
+def test_decompose_rejects_a_chain_of_two_dimensions():
+    # a (3,1) chain whose top is the (3,2) top: not a decreasing chain
+    chain = decreasing_chains(3, 1)[0]
+    with pytest.raises(NotDecreasing):
+        decompose_chain(chain[:-1] + (top_element(3, 2),))
+    with pytest.raises(NotDecreasing):
+        decompose_chain((bottom_element(3, 2),) + chain[1:])
 
 
 def test_recompose_rejects_mismatched_sides():
@@ -240,7 +262,8 @@ def test_recompose_rejects_bad_splits():
     good = decompose_chain(decreasing_chains(3, 1)[0])
     from dataclasses import replace
     overlap = tuple(((1, 2), (2, 3)) for _ in good.splits)
-    for splits in (overlap, ()):
+    flat = ((1,), (2, 3))  # the sides of one split, not two splits
+    for splits in (overlap, (), flat, ((1, 2, 3),) * 2, (((1,), 2),) * 2):
         with pytest.raises(IncompatibleData):
             recompose(replace(good, splits=splits))
 
@@ -286,7 +309,7 @@ def test_recompose_rejects_malformed_decompositions(n, s):
 
 def test_enumeration_routes_are_compared(monkeypatch, capsys):
     # a generation route that loses one chain must be caught by the
-    # filter route, in the library and as the CLI's exit code 2
+    # walk route, in the library and as the CLI's exit code 2
     from vpshell import spherecount
     from vpshell.cli import main
     honest = spherecount._generated_decreasing
@@ -297,10 +320,10 @@ def test_enumeration_routes_are_compared(monkeypatch, capsys):
     code = main(["count", "--n", "3", "--s", "2", "--method", "enumerate"])
     assert code == 2
     assert "oracle mismatch" in capsys.readouterr().err
-    # the filter route is not sorted, so one out of order is caught too
+    # the walk route is not sorted, so one out of order is caught too
     monkeypatch.setattr(spherecount, "_generated_decreasing", honest)
-    filtered = spherecount._filtered_decreasing
-    monkeypatch.setattr(spherecount, "_filtered_decreasing",
-                        lambda p: filtered(p)[::-1])
+    walked = spherecount._walked_decreasing
+    monkeypatch.setattr(spherecount, "_walked_decreasing",
+                        lambda p: walked(p)[::-1])
     with pytest.raises(OracleMismatch):
         decreasing_chains(3, 2)

@@ -28,14 +28,14 @@ from vpshell import (
     merge_blocks,
     mobius,
     perm_lex_rank,
-    set_partition_lattice,
     set_partitions,
     top_element,
     vecpart,
     vector_partition_poset,
 )
 from conftest import (format_element_by_joins, merge_blocks_by_sorting,
-                      poset_from_element_covers, sorted_word_rank)
+                      poset_from_element_covers, set_partition_lattice,
+                      sorted_word_rank)
 
 ORACLE_SIZES = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 1), (3, 3),
                 (4, 2)]
@@ -145,15 +145,33 @@ def test_merge_blocks_splice_matches_sorting_oracle(n, s):
             assert merge_blocks(v, a, b) == merge_blocks_by_sorting(v, a, b)
 
 
-@pytest.mark.parametrize("n,s", ORACLE_SIZES + [(5, 1)])
+@pytest.mark.parametrize("n,s", ORACLE_SIZES + [(5, 1), (2, 3)])
 def test_labels_born_with_covers_match_cover_label(n, s):
+    # up_labels[i][k] labels the cover (i, up[i][k]), as cover_label does
     p = vector_partition_poset(n, s)
     assert p == poset_from_element_covers(n, s)
     keys = p.elements
-    assert p.edge_labels == {(lo, hi): cover_label(keys[lo], keys[hi])
-                             for lo, hi in p.covers}
-    labels = list(p.edge_labels.values())
+    assert [len(labs) for labs in p.up_labels] == [len(his) for his in p.up]
+    for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)):
+        assert list(labs) == [cover_label(keys[lo], keys[hi]) for hi in his]
+    labels = [label for labs in p.up_labels for label in labs]
+    assert len(labels) == len(p.covers)
     assert len({id(v) for v in labels}) == len(set(labels))  # shared
+
+
+@pytest.mark.parametrize("n,s", [(1, 1), (3, 2), (4, 1)])
+def test_poset_holds_no_mapping(n, s):
+    # the covers and their labels are tuples aligned with one another,
+    # not a second record of the covers keyed by (lo, hi)
+    from collections.abc import Mapping
+    from dataclasses import fields
+    p = vector_partition_poset(n, s)
+    for f in fields(p):
+        value = getattr(p, f.name)
+        assert not isinstance(value, Mapping), f.name
+        if isinstance(value, tuple) and value \
+                and isinstance(value[0], tuple):
+            assert all(type(row) is tuple for row in value), f.name
 
 
 def test_set_partitions_counts():
