@@ -24,7 +24,7 @@ import sys
 
 from . import complexes, labeling, spherecount, vecpart
 from .errors import OracleMismatch, ResourceLimit, VpshellError
-from .poset import poset_to_dot, poset_to_json
+from .poset import _dot_pieces, _json_pieces
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -112,27 +112,28 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):  # stdout and a file get the same bytes
-        text += "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _BadInput(f"cannot write {out}: {exc.strerror}") from None
+def _emit(text, out: str | None) -> None:
+    """Write text, a str or an iterable of str pieces, to stdout or to the
+    file out, each piece as it arrives."""
+    try:
+        with (contextlib.nullcontext(sys.stdout) if out is None
+              else open(out, "w")) as fh:
+            last = ""
+            for last in (text,) if isinstance(text, str) else text:
+                fh.write(last)
+            if not last.endswith("\n"):  # stdout and a file get the same bytes
+                fh.write("\n")
+    except OSError as exc:
+        if out is None:
+            raise
+        raise _BadInput(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     p = vecpart.vector_partition_poset(args.n, args.s,
                                        max_elements=args.max_elements)
-    up_labels = p.up_labels if args.labels else None
-    if args.fmt == "dot":
-        _emit(poset_to_dot(p, up_labels), args.out)
-    else:
-        _emit(poset_to_json(p, up_labels), args.out)
+    pieces = _dot_pieces if args.fmt == "dot" else _json_pieces
+    _emit(pieces(p, p.up_labels if args.labels else None), args.out)
     return EXIT_OK
 
 

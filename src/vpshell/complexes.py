@@ -129,14 +129,6 @@ def betti(c: SimplicialComplex, d: int) -> int:
             - _boundary_rank(c, d + 1))
 
 
-def reduced_betti_numbers(c: SimplicialComplex) -> tuple:
-    """(b_0, ..., b_dim) over GF(2); empty tuple for the empty complex.
-    Each boundary map is reduced once."""
-    ranks = [_boundary_rank(c, d) for d in range(c.dim + 2)]
-    return tuple(len(c.faces_by_dim[d]) - ranks[d] - ranks[d + 1]
-                 for d in range(c.dim + 1))
-
-
 @dataclass(frozen=True)
 class ShellingReport:
     """Outcome of verify_shelling.

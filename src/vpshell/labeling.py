@@ -66,11 +66,6 @@ def chain_label(chain) -> tuple:
     return tuple(word)
 
 
-def is_increasing(word) -> bool:
-    """Strictly increasing label word; empty and singleton words qualify."""
-    return all(a < b for a, b in zip(word, word[1:]))
-
-
 def is_weakly_decreasing(word) -> bool:
     return all(a >= b for a, b in zip(word, word[1:]))
 

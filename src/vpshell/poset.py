@@ -222,44 +222,65 @@ def poset_to_json(p: Poset, up_labels: tuple | None = None) -> str:
     one json.dumps(doc, sort_keys=True) gives for the document, written
     directly: keys in sorted order, ", " and ": " separators.
     """
-    if up_labels is None:
-        cov = [f"[{lo}, {hi}]" for lo, his in enumerate(p.up) for hi in his]
-    else:
-        cov = [f'{{"hi": {hi}, "label": {text}, "lo": {lo}}}'
-               for lo, hi, text in _label_texts(p, up_labels, json.dumps)]
-    return (f'{{"bottom": {p.bottom}, "covers": [{", ".join(cov)}], '
-            f'"elements": {json.dumps([str(k) for k in p.elements])}, '
-            f'"top": {p.top}}}')
+    return "".join(_json_pieces(p, up_labels))
 
 
 def poset_to_dot(p: Poset, up_labels: tuple | None = None) -> str:
     """GraphViz DOT text for the Hasse diagram, bottom drawn lowest."""
+    return "".join(_dot_pieces(p, up_labels))
+
+
+def _json_pieces(p: Poset, up_labels: tuple | None):
+    """poset_to_json's text in pieces, so that a writer holds one piece
+    at a time: the head, the covers of each element that has any, each
+    element's key, and the tail.  MissingLabels comes before them all."""
+    texts = _label_texts(p, up_labels, json.dumps)
+    yield f'{{"bottom": {p.bottom}, "covers": ['
+    sep = ""
+    for lo, his in enumerate(p.up):
+        if his:
+            yield sep + ", ".join(
+                [f"[{lo}, {hi}]" for hi in his] if texts is None else
+                [f'{{"hi": {hi}, "label": {text}, "lo": {lo}}}'
+                 for hi, text in zip(his, texts(lo))])
+            sep = ", "
+    yield '], "elements": ['
+    for i, k in enumerate(p.elements):
+        yield (", " if i else "") + json.dumps(str(k))
+    yield f'], "top": {p.top}}}'
+
+
+def _dot_pieces(p: Poset, up_labels: tuple | None):
+    """poset_to_dot's text in pieces, as _json_pieces gives JSON's: the
+    head, each element's line, the cover lines of each element, and the
+    tail."""
     def esc(s) -> str:
         return str(s).replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = ["digraph poset {", "  rankdir=BT;"]
-    lines += [f'  n{i} [label="{esc(k)}"];' for i, k in enumerate(p.elements)]
-    if up_labels is None:
-        lines += [f"  n{lo} -> n{hi};"
-                  for lo, his in enumerate(p.up) for hi in his]
-    else:
-        lines += [f'  n{lo} -> n{hi} [label="{text}"];'
-                  for lo, hi, text in _label_texts(p, up_labels, esc)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    texts = _label_texts(p, up_labels, esc)
+    yield "digraph poset {\n  rankdir=BT;\n"
+    for i, k in enumerate(p.elements):
+        yield f'  n{i} [label="{esc(k)}"];\n'
+    for lo, his in enumerate(p.up):
+        yield "".join(
+            [f"  n{lo} -> n{hi};\n" for hi in his] if texts is None else
+            [f'  n{lo} -> n{hi} [label="{text}"];\n'
+             for hi, text in zip(his, texts(lo))])
+    yield "}\n"
 
 
 def _label_texts(p: Poset, up_labels, render):
-    """(lo, hi, render(label)) for every cover, ascending, after
-    MissingLabels for the least cover up_labels misses.  A label object
-    met again reuses its text, so labels that share one object per
-    distinct label render each distinct label once."""
+    """None without up_labels.  Else, after MissingLabels for the least
+    cover up_labels misses, a function of lo giving render(label) for
+    each label of up_labels[lo].  A label object met again reuses its
+    text, so labels that share one object per distinct label render
+    each distinct label once."""
+    if up_labels is None:
+        return None
     _check_aligned(p.up, up_labels)
-    texts: dict = {}
-    for lo, (his, labs) in enumerate(zip(p.up, up_labels)):
-        for hi, label in zip(his, labs):
-            hit = texts.get(id(label))
-            if hit is None:
-                # holding label keeps its id from being reused
-                hit = texts[id(label)] = (label, render(label))
-            yield lo, hi, hit[1]
+    texts: dict = {}  # id -> (label, text); holding label keeps its id
+
+    def row(lo: int) -> list:
+        return [(texts.get(id(label)) or texts.setdefault(
+            id(label), (label, render(label))))[1] for label in up_labels[lo]]
+    return row

@@ -27,7 +27,7 @@ from .complexes import betti, order_complex, reduced_euler_characteristic
 from .errors import (DimensionMismatch, IncompatibleData, InvalidIndex,
                      NotDecreasing, NotSaturated, OracleMismatch,
                      ResourceLimit)
-from .labeling import chain_label, cover_label, is_weakly_decreasing
+from .labeling import chain_label, is_weakly_decreasing
 from .poset import Poset, mobius
 from .vecpart import (VectorPartition, bottom_element, is_cover,
                       maximal_chain_count, top_element,
@@ -50,7 +50,11 @@ def _walked_decreasing(p: Poset) -> list[Chain]:
     """The weakly decreasing maximal chains of p, in lexicographic index
     order: walked up p.up and p.up_labels a rank at a time, a chain at v
     steps to w, in ascending w, only when the label of v <. w is at most
-    its last one, since a word that rises once cannot decrease weakly."""
+    its last one, since a word that rises once cannot decrease weakly.
+    Weakly, as in Wachs's Poset Topology notes.  No decreasing chain
+    repeats a label at (3,3), (4,2), (5,1) or (3,4), as a test pins, so
+    there "at most" and "below" find the same chains; a hand-labelled
+    poset in the tests tells them apart."""
     up, lab = p.up, p.up_labels
     chains = [((p.bottom, a), label)
               for a, label in zip(up[p.bottom], lab[p.bottom])]
@@ -160,15 +164,6 @@ def decreasing_chains(n: int, s: int,
             f"poset walk found {len(walked)} decreasing chains, "
             f"generation found {len(generated)}")
     return walked
-
-
-def top_label_index_counts(chains) -> dict:
-    """How many chains carry each labeling index on their top cover."""
-    counts: dict[int, int] = {}
-    for c in chains:
-        k, i, j = cover_label(c[-2], c[-1])
-        counts[i] = counts.get(i, 0) + 1
-    return dict(sorted(counts.items()))
 
 
 # ── exact recursion ──────────────────────────────────────────────────────

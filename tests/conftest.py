@@ -14,7 +14,10 @@ chains by filtering every maximal chain.
 They are slow and only fit tiny inputs, which is the point.
 
 The fixtures build posets the package has no use for: from cover pairs,
-of element keys or of indices, and the plain partition lattice.
+of element keys or of indices, and the plain partition lattice.  The
+helpers that close the file serve only tests: a strictly increasing
+word test, the count of chains per top label index, and every reduced
+Betti number of a complex, the dense oracle of betti.
 """
 import json
 from collections.abc import Mapping
@@ -24,9 +27,10 @@ from math import comb
 import pytest
 
 from vpshell import (ELReport, ShellingReport, UnknownElement,
-                     VectorPartition, enumerate_elements, is_increasing,
+                     VectorPartition, cover_label, enumerate_elements,
                      is_weakly_decreasing, maximal_chains, set_partitions,
                      vector_partition_poset)
+from vpshell.complexes import _boundary_rank
 from vpshell.poset import build_indexed_poset
 
 
@@ -338,6 +342,28 @@ def indexed_counts_by_comb(max_n, s):
                 for a in range(1, n))
         total[n] = sum(by_index[(n, i)] for i in range(1, s + 1))
     return by_index
+
+
+def is_increasing(word):
+    """Strictly increasing label word; empty and singleton words qualify."""
+    return all(a < b for a, b in zip(word, word[1:]))
+
+
+def top_label_index_counts(chains):
+    """How many chains carry each labeling index on their top cover."""
+    counts = {}
+    for c in chains:
+        k, i, j = cover_label(c[-2], c[-1])
+        counts[i] = counts.get(i, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def reduced_betti_numbers(c):
+    """(b_0, ..., b_dim) over GF(2); empty tuple for the empty complex.
+    Each boundary map is reduced once."""
+    ranks = [_boundary_rank(c, d) for d in range(c.dim + 2)]
+    return tuple(len(c.faces_by_dim[d]) - ranks[d] - ranks[d + 1]
+                 for d in range(c.dim + 1))
 
 
 @pytest.fixture(scope="session")

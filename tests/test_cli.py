@@ -209,13 +209,45 @@ def test_output_file_gets_the_stdout_bytes(tmp_path, capsys, argv):
     assert target.read_bytes() == out.encode()
 
 
-def test_unwritable_output_exits_4(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "2", "--s", "1"),
+    ("build", "--n", "3", "--s", "1", "--labels"),
+    ("build", "--n", "3", "--s", "1", "--format", "dot"),
+], ids=["count", "build_labels", "build_dot"])
+def test_unwritable_output_exits_4(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "out.json"
-    code, out, err = run(capsys, "count", "--n", "2", "--s", "1",
-                         "-o", str(target))
+    code, out, err = run(capsys, *argv, "-o", str(target))
     assert (code, out) == (4, "")
     assert err.startswith(f"error: cannot write {target}: ")
     assert "Traceback" not in err
+
+
+def test_build_writes_its_file_a_piece_at_a_time(tmp_path, monkeypatch):
+    # what build allocates past the built poset, the text its writer
+    # holds at once, stays under half of the file it writes
+    import tracemalloc
+    from vpshell import vecpart
+
+    built, held = vecpart.vector_partition_poset, []
+
+    def build_then_reset_peak(*args, **kwargs):
+        p = built(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return p
+
+    monkeypatch.setattr(vecpart, "vector_partition_poset",
+                        build_then_reset_peak)
+    target = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        code = main(["build", "--n", "5", "--s", "1", "--labels",
+                     "-o", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(held) == 1
+    assert peak - held[0] < target.stat().st_size / 2
 
 
 def test_build_respects_element_budget(capsys):

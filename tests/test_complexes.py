@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from vpshell import (
     betti,
     order_complex,
-    reduced_betti_numbers,
     reduced_euler_characteristic,
     simplicial_complex,
     verify_shelling,
 )
-from conftest import facets_by_pairwise_containment, shelling_by_intersections
+from conftest import (facets_by_pairwise_containment, reduced_betti_numbers,
+                      shelling_by_intersections)
 
 
 def hollow_triangle():

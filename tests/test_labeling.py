@@ -15,7 +15,6 @@ from vpshell import (
     count_total,
     cover_label,
     first_word_difference,
-    is_increasing,
     is_weakly_decreasing,
     lex_shelling_order,
     order_complex,
@@ -27,8 +26,8 @@ from vpshell import (
     verify_label_structure,
     verify_shelling,
 )
-from conftest import (build_poset, el_by_chain_enumeration, label_map,
-                      poset_from_pairs, set_partition_lattice,
+from conftest import (build_poset, el_by_chain_enumeration, is_increasing,
+                      label_map, poset_from_pairs, set_partition_lattice,
                       shelling_by_intersections, shelling_order_by_pairs)
 
 _EL_POSETS = {"(2,1)": vector_partition_poset(2, 1),

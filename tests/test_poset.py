@@ -22,6 +22,7 @@ from vpshell import (
     poset_to_json,
     vector_partition_poset,
 )
+from vpshell.poset import _dot_pieces, _json_pieces
 from conftest import (aligned_labels, build_poset, chains_by_powerset,
                       hall_mobius, label_map, poset_to_dot_by_edges,
                       poset_to_json_by_dict, set_partition_lattice)
@@ -315,7 +316,13 @@ def test_writers_escape_keys_and_labels_as_the_oracles_do():
     assert json.loads(poset_to_json(p))["elements"] == keys
 
 
-@pytest.mark.parametrize("writer", [poset_to_json, poset_to_dot])
+@pytest.mark.parametrize("writer", [
+    poset_to_json, poset_to_dot,
+    # a piece writer checks before its first piece, the head
+    lambda p, rows: next(_json_pieces(p, rows)),
+    lambda p, rows: next(_dot_pieces(p, rows)),
+], ids=["poset_to_json", "poset_to_dot", "first_json_piece",
+        "first_dot_piece"])
 def test_writers_name_the_least_cover_a_short_table_misses(writer, p3s1):
     # (0, 6) is the last cover of the bottom: cut its row and the row of
     # the last cover short by one label each

@@ -19,10 +19,10 @@ from vpshell import (
     recompose,
     sphere_count_certificate,
     top_element,
-    top_label_index_counts,
     vector_partition_poset,
 )
-from conftest import decreasing_by_filter, indexed_counts_by_comb
+from conftest import (decreasing_by_filter, indexed_counts_by_comb,
+                      poset_from_pairs, top_label_index_counts)
 
 KNOWN = {(2, 1): 1, (3, 1): 4, (4, 1): 33, (2, 2): 3, (3, 2): 46}
 
@@ -69,6 +69,26 @@ def test_walk_finds_the_chains_the_filter_keeps(n, s):
     from vpshell.spherecount import _walked_decreasing
     p = vector_partition_poset(n, s)
     assert _walked_decreasing(p) == decreasing_by_filter(p)
+
+
+def test_walk_keeps_a_chain_that_repeats_a_label():
+    # 0 < a < 1 is labelled (1, 1): weakly decreasing with a repeat, so
+    # the walk keeps it beside the strictly decreasing 0 < b < 1, and
+    # drops the rising 0 < c < 1
+    from vpshell.spherecount import _walked_decreasing
+    p = poset_from_pairs("0abc1", {(0, 1): 1, (1, 4): 1, (0, 2): 2,
+                                   (2, 4): 1, (0, 3): 1, (3, 4): 2})
+    assert _walked_decreasing(p) == decreasing_by_filter(p) == [
+        ("0", "a", "1"), ("0", "b", "1")]
+
+
+@pytest.mark.parametrize("n, s", [(3, 3), (4, 2), (5, 1), (3, 4)])
+def test_no_decreasing_chain_repeats_a_label(n, s):
+    # so on these posets a walk that stepped only to smaller labels
+    # would find the same chains; the walk above tells the two apart
+    for chain in decreasing_chains(n, s):
+        word = chain_label(chain)
+        assert all(a > b for a, b in zip(word, word[1:])), chain
 
 
 def test_filter_route_comes_out_in_canonical_order(p4s1, p3s2):
