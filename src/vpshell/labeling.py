@@ -18,12 +18,11 @@ precedes the word of every other maximal chain of the interval.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 
 from .errors import MissingLabels, NotACover, NotSaturated
-from .poset import Poset, maximal_chains
+from .poset import Poset, _check_aligned, maximal_chains
 from .vecpart import (VectorPartition, atom_lex_rank, atom_word,
                       first_word_difference, is_cover, merge_blocks)
 
@@ -86,21 +85,15 @@ class ELReport:
         return f"EL verification FAILED on interval ({x}, {y}): {why}"
 
 
-def _label_table(p: Poset, labels: Mapping | None) -> tuple:
-    """Labels aligned with p.up as in Poset.up_labels: the mapping labels,
-    (lo, hi) -> label, read once into that form, else p.up_labels.
+def _label_table(p: Poset, labels: tuple | None) -> tuple:
+    """labels, aligned with p.up as Poset.up_labels is, else p.up_labels.
     MissingLabels when neither exists or labels misses a cover."""
+    labels = p.up_labels if labels is None else labels
     if labels is None:
-        if p.up_labels is None:
-            raise MissingLabels("the poset carries no edge labels and none "
-                                "were given")
-        return p.up_labels
-    try:
-        return tuple(tuple([labels[(lo, hi)] for hi in his])
-                     for lo, his in enumerate(p.up))
-    except KeyError:
-        lo, hi = next(e for e in p.covers if e not in labels)
-        raise MissingLabels(f"cover ({lo}, {hi}) has no edge label") from None
+        raise MissingLabels("the poset carries no edge labels and none "
+                            "were given")
+    _check_aligned(p.up, labels)
+    return labels
 
 
 def _word(p: Poset, lab: tuple, c) -> tuple:
@@ -110,16 +103,16 @@ def _word(p: Poset, lab: tuple, c) -> tuple:
                   for lo, hi in zip(c, c[1:])])
 
 
-def verify_el(p: Poset, labels: Mapping | None = None) -> ELReport:
+def verify_el(p: Poset, labels: tuple | None = None) -> ELReport:
     """Check the EL property on every interval of p.
 
-    labels maps every cover (lo, hi) to its label; None reads the labels
-    the poset carries, p.up_labels.  MissingLabels is raised when there
-    is neither, or when labels misses a cover.  For each x < y: among
-    the maximal chains of [x, y] exactly one may have a strictly
-    increasing label word, and that word must strictly precede every
-    other chain's word.  The first failure, scanning pairs (x, y) in
-    ascending index order, is reported.
+    labels[lo][k] labels the cover (lo, p.up[lo][k]), as in up_labels;
+    None reads the labels the poset carries, p.up_labels.  MissingLabels
+    is raised when there is neither, or when labels misses a cover.  For
+    each x < y: among the maximal chains of [x, y] exactly one may have
+    a strictly increasing label word, and that word must strictly precede
+    every other chain's word.  The first failure, scanning pairs (x, y)
+    in ascending index order, is reported.
 
     No chain is enumerated (the definition, Bjorner-Wachs 1983, is
     checked exactly).  One pass per lower endpoint x walks the up-set of
@@ -172,9 +165,7 @@ def _first_el_failure(p: Poset, lab: tuple, x: int) -> tuple | None:
                 at = first.get(y)
                 if at is None or (w, label) < at[:2]:
                     first[y] = (w, label, z)
-                c = counts.get(y)
-                if c is None:
-                    c = counts[y] = {}
+                c = counts.setdefault(y, {})
                 if z == x:
                     c[label] = 1
                     continue
@@ -199,7 +190,7 @@ def _first_el_failure(p: Poset, lab: tuple, x: int) -> tuple | None:
 
 
 def verify_label_structure(p: Poset,
-                           labels: Mapping | None = None) -> dict[int, list]:
+                           labels: tuple | None = None) -> dict[int, list]:
     """Counterexamples to the five structural facts the labeling rests on.
 
     (1) x <= y implies A(y) <=_lex A(x) on atom words;
@@ -217,15 +208,16 @@ def verify_label_structure(p: Poset,
     joined by a chain of covers and <=_lex is transitive, so it holds on
     all pairs exactly when it holds on every cover.
 
-    p must be a vector-partition poset; labels defaults to its
-    p.up_labels (MissingLabels when there is neither, or labels
-    misses a cover).  Returns {condition: [text]}, every list empty
-    exactly when the condition holds; each list is capped at five.
+    p must be a vector-partition poset; labels, aligned with p.up as in
+    verify_el, default to its p.up_labels (MissingLabels when there is
+    neither, or labels misses a cover).  Returns {condition: [text]},
+    every list empty exactly when the condition holds; each list is
+    capped at five.
     """
     bad: dict[int, list] = {c: [] for c in (1, 2, 3, 4, 5)}
     lab = _label_table(p, labels)
     els = p.elements
-    n, s = els[p.top].n, els[p.top].s
+    n = els[p.top].n
     words = {t: atom_word(e) for t, e in enumerate(els) if not e.is_bottom}
 
     # DFS over increasing chains from the bottom only; extensions of a
@@ -266,30 +258,48 @@ def verify_label_structure(p: Poset,
                 bad[4].append(f"label ({k},{i},{j}) on {els[lo]} <. "
                               f"{els[hi]} does not name the merged blocks")
 
-    # every element above a non-bottom x is non-bottom too
-    for x in sorted(words):
-        for y in p.up_set(x):
-            if words[x] == words[y]:
-                continue
-            first = first_word_difference(words[x], words[y], n, s)
-            for c in maximal_chains(p, x, y):
-                word = _word(p, lab, c)
-                if word.count(first) != 1 or any(l < first for l in word):
-                    if len(bad[5]) < _REPORTED:
-                        bad[5].append(
-                            f"interval [{els[x]}, {els[y]}] has a chain "
-                            f"violating the first-difference law {first}")
-                    break
+    bad[5] = [f"interval [{els[x]}, {els[y]}] has a chain violating the "
+              f"first-difference law {first}" for x, y, first in islice(
+                  _first_difference_failures(p, lab, words), _REPORTED)]
     return bad
 
 
-def lex_shelling_order(p: Poset, labels: Mapping | None = None) -> list:
+def _first_difference_failures(p: Poset, lab: tuple, words: dict):
+    """(x, y, first difference) for each [x, y], x in words and then y
+    ascending, that breaks condition (5) of verify_label_structure under
+    lab, aligned with p.up.  No chain is enumerated: one pass per x, level
+    by level as in _first_el_failure, gives each y the pairs (least
+    label, times it occurs, capped at 2) over the maximal chains of
+    [x, y], and the law holds exactly when they are only (first, 1)."""
+    n, s = p.elements[p.top].n, p.elements[p.top].s
+    for x in sorted(words):
+        least: dict[int, set] = {x: set()}  # for the level just done
+        failures = []
+        while least:
+            pushed: dict[int, set] = {}
+            for z, pairs in least.items():
+                for y, label in zip(p.up[z], lab[z]):
+                    # only x has no pairs: its covers start the chains
+                    pushed.setdefault(y, set()).update([
+                        (label, 1) if label < m else
+                        (m, 2) if label == m else (m, k)
+                        for m, k in pairs] or [(label, 1)])
+            least = pushed
+            for y, pairs in pushed.items():
+                if words[x] != words[y]:
+                    first = first_word_difference(words[x], words[y], n, s)
+                    if pairs != {(first, 1)}:
+                        failures.append((x, y, first))
+        yield from sorted(failures)
+
+
+def lex_shelling_order(p: Poset, labels: tuple | None = None) -> list:
     """Facets of the proper-part complex in induced shelling order.
 
     Maximal chains, walked in canonical order, are stably sorted by label
     word (ties keep that order) and stripped of bottom and top, leaving
-    index tuples that ascend when elements are indexed by rank.  labels
-    defaults to p.up_labels.  Height-1 posets give [].
+    index tuples that ascend when elements are indexed by rank.  labels,
+    aligned with p.up, default to p.up_labels.  Height-1 posets give [].
     """
     if p.height < 2:
         return []
@@ -304,34 +314,34 @@ def lex_shelling_order(p: Poset, labels: Mapping | None = None) -> list:
 SABOTAGES = ("swap-bottom-labels", "min-merge-label", "drop-tie-break")
 
 
-def sabotaged_label_map(p: Poset, name: str) -> dict:
-    """Edge labels with one deliberate defect, for mutation testing.
+def sabotaged_label_map(p: Poset, name: str) -> tuple:
+    """Edge labels with one deliberate defect, for mutation testing,
+    aligned with p.up as Poset.up_labels is.
 
     swap-bottom-labels: the two lexicographically least atoms (if n > 1)
     trade their bottom-edge labels.  min-merge-label: equal-atom-word
     covers use the min of the merged blocks instead of the max.
     drop-tie-break leaves the labels; see sabotaged_shelling_order.
     """
-    lab = dict(zip(p.covers, chain.from_iterable(_label_table(p, None))))
+    lab = list(_label_table(p, None))
     if name == "swap-bottom-labels":
-        bottom_edges = sorted(
-            ((p.bottom, a) for a in p.up[p.bottom]), key=lab.__getitem__)
-        if len(bottom_edges) > 1:  # n = 1 has a single atom
-            a, b = bottom_edges[:2]
-            lab[a], lab[b] = lab[b], lab[a]
+        row = list(lab[p.bottom])
+        if len(row) > 1:  # n = 1 has a single atom
+            a, b = sorted(range(len(row)), key=row.__getitem__)[:2]
+            row[a], row[b] = row[b], row[a]
+            lab[p.bottom] = tuple(row)
     elif name == "min-merge-label":
-        for (lo, hi), (_, _, j) in lab.items():
+        els = p.elements
+        for lo, his in enumerate(p.up):
             # j = 0 marks the bottom edges and the equal-atom-word covers
-            if lo != p.bottom and j == 0:
-                x, y = p.elements[lo], p.elements[hi]
-                xb = set(x.blocks)
-                merged = next(bk for bk in y.blocks if bk not in xb)
-                lab[(lo, hi)] = (y.n, merged[0], 0)
-    elif name == "drop-tie-break":
-        pass  # labels untouched; the defect lives in the ordering
-    else:
+            if lo != p.bottom:
+                xb = set(els[lo].blocks)
+                lab[lo] = tuple([label if label[2] else (els[hi].n, next(
+                    bk for bk in els[hi].blocks if bk not in xb)[0], 0)
+                    for hi, label in zip(his, lab[lo])])
+    elif name != "drop-tie-break":  # drop-tie-break's defect is the order
         raise ValueError(f"unknown sabotage {name!r}")
-    return lab
+    return tuple(lab)
 
 
 def sabotaged_shelling_order(p: Poset, name: str) -> list:

@@ -19,17 +19,15 @@ class Poset:
     """Immutable bounded graded poset, held as its Hasse diagram.
 
     Use build_indexed_poset() to construct: it validates acyclicity,
-    unique bottom and top, and gradedness.  up[i] and down[i] are the
-    ascending indices covering i and covered by i, the only record of the
-    covers; nothing is cached on the instance, and reachability (leq,
-    up_set, intervals) is walked through them on demand.  up_labels, if
-    present, labels (i, up[i][k]) by up_labels[i][k]; it takes no part
-    in equality.
+    unique bottom and top, and gradedness.  up[i] holds the ascending
+    indices covering i, the only record of the covers; nothing is cached
+    on the instance, and intervals are walked up through it on demand.
+    up_labels, if present, labels (i, up[i][k]) by up_labels[i][k], the
+    only record of the labels; it takes no part in equality.
     """
 
     elements: tuple
     up: tuple
-    down: tuple
     ranks: tuple
     bottom: int
     top: int
@@ -43,25 +41,17 @@ class Poset:
         """The (lo, hi) index pairs of the covers, ascending."""
         return [(lo, hi) for lo, his in enumerate(self.up) for hi in his]
 
-    def leq(self, x: int, y: int) -> bool:
-        return y in self._walk(x, self.up, self.ranks[y] - self.ranks[x])
-
     @property
     def height(self) -> int:
         return self.ranks[self.top]
 
-    def up_set(self, x: int) -> list[int]:
-        """Sorted indices of the elements above x, x included."""
-        return sorted(self._walk(x, self.up))
-
-    def _walk(self, start: int, step: tuple,
-              levels: int | None = None) -> set[int]:
-        """start and what step (up or down) reaches from it in at most
-        levels steps, by default any number.  A step changes the rank by
-        one, so each level is the step image of the one before."""
+    def _walk(self, start: int, levels: int) -> set[int]:
+        """start and the elements above it at most levels ranks higher.
+        A cover raises the rank by one, so each level is the set of
+        upper covers of the one before."""
         seen = level = {start}
-        for _ in range(self.height if levels is None else levels):
-            level = {w for v in level for w in step[v]}
+        for _ in range(levels):
+            level = {w for v in level for w in self.up[v]}
             seen |= level
         return seen
 
@@ -91,8 +81,7 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
     if len(up) != n:
         raise UnknownElement(f"{len(up)} upper-cover lists for {n} elements")
 
-    # up is walked in ascending i, so each down[j] comes out ascending
-    down: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n  # lower covers per element, for Kahn's pass
     for i, js in enumerate(up):
         for prev, j in zip((-1,) + js, js):
             if not prev < j < n:
@@ -100,11 +89,10 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
                     f"up[{i}] does not ascend strictly in 0..{n - 1}")
             if i == j:
                 raise CycleDetected(f"self-cover at element {i}")
-            down[j].append(i)
+            indeg[j] += 1
 
     # Kahn's algorithm, ranking longest paths on the way: w joins the
     # order after all its lower covers; leftover nodes witness a cycle
-    indeg = [len(d) for d in down]
     order = [i for i in range(n) if indeg[i] == 0]
     sources = len(order)
     ranks = [0] * n
@@ -133,10 +121,8 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
     if up_labels is not None:
         up_labels = tuple(map(tuple, up_labels))
         _check_aligned(up, up_labels)
-    return Poset(elements=elements, up=up,
-                 down=tuple(map(tuple, down)),
-                 ranks=tuple(ranks), bottom=bottom, top=top,
-                 up_labels=up_labels)
+    return Poset(elements=elements, up=up, ranks=tuple(ranks),
+                 bottom=bottom, top=top, up_labels=up_labels)
 
 
 def _check_aligned(up: tuple, up_labels) -> None:
@@ -152,23 +138,31 @@ def _check_aligned(up: tuple, up_labels) -> None:
                 if len(labs) < len(his) else f"extra labels at {lo}")
 
 
+def _interval(p: Poset, x: int, y: int) -> set[int]:
+    """The elements of [x, y]; raises NotComparable when x is not below
+    y.  The up-set of x no higher than y, scanned by falling rank, keeps
+    y and each element with an upper cover kept."""
+    above = p._walk(x, p.ranks[y] - p.ranks[x])
+    if y not in above:
+        raise NotComparable(f"{x} is not below {y}")
+    inside = {y}
+    for v in sorted(above, key=p.ranks.__getitem__, reverse=True):
+        if not inside.isdisjoint(p.up[v]):
+            inside.add(v)
+    return inside
+
+
 def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list[tuple[int, ...]]:
     """All saturated chains from x to y, in lexicographic index order.
 
     Defaults to the full interval [bottom, top].  Raises NotComparable
-    when x is not below y.  Below a proper upper end y the walk keeps to
-    the down-set of y, found once; every element lies below the top, so
-    a walk up to the top tests no order relation.
+    when x is not below y.  The walk keeps to [x, y], found once.
     """
     if x is None:
         x = p.bottom
     if y is None:
         y = p.top
-    inside = None
-    if y != p.top:
-        inside = p._walk(y, p.down, p.ranks[y] - p.ranks[x])
-        if x not in inside:
-            raise NotComparable(f"{x} is not below {y}")
+    inside = _interval(p, x, y)
     out: list[tuple[int, ...]] = []
     path = [x]
 
@@ -177,7 +171,7 @@ def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list
             out.append(tuple(path))
             return
         for w in p.up[v]:
-            if inside is None or w in inside:
+            if w in inside:
                 path.append(w)
                 walk(w)
                 path.pop()
@@ -198,16 +192,12 @@ def mobius(p: Poset, x: int, y: int) -> int:
     met on those walks, about the comparable pairs of the interval times
     the up-degree.  Nothing is cached on the poset.
     """
-    levels = p.ranks[y] - p.ranks[x]
-    above_x = p._walk(x, p.up, levels)
-    if y not in above_x:
-        raise NotComparable(f"{x} is not below {y}")
-    interval = above_x & p._walk(y, p.down, levels)
     mu: dict[int, int] = {}
-    for z in sorted(interval, key=p.ranks.__getitem__, reverse=True):
+    for z in sorted(_interval(p, x, y), key=p.ranks.__getitem__,
+                    reverse=True):
         # mu holds exactly the elements of [x, y] ranked above z
         mu[z] = 1 if z == y else -sum(
-            mu.get(v, 0) for v in p._walk(z, p.up, p.ranks[y] - p.ranks[z]))
+            mu.get(v, 0) for v in p._walk(z, p.ranks[y] - p.ranks[z]))
     return mu[x]
 
 

@@ -9,12 +9,15 @@ merges by re-sorting the blocks, the whole poset from element keys, and
 the indexed sphere counts from math.comb, the EL property by
 enumerating the maximal chains of every interval, the JSON and DOT
 texts of a poset through a document of dicts or one escape per edge,
-an element's text by joining every set afresh, and the decreasing
-chains by filtering every maximal chain.
+an element's text by joining every set afresh, the decreasing
+chains by filtering every maximal chain, and the first-difference law
+of verify_label_structure by the label words of every interval's
+maximal chains.
 They are slow and only fit tiny inputs, which is the point.
 
 The fixtures build posets the package has no use for: from cover pairs,
 of element keys or of indices, and the plain partition lattice.  The
+order helpers leq and up_set walk the covers up from an element.  The
 helpers that close the file serve only tests: a strictly increasing
 word test, the count of chains per top label index, and every reduced
 Betti number of a complex, the dense oracle of betti.
@@ -27,7 +30,8 @@ from math import comb
 import pytest
 
 from vpshell import (ELReport, ShellingReport, UnknownElement,
-                     VectorPartition, cover_label, enumerate_elements,
+                     VectorPartition, atom_word, cover_label,
+                     enumerate_elements, first_word_difference,
                      is_weakly_decreasing, maximal_chains, set_partitions,
                      vector_partition_poset)
 from vpshell.complexes import _boundary_rank
@@ -79,6 +83,24 @@ def set_partition_lattice(n):
     return poset_from_pairs(elements, labels)
 
 
+def leq(p, x, y):
+    """Whether x <= y in p: p is graded, so exactly when y is among the
+    elements reached from x by ranks(y) - ranks(x) steps up the covers."""
+    level = {x}
+    for _ in range(p.ranks[y] - p.ranks[x]):
+        level = {w for v in level for w in p.up[v]}
+    return y in level
+
+
+def up_set(p, x):
+    """Sorted indices of the elements above x, x included."""
+    seen = level = {x}
+    while level:
+        level = {w for v in level for w in p.up[v]}
+        seen |= level
+    return sorted(seen)
+
+
 def label_map(p, up_labels=None):
     """up_labels, by default p.up_labels, as a mapping (lo, hi) -> label."""
     return {(lo, hi): label for lo, (his, labs)
@@ -112,7 +134,7 @@ def chains_by_powerset(p, x=None, y=None):
     if y is None:
         y = p.top
     inside = [t for t in range(len(p.elements))
-              if p.leq(x, t) and p.leq(t, y)]
+              if leq(p, x, t) and leq(p, t, y)]
     assert len(inside) <= 18, "powerset oracle got an oversized interval"
     found = []
     for r in range(1, len(inside) + 1):
@@ -120,7 +142,7 @@ def chains_by_powerset(p, x=None, y=None):
             if x not in sub or y not in sub:
                 continue
             chain = sorted(sub, key=lambda t: p.ranks[t])
-            if any(not p.leq(a, b) for a, b in zip(chain, chain[1:])):
+            if any(not leq(p, a, b) for a, b in zip(chain, chain[1:])):
                 continue
             # saturated: consecutive ranks
             if any(p.ranks[b] - p.ranks[a] != 1
@@ -139,7 +161,7 @@ def hall_mobius(p, x, y):
     if x == y:
         return 1
     inside = sorted((t for t in range(len(p.elements))
-                     if p.leq(x, t) and p.leq(t, y)),
+                     if leq(p, x, t) and leq(p, t, y)),
                     key=lambda t: p.ranks[t])
     # signed[t]: alternating-sum contribution of chains from x to t
     signed = {x: -1}
@@ -147,7 +169,7 @@ def hall_mobius(p, x, y):
         if t == x:
             continue
         signed[t] = -sum(signed[u] for u in inside
-                         if u in signed and u != t and p.leq(u, t))
+                         if u in signed and u != t and leq(p, u, t))
     return -signed[y]
 
 
@@ -230,7 +252,7 @@ def el_by_chain_enumeration(p, labels):
     chain of every interval [x, y], scanning pairs in ascending index
     order, and compare the words.  Exponential in the rank."""
     for x in range(len(p.elements)):
-        for y in p.up_set(x):
+        for y in up_set(p, x):
             if y == x:
                 continue
             words = [tuple(labels[e] for e in zip(c, c[1:]))
@@ -245,6 +267,33 @@ def el_by_chain_enumeration(p, labels):
                 return ELReport(False, (x, y,
                                 "increasing chain is not lexicographically first"))
     return ELReport(True)
+
+
+def first_difference_failures_by_chains(p, up_labels):
+    """verify_label_structure's condition (5) by the definition: for each
+    non-bottom x, ascending, and each y above it, ascending, whose atom
+    word differs, list the label word of every maximal chain of [x, y]
+    and report the interval once if a word does not carry the first
+    difference exactly once or carries a label below it.  Capped at
+    five, as verify_label_structure caps each condition."""
+    els, lab = p.elements, label_map(p, up_labels)
+    n, s = els[p.top].n, els[p.top].s
+    bad = []
+    for x in range(len(els)):
+        if els[x].is_bottom:
+            continue
+        for y in up_set(p, x):
+            wx, wy = atom_word(els[x]), atom_word(els[y])
+            if wx == wy:
+                continue
+            first = first_word_difference(wx, wy, n, s)
+            for c in maximal_chains(p, x, y):
+                word = [lab[e] for e in zip(c, c[1:])]
+                if word.count(first) != 1 or min(word) < first:
+                    bad.append(f"interval [{els[x]}, {els[y]}] has a chain "
+                               f"violating the first-difference law {first}")
+                    break
+    return bad[:5]
 
 
 def merge_blocks_by_sorting(v, a, b):

@@ -26,7 +26,8 @@ from vpshell import (
     verify_label_structure,
     verify_shelling,
 )
-from conftest import (build_poset, el_by_chain_enumeration, is_increasing,
+from conftest import (aligned_labels, build_poset, el_by_chain_enumeration,
+                      first_difference_failures_by_chains, is_increasing,
                       label_map, poset_from_pairs, set_partition_lattice,
                       shelling_by_intersections, shelling_order_by_pairs)
 
@@ -154,7 +155,7 @@ def test_verify_el_small_posets(p2s1, p3s1, p2s2, p3s2):
 def test_verify_el_flags_bad_labeling():
     # labeling a diamond with equal labels on both chains: two increasing
     p = build_poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    rep = verify_el(p, dict.fromkeys(p.covers, 1))
+    rep = verify_el(p, tuple((1,) * len(his) for his in p.up))
     assert not rep.ok
     assert "increasing" in rep.counterexample[2]
 
@@ -169,7 +170,7 @@ def test_verify_el_reports_the_least_failing_index():
     labels = {(i["0"], i["a"]): 2, (i["a"], i["t"]): 1,
               (i["0"], i["b"]): 3, (i["b"], i["t"]): 4,
               (i["t"], i["1"]): 5}
-    rep = verify_el(p, labels)
+    rep = verify_el(p, aligned_labels(p, labels))
     assert rep.counterexample == (
         0, 1, "increasing chain is not lexicographically first")
     assert rep == el_by_chain_enumeration(p, labels)
@@ -204,7 +205,8 @@ def test_verify_el_matches_chain_enumeration_oracle(data):
         for _ in range(data.draw(st.integers(0, 3), label="moved")):
             labels[data.draw(st.sampled_from(covers))] = \
                 data.draw(st.sampled_from(values))
-    assert verify_el(p, labels) == el_by_chain_enumeration(p, labels)
+    assert verify_el(p, aligned_labels(p, labels)) == \
+        el_by_chain_enumeration(p, labels)
 
 
 @pytest.mark.parametrize("n, s, swapped, merged", [
@@ -243,26 +245,28 @@ def test_unlabeled_poset_without_labels_is_refused(check):
 @pytest.mark.parametrize("check", [verify_el, verify_label_structure,
                                    lex_shelling_order])
 def test_labels_missing_a_cover_are_refused(check, p3s1):
-    # the least missing cover is named, whichever the check reads first
-    covers = p3s1.covers
-    labels = label_map(p3s1)
-    del labels[covers[20]], labels[covers[-1]]
+    # rows cut short before covers[20] and before the last cover: the
+    # least missing cover is named, whichever the check reads first
+    covers, rows = p3s1.covers, list(p3s1.up_labels)
     lo, hi = covers[20]
+    rows[lo] = rows[lo][:p3s1.up[lo].index(hi)]
+    rows[covers[-1][0]] = rows[covers[-1][0]][:-1]
     with pytest.raises(MissingLabels,
                        match=rf"^cover \({lo}, {hi}\) has no edge label$"):
-        check(p3s1, labels)
+        check(p3s1, tuple(rows))
 
 
 @pytest.mark.parametrize("fixture", ["p3s1", "p2s2", "p3s2", "p4s1"])
-def test_a_mapping_reads_as_the_labels_the_poset_carries(fixture, request):
-    # labels=None reads p.up_labels; the same labels as a mapping, read
-    # once into that form, give the same results, honest or sabotaged
+def test_given_labels_read_as_the_labels_the_poset_carries(fixture, request):
+    # labels=None reads p.up_labels; the same rows given explicitly, to
+    # the poset that carries them or to one that carries others, give
+    # the same results, honest or sabotaged
     from dataclasses import replace
-    from conftest import aligned_labels
     p = request.getfixturevalue(fixture)
-    for labels in (label_map(p), sabotaged_label_map(p, "min-merge-label"),
+    for labels in (aligned_labels(p, label_map(p)),
+                   sabotaged_label_map(p, "min-merge-label"),
                    sabotaged_label_map(p, "swap-bottom-labels")):
-        q = replace(p, up_labels=aligned_labels(p, labels))
+        q = replace(p, up_labels=labels)
         for check in (verify_el, verify_label_structure, lex_shelling_order):
             assert check(q) == check(q, labels) == check(p, labels)
     assert not verify_el(q).ok
@@ -279,7 +283,7 @@ def test_default_labels_are_read_not_recomputed(monkeypatch):
     p = vector_partition_poset(3, 2)
     assert verify_el(p).ok
     assert not any(verify_label_structure(p).values())
-    assert sabotaged_label_map(p, "drop-tie-break") == label_map(p)
+    assert sabotaged_label_map(p, "drop-tie-break") == p.up_labels
 
 
 def test_verify_label_structure_clean(p3s1, p2s2):
@@ -290,8 +294,8 @@ def test_verify_label_structure_clean(p3s1, p2s2):
 
 def test_verify_label_structure_sees_defects(p3s1):
     # corrupt one atom-changing edge so j names the lower entry instead
-    # of the upper one; conditions (3) and (5) must both object
-    from vpshell import atom_word
+    # of the upper one; conditions (3) and (5) must both object, and (5)
+    # report what the chain-enumerating oracle reports
     p = p3s1
     lab = label_map(p)
     for (lo, hi), (k, i, j) in sorted(lab.items()):
@@ -300,8 +304,31 @@ def test_verify_label_structure_sees_defects(p3s1):
             pos = (i - 1) * x.n + (k - 1)
             lab[(lo, hi)] = (k, i, atom_word(x)[pos])
             break
-    bad = verify_label_structure(p, lab)
+    rows = aligned_labels(p, lab)
+    bad = verify_label_structure(p, rows)
     assert bad[3] and bad[5]
+    assert bad[5] == first_difference_failures_by_chains(p, rows)
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (3, 2), (5, 1), (4, 2),
+                                  (3, 3)])
+def test_first_difference_law_matches_chain_enumeration(n, s):
+    # honest labels pass; lowering the label of every atom-changing
+    # cover with j > 1 gives more failures than the cap, reported in
+    # the same (x, y) order as enumerating each interval's chains
+    p = vector_partition_poset(n, s)
+    assert verify_label_structure(p)[5] == [] == \
+        first_difference_failures_by_chains(p, p.up_labels)
+    if (n, s) in ((3, 1), (3, 2)):
+        words = [None if e.is_bottom else atom_word(e) for e in p.elements]
+        rows = tuple(tuple(
+            (k, i, j - 1) if lo != p.bottom and j > 1
+            and words[lo] != words[hi] else (k, i, j)
+            for hi, (k, i, j) in zip(his, labs))
+            for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)))
+        bad = verify_label_structure(p, rows)[5]
+        assert len(bad) == 5
+        assert bad == first_difference_failures_by_chains(p, rows)
 
 
 def test_lex_shelling_order_words_are_sorted(p3s1):
@@ -319,11 +346,11 @@ def test_lex_shelling_order_matches_pair_sort(fixture, request):
     # order, as sorting (word, chain) pairs does, under the honest labels
     # and under each label sabotage
     p = request.getfixturevalue(fixture)
-    for labels in (label_map(p),
+    for labels in (p.up_labels,
                    sabotaged_label_map(p, "swap-bottom-labels"),
                    sabotaged_label_map(p, "min-merge-label")):
         assert lex_shelling_order(p, labels) == \
-            [f for _, f in shelling_order_by_pairs(p, labels)]
+            [f for _, f in shelling_order_by_pairs(p, label_map(p, labels))]
     first = {}
     for word, f in shelling_order_by_pairs(p, label_map(p)):
         first.setdefault(word, f)
@@ -335,7 +362,7 @@ def test_sabotaged_orders_at_n_1_are_empty():
     # height 1: no facet to order, one atom, no tie to drop
     p = vector_partition_poset(1, 1)
     assert sabotaged_shelling_order(p, "drop-tie-break") == []
-    assert sabotaged_label_map(p, "swap-bottom-labels") == label_map(p)
+    assert sabotaged_label_map(p, "swap-bottom-labels") == p.up_labels
 
 
 def test_lex_shelling_two_atom_case(p2s1):
@@ -409,7 +436,7 @@ def test_sabotages_are_detected(p3s1):
 
 def test_sabotage_swap_bottom_changes_two_edges(p3s1):
     honest = label_map(p3s1)
-    swapped = sabotaged_label_map(p3s1, "swap-bottom-labels")
+    swapped = label_map(p3s1, sabotaged_label_map(p3s1, "swap-bottom-labels"))
     diff = {e for e in honest if honest[e] != swapped[e]}
     assert len(diff) == 2
     assert all(e[0] == p3s1.bottom for e in diff)

@@ -33,9 +33,9 @@ from vpshell import (
     vecpart,
     vector_partition_poset,
 )
-from conftest import (format_element_by_joins, merge_blocks_by_sorting,
+from conftest import (format_element_by_joins, leq, merge_blocks_by_sorting,
                       poset_from_element_covers, set_partition_lattice,
-                      sorted_word_rank)
+                      sorted_word_rank, up_set)
 
 ORACLE_SIZES = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 1), (3, 3),
                 (4, 2)]
@@ -162,10 +162,13 @@ def test_labels_born_with_covers_match_cover_label(n, s):
 @pytest.mark.parametrize("n,s", [(1, 1), (3, 2), (4, 1)])
 def test_poset_holds_no_mapping(n, s):
     # the covers and their labels are tuples aligned with one another,
-    # not a second record of the covers keyed by (lo, hi)
+    # held once: no record of the covers keyed by (lo, hi), none of the
+    # lower covers beside up
     from collections.abc import Mapping
     from dataclasses import fields
     p = vector_partition_poset(n, s)
+    assert [f.name for f in fields(p)] == [
+        "elements", "up", "ranks", "bottom", "top", "up_labels"]
     for f in fields(p):
         value = getattr(p, f.name)
         assert not isinstance(value, Mapping), f.name
@@ -214,7 +217,7 @@ def test_single_ground_element_gives_two_chain():
         assert len(els) == 2
         assert els[0].is_bottom and els[1] == top_element(1, s)
         p = vector_partition_poset(1, s)
-        assert len(p.elements) == 2 and p.leq(p.bottom, p.top)
+        assert len(p.elements) == 2 and leq(p, p.bottom, p.top)
 
 
 def test_enumerate_budget():
@@ -348,7 +351,7 @@ def test_same_atom_interval_is_partition_lattice():
     lat = set_partition_lattice(n)
     atom = next(t for t in p.up[p.bottom]
                 if atom_word(p.elements[t]) == tuple(range(1, n + 1)) * s)
-    inside = sorted([t for t in p.up_set(atom) if p.leq(t, p.top)],
+    inside = sorted([t for t in up_set(p, atom) if leq(p, t, p.top)],
                     key=lambda t: (p.ranks[t], p.elements[t].sort_key))
     assert len(inside) == len(lat.elements)
 
@@ -359,23 +362,23 @@ def test_same_atom_interval_is_partition_lattice():
     match = {t: index[blocks_of(t)] for t in inside}
     for a in inside:
         for b in inside:
-            assert p.leq(a, b) == lat.leq(match[a], match[b])
+            assert leq(p, a, b) == leq(lat, match[a], match[b])
 
 
 def _projection_matches(p, lat, x, y):
     # dropping labels must map [x, y] order-isomorphically onto the
     # partition-lattice interval between the underlying partitions
     index = {k: t for t, k in enumerate(lat.elements)}
-    inside = [t for t in p.up_set(x) if p.leq(t, y)]
+    inside = [t for t in up_set(p, x) if leq(p, t, y)]
     image = [index[p.elements[t].blocks] for t in inside]
     assert len(set(image)) == len(inside)
     lx = index[p.elements[x].blocks]
     ly = index[p.elements[y].blocks]
-    want = [t for t in lat.up_set(lx) if lat.leq(t, ly)]
+    want = [t for t in up_set(lat, lx) if leq(lat, t, ly)]
     assert sorted(image) == want
     for a, qa in zip(inside, image):
         for b, qb in zip(inside, image):
-            assert p.leq(a, b) == lat.leq(qa, qb)
+            assert leq(p, a, b) == leq(lat, qa, qb)
 
 
 def test_every_interval_projects_onto_partition_lattice():
@@ -386,7 +389,7 @@ def test_every_interval_projects_onto_partition_lattice():
             if x == p.bottom:
                 continue
             for y in range(len(p.elements)):
-                if p.leq(x, y):
+                if leq(p, x, y):
                     _projection_matches(p, lat, x, y)
 
 
