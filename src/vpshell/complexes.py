@@ -9,7 +9,6 @@ agree with the ranks over any field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .poset import Poset, maximal_chains
@@ -30,23 +29,18 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self.facets
 
-    @cached_property
+    @property
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
 
-    @cached_property
-    def faces_by_dim(self) -> dict:
-        """dim -> sorted list of faces, downward closure."""
-        seen: dict[int, set] = {}
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                seen.setdefault(k - 1, set()).update(combinations(f, k))
-        return {d: sorted(faces) for d, faces in seen.items()}
+    def faces(self, d: int) -> set:
+        """The d-faces, made afresh on each call: nothing is cached.  The
+        one (-1)-face of a non-empty complex is the empty face."""
+        return {face for f in self.facets for face in combinations(f, d + 1)}
 
     def f_vector(self) -> tuple:
         """(f_0, ..., f_dim); empty tuple for the empty complex."""
-        fb = self.faces_by_dim
-        return tuple(len(fb[d]) for d in range(self.dim + 1)) if fb else ()
+        return tuple(len(self.faces(d)) for d in range(self.dim + 1))
 
 
 def simplicial_complex(facets) -> SimplicialComplex:
@@ -84,49 +78,34 @@ def reduced_euler_characteristic(c: SimplicialComplex) -> int:
     return sum((-1) ** d * f for d, f in enumerate(c.f_vector())) - 1
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    """Rank of a GF(2) matrix whose rows are bitmask integers."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                rank += 1
+def _boundary_rank(faces) -> int:
+    """GF(2) rank of the reduced boundary map on faces, all of one size.
+
+    Each face a vertex smaller gets the next bit when first met, so no
+    lower face is listed or sorted; a vertex's boundary is the empty
+    face, the augmentation.  Columns are reduced in falling face order,
+    each pivoting on its highest bit."""
+    bits, pivots = {}, {}
+    for face in sorted(faces, reverse=True):
+        column = sum(1 << bits.setdefault(sub, len(bits))
+                     for sub in combinations(face, len(face) - 1))
+        while column:
+            lead = column.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = column
                 break
-    return rank
-
-
-def _boundary_rank(c: SimplicialComplex, d: int) -> int:
-    """Rank of the d-th reduced boundary map, from d-faces to (d-1)-faces.
-
-    The reduced complex augments with the empty face, so the 0-th map is
-    the all-ones augmentation (rank 1 whenever a vertex exists); above
-    c.dim there are no faces and the rank is 0.
-    """
-    if d > c.dim:
-        return 0
-    if d == 0:
-        return 1
-    fb = c.faces_by_dim
-    idx = {face: i for i, face in enumerate(fb[d - 1])}
-    # a column sums the distinct bits of the d + 1 faces in its boundary
-    return _gf2_rank([sum(1 << idx[sub] for sub in combinations(face, d))
-                      for face in fb[d]])
+            column ^= pivots[lead]
+    return len(pivots)
 
 
 def betti(c: SimplicialComplex, d: int) -> int:
-    """Reduced Betti number over GF(2) in dimension d >= 0; it reads only
-    the two boundary maps at d and d + 1."""
+    """Reduced Betti number over GF(2) in dimension d >= 0, read off the
+    (d + 1)-faces and then the d-faces, never both sets at once."""
     if d < 0:
         raise ValueError("betti is defined here for dimensions >= 0")
-    if d > c.dim:
-        return 0
-    return (len(c.faces_by_dim[d]) - _boundary_rank(c, d)
-            - _boundary_rank(c, d + 1))
+    upper = _boundary_rank(c.faces(d + 1))
+    faces = c.faces(d)
+    return len(faces) - _boundary_rank(faces) - upper
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import groupby, islice
 
 from .errors import MissingLabels, NotACover, NotSaturated
 from .poset import Poset, _check_aligned, maximal_chains
@@ -237,26 +237,27 @@ def verify_label_structure(p: Poset,
     for a, lbl in zip(p.up[p.bottom], lab[p.bottom]):
         climb(a, lbl)
 
-    for (lo, hi), (k, i, j) in zip(p.covers, chain.from_iterable(lab)):
+    for lo, (his, labs) in enumerate(zip(p.up, lab)):
         if lo == p.bottom:
             continue
-        if not words[hi] <= words[lo]:
-            if len(bad[1]) < _REPORTED:
-                bad[1].append(f"{els[lo]} <. {els[hi]} but atom words rise")
-        if words[lo] == words[hi]:
-            continue
-        pos = (i - 1) * n + (k - 1)
-        if not (words[lo][pos] > j and words[hi][pos] == j):
-            if len(bad[3]) < _REPORTED:
-                bad[3].append(f"label ({k},{i},{j}) on {els[lo]} <. "
-                              f"{els[hi]} fails the entry comparison")
         x = els[lo]
-        ka = next(t for t, blk in enumerate(x.blocks) if k in blk)
-        kb = next(t for t in range(x.num_blocks) if j in x.labels[i - 1][t])
-        if ka == kb or merge_blocks(x, ka, kb) != els[hi]:
-            if len(bad[4]) < _REPORTED:
-                bad[4].append(f"label ({k},{i},{j}) on {els[lo]} <. "
-                              f"{els[hi]} does not name the merged blocks")
+        for hi, (k, i, j) in zip(his, labs):
+            if not words[hi] <= words[lo]:
+                if len(bad[1]) < _REPORTED:
+                    bad[1].append(f"{x} <. {els[hi]} but atom words rise")
+            if words[lo] == words[hi]:
+                continue
+            pos = (i - 1) * n + (k - 1)
+            if not (words[lo][pos] > j and words[hi][pos] == j):
+                if len(bad[3]) < _REPORTED:
+                    bad[3].append(f"label ({k},{i},{j}) on {x} <. "
+                                  f"{els[hi]} fails the entry comparison")
+            ka = next(t for t, blk in enumerate(x.blocks) if k in blk)
+            kb = next(t for t, js in enumerate(x.labels[i - 1]) if j in js)
+            if ka == kb or merge_blocks(x, ka, kb) != els[hi]:
+                if len(bad[4]) < _REPORTED:
+                    bad[4].append(f"label ({k},{i},{j}) on {x} <. "
+                                  f"{els[hi]} does not name the merged blocks")
 
     bad[5] = [f"interval [{els[x]}, {els[y]}] has a chain violating the "
               f"first-difference law {first}" for x, y, first in islice(

@@ -223,17 +223,21 @@ def set_partitions(n: int) -> list[tuple]:
 
 
 def element_count(n: int, s: int) -> int:
-    """|poset|, bottom included, computed without enumeration in O(n^2).
+    """|poset|, bottom included, computed without enumeration in O(n^2)."""
+    return 1 + list(_element_counts(n, s))[-1]
 
-    E_m counts the elements over {1..m}: the block holding 1 has some
-    size j, picked in C(m-1, j-1) ways, each of its s labels in C(m, j)
-    ways, and the rest is an element over the m - j entries left.
-    """
+
+def _element_counts(n: int, s: int):
+    """E_0, ..., E_n, where E_m counts the elements over {1..m}, bottom
+    left out: the block holding 1 has some size j, picked in C(m-1, j-1)
+    ways, each of its s labels in C(m, j) ways, and the rest is an
+    element over the m - j entries left.  E_m never falls as m rises."""
     e = [1]
+    yield 1
     for m in range(1, n + 1):
         e.append(sum(comb(m - 1, j - 1) * comb(m, j) ** s * e[m - j]
                      for j in range(1, m + 1)))
-    return 1 + e[n]
+        yield e[m]
 
 
 def maximal_chain_count(n: int, s: int) -> int:
@@ -258,15 +262,17 @@ def _label_assignments(sizes: tuple, universe: tuple):
 def enumerate_elements(n: int, s: int,
                        max_elements: int | None = None) -> list[VectorPartition]:
     """Every element including the bottom and the top, canonically ordered
-    by (rank, blocks, labels).  Raises ResourceLimit when the arithmetic
-    element count exceeds max_elements.  They are generated in that
-    order: the partitions come in (rank, blocks) order, and the product
-    of lex-ordered label assignments, one list per block sizes, is lex
-    ordered."""
-    count = element_count(n, s)
-    if max_elements is not None and count > max_elements:
-        raise ResourceLimit(
-            f"poset has {count} elements, budget is {max_elements}")
+    by (rank, blocks, labels), and generated in that order: the
+    partitions come in (rank, blocks) order, and the product of
+    lex-ordered label assignments, one list per block sizes, is lex
+    ordered.  Raises ResourceLimit before any is made, at the first
+    m <= n whose 1 + E_m (see _element_counts) exceeds max_elements."""
+    if max_elements is not None:
+        for m, e in enumerate(_element_counts(n, s)):
+            if 1 + e > max_elements:  # and so is 1 + E_n >= 1 + E_m
+                raise ResourceLimit(
+                    f"poset has {'' if m == n else 'at least '}{1 + e} "
+                    f"elements, budget is {max_elements}")
     out = [bottom_element(n, s)]
     full = tuple(range(1, n + 1))
     by_sizes: dict = {}  # block sizes -> label tuples, lex order

@@ -34,7 +34,6 @@ from vpshell import (ELReport, ShellingReport, UnknownElement,
                      enumerate_elements, first_word_difference,
                      is_weakly_decreasing, maximal_chains, set_partitions,
                      vector_partition_poset)
-from vpshell.complexes import _boundary_rank
 from vpshell.poset import build_indexed_poset
 
 
@@ -409,9 +408,29 @@ def top_label_index_counts(chains):
 
 def reduced_betti_numbers(c):
     """(b_0, ..., b_dim) over GF(2); empty tuple for the empty complex.
-    Each boundary map is reduced once."""
-    ranks = [_boundary_rank(c, d) for d in range(c.dim + 2)]
-    return tuple(len(c.faces_by_dim[d]) - ranks[d] - ranks[d + 1]
+    The faces of each size are every vertex subset of every facet, the
+    empty face included.  Each boundary map is a dense matrix, a row per
+    face with one bit per sorted face a vertex smaller, reduced column by
+    column from the lowest bit."""
+    faces = {}
+    for f in c.facets:
+        for k in range(len(f) + 1):
+            faces.setdefault(k - 1, set()).update(combinations(f, k))
+
+    def rank(d):
+        index = {g: t for t, g in enumerate(sorted(faces.get(d - 1, ())))}
+        rows = [sum(1 << index[g] for g in combinations(f, d))
+                for f in faces.get(d, ())]
+        found = 0
+        for bit in range(len(index)):
+            hits = [row for row in rows if row >> bit & 1]
+            if hits:
+                rows = ([row for row in rows if not row >> bit & 1]
+                        + [row ^ hits[0] for row in hits[1:]])
+                found += 1
+        return found
+
+    return tuple(len(faces[d]) - rank(d) - rank(d + 1)
                  for d in range(c.dim + 1))
 
 

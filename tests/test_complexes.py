@@ -1,14 +1,17 @@
 """Simplicial complexes: Euler characteristic, GF(2) homology, shelling."""
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpshell import (
+    SimplicialComplex,
     betti,
     order_complex,
     reduced_euler_characteristic,
     simplicial_complex,
+    vector_partition_poset,
     verify_shelling,
 )
 from conftest import (facets_by_pairwise_containment, reduced_betti_numbers,
@@ -76,12 +79,46 @@ def test_betti_mixed_complex():
 
 
 def test_top_betti_reduces_only_the_top_map(monkeypatch, p4s1):
-    from vpshell import complexes
-    honest, calls = complexes._gf2_rank, []
-    monkeypatch.setattr(complexes, "_gf2_rank",
-                        lambda rows: calls.append(1) or honest(rows))
-    assert betti(order_complex(p4s1), 2) == 33
-    assert len(calls) == 1
+    c, read = order_complex(p4s1), []
+    honest = SimplicialComplex.faces
+    monkeypatch.setattr(SimplicialComplex, "faces",
+                        lambda self, d: read.append(d) or honest(self, d))
+    assert betti(c, 2) == 33
+    assert sorted(read) == [2, 3]
+
+
+def test_complex_holds_only_its_facets(p3s1):
+    c = order_complex(p3s1)
+    assert c.dim == 1 and c.f_vector() == (15, 18) and betti(c, 1) == 4
+    assert vars(c) == {"facets": c.facets}
+
+
+def test_top_betti_peak_memory(p4s2):
+    c = order_complex(p4s2)
+    tracemalloc.start()
+    try:
+        assert betti(c, 2) == 1899
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5),
+                min_size=1, max_size=10))
+def test_betti_matches_dense_oracle(sets):
+    facets = [f for f in sets if not any(f < g for g in sets)]
+    c = simplicial_complex(facets)
+    assert ([betti(c, d) for d in range(c.dim + 3)]
+            == list(reduced_betti_numbers(c)) + [0, 0])
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (2, 2), (3, 2), (3, 3)])
+def test_order_complex_betti_matches_dense_oracle(n, s):
+    c = order_complex(vector_partition_poset(n, s))
+    assert ([betti(c, d) for d in range(c.dim + 2)]
+            == list(reduced_betti_numbers(c)) + [0])
 
 
 def test_betti_rejects_negative_dimension():

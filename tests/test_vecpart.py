@@ -225,6 +225,26 @@ def test_enumerate_budget():
         enumerate_elements(9, 3, max_elements=1000)
 
 
+def test_element_budget_stops_at_the_first_count_over_it(monkeypatch):
+    # E_m never falls, so a budget below 1 + E_m refuses the poset at m;
+    # summing every term up to n = 1000 would call comb a million times
+    honest, calls = vecpart.comb, []
+
+    def counted(a, b):
+        calls.append(1)
+        assert len(calls) < 10_000, "the count was summed past the budget"
+        return honest(a, b)
+
+    monkeypatch.setattr(vecpart, "comb", counted)
+    with pytest.raises(ResourceLimit, match=r"^poset has at least \d+ "
+                       r"elements, budget is 1000000$"):
+        enumerate_elements(1000, 1, max_elements=10 ** 6)
+    with pytest.raises(ResourceLimit, match=r"^poset has 1614 elements, "
+                       r"budget is 1613$"):
+        enumerate_elements(4, 2, max_elements=1613)
+    assert len(enumerate_elements(4, 2, max_elements=1614)) == 1614
+
+
 def test_maximal_chain_count_formula(p3s1, p3s2):
     assert maximal_chain_count(3, 1) == 18 == len(maximal_chains(p3s1))
     assert maximal_chain_count(3, 2) == 108 == len(maximal_chains(p3s2))
