@@ -222,8 +222,8 @@ def poset_to_dot(p: Poset, up_labels: tuple | None = None) -> str:
 
 def _json_pieces(p: Poset, up_labels: tuple | None):
     """poset_to_json's text in pieces, so that a writer holds one piece
-    at a time: the head, the covers of each element that has any, each
-    element's key, and the tail.  MissingLabels comes before them all."""
+    at a time: the head, the covers of each element that has any, the
+    keys 256 at a time, and the tail.  MissingLabels comes first."""
     texts = _label_texts(p, up_labels, json.dumps)
     yield f'{{"bottom": {p.bottom}, "covers": ['
     sep = ""
@@ -235,8 +235,9 @@ def _json_pieces(p: Poset, up_labels: tuple | None):
                  for hi, text in zip(his, texts(lo))])
             sep = ", "
     yield '], "elements": ['
-    for i, k in enumerate(p.elements):
-        yield (", " if i else "") + json.dumps(str(k))
+    for i in range(0, len(p.elements), 256):  # one json.dumps per chunk
+        yield (", " if i else "") + json.dumps(
+            [str(k) for k in p.elements[i:i + 256]])[1:-1]
     yield f'], "top": {p.top}}}'
 
 

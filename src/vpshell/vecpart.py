@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import itemgetter
 
 from .errors import (BottomHasNoAtom, DimensionMismatch, EqualWords,
                      InvalidPartition, MalformedWord, ResourceLimit,
@@ -302,81 +303,94 @@ def vector_partition_poset(n: int, s: int,
     * merging blocks I, J changes the atom word: its first difference;
     * merging blocks I, J keeps the atom word: (n, max(I u J), 0).
 
-    Each non-bottom element is keyed by its block records (see
-    _block_record), one packed int per block in block order.  Merging
-    blocks a < b ORs their records into position a, so the upper cover
-    is found by splicing the key: no element is built or compared per
-    cover.  A merge changes the atom word at the entries of I u J alone,
-    so its label depends on the two records only and is computed once
-    per pair of records (_merge_label).  Equal labels share one tuple:
-    far fewer distinct labels occur than covers.
+    The covers are made one set partition P at a time: P's elements are
+    one run of the element list, and merging blocks a < b sends it into
+    the merged partition's run as _merge_map says for P's block sizes, a
+    and b.  Distinct merges give disjoint runs, so P's rows are its merge
+    columns read across in run order, ascending, holding the one int of
+    each index: nothing is sorted or looked up per element.  Per
+    labeling, a merge's first change depends on the orders of I + J and
+    of the two labels alone; the least of the s labels is the cover's.
+    Equal labels are one shared tuple.
     """
     elements = enumerate_elements(n, s, max_elements=max_elements)
-    records: dict = {}  # (block, label_1, ..., label_s) -> its record
-    keys = [None] + [tuple([records.get(col) or records.setdefault(
-        col, _block_record(n, col)) for col in zip(v.blocks, *v.labels)])
-        for v in elements[1:]]  # a record is never 0: blocks are not empty
-    index = {key: t for t, key in enumerate(keys)}
-    atoms = range(1, 1 + factorial(n) ** s)  # they follow the bottom
+    ints = list(range(len(elements)))  # one int per index, for every row
+    bits = {c: sum(1 << k for k in c) for r in range(1, n + 1)
+            for c in combinations(range(1, n + 1), r)}
+    runs = {}  # set partition -> (its run of indices, its block sizes)
+    assigned = {}  # block sizes -> label assignments, as bitmasks, lex order
+    offset = 1
+    for blocks in set_partitions(n):
+        sizes = tuple(map(len, blocks))
+        count = factorial(n) // prod(map(factorial, sizes))
+        run, offset = ints[offset:offset + count ** s], offset + count ** s
+        if sizes not in assigned:  # the first labeling steps through them
+            assigned[sizes] = [tuple(map(bits.get, elements[t].labels[0]))
+                               for t in run[::len(run) // count]]
+        runs[blocks] = (run, sizes)
+    rank_of = {t: r for labs in assigned.values() for r, t in enumerate(labs)}
+    sets = {m: c for c, m in bits.items()}
+    # labels[k][j][h]: labeling h+1 changes entry k to j, or none (j = 0)
+    labels = [[((n, k, 0),) * s if j == 0 else tuple(
+        [(k, h, j) for h in range(1, s + 1)]) for j in range(n + 1)]
+        for k in range(n + 1)]
+    atoms = ints[1:1 + factorial(n) ** s]  # they follow the bottom
     up = [tuple(atoms)]
     up_labels = [tuple([(n - 1, s + t, 0) for t in atoms])]
-    memo: dict = {}
-    shared: dict = {}
-    for key, v in zip(keys[1:], elements[1:]):
-        m = len(key)
-        covers = []
-        for a in range(m):
-            ra, head = key[a], key[:a]
-            for b in range(a + 1, m):
-                rb = key[b]
-                lbl = memo.get((ra, rb))
-                if lbl is None:
-                    lbl = _merge_label(v, a, b)
-                    lbl = memo[(ra, rb)] = shared.setdefault(lbl, lbl)
-                covers.append(
-                    (index[head + (ra | rb,) + key[a + 1:b] + key[b + 1:]],
-                     lbl))
-        # by index: two merges never give one element, so no label is
-        # compared; only the top has no cover
-        his, labs = zip(*sorted(covers)) if covers else ((), ())
-        up.append(his)
-        up_labels.append(labs)
+    maps: dict = {}  # (sizes, a, b) -> _merge_map of them
+    changes: dict = {}  # (sizes, a, b, order of I + J) -> (p, j) per pair
+    for blocks, (_, sizes) in runs.items():
+        merges = []
+        for a, b in combinations(range(len(blocks)), 2):
+            q_run, q_sizes = runs[_merged(blocks, a, b)]
+            key = (sizes, a, b)
+            pick, pairs, which = maps.get(key) or maps.setdefault(
+                key, _merge_map(assigned[sizes], rank_of, sets, a, b,
+                                len(assigned[q_sizes]), ints, s))
+            order, merged = _sorting(blocks[a] + blocks[b])
+            # (p, j): entry p of I u J is the first whose label entry
+            # moves, from order[p] of L_I + L_J to j at label_order[p]
+            found = changes.get(key + (order,)) or changes.setdefault(
+                key + (order,), [next(((p, label[p]) for p, (c, d) in
+                                       enumerate(zip(order, label_order))
+                                       if c != d), (-1, 0))
+                                 for label_order, label in pairs])
+            column = None
+            for h in range(s):  # the least label wins
+                ys = list(map([labels[merged[p]][j][h] for p, j in found]
+                              .__getitem__, which))
+                column = ys if column is None else [
+                    x if x <= y else y for x in column for y in ys]
+            merges.append((q_run[0], pick(q_run), column))
+        merges.sort()
+        up += zip(*[his for _, his, _ in merges])
+        up_labels += zip(*[column for _, _, column in merges])
+    up.append(())  # the top, which comes last, has no cover
+    up_labels.append(())
     return build_indexed_poset(elements, up, up_labels)
 
 
-def _block_record(n: int, column) -> int:
-    """A block and its label sets, column = (block, label_1, ..., label_s),
-    packed into one int: bit k-1 is set when k is in the block, bit
-    i*n + j-1 when j is in label_i.  Merging two blocks ORs their
-    records, and the records of an element fix it."""
-    r = 0
-    for i, part in enumerate(column):
-        for k in part:
-            r |= 1 << (i * n + k - 1)
-    return r
+def _merge_map(labs, rank_of, sets, a, b, q_count, ints, s) -> tuple:
+    """What merging blocks a < b does to any run whose label assignments
+    are labs (bitmasks): an itemgetter taking from the merged run each
+    element's image, ranked by rank_of per labeling in mixed radix (a run
+    with a merge has two elements or more, so it gives a tuple); _sorting
+    of each distinct pair L_a + L_b; and the pair of each assignment."""
+    ranks = rho = [rank_of[t[:a] + (t[a] | t[b],) + t[a + 1:b] + t[b + 1:]]
+                   for t in labs]
+    for _ in range(s - 1):
+        ranks = [ints[x * q_count + y] for x in ranks for y in rho]
+    pairs: dict = {}
+    which = [pairs.setdefault((t[a], t[b]), len(pairs)) for t in labs]
+    return (itemgetter(*ranks),
+            [_sorting(sets[x] + sets[y]) for x, y in pairs], which)
 
 
-def _merge_label(v: VectorPartition, a: int, b: int) -> tuple:
-    """Label of the cover that merges blocks a and b of v: the first
-    difference of the two atom words, else (n, max(I u J), 0).
-
-    The words differ only at entries k of I u J.  Before the merge, k
-    takes the label entry at its position in its own block; after it,
-    the entry at its position in I u J, of the merged label.  Entries
-    are scanned k major, labeling minor, as first_word_difference does,
-    so the label depends on the two blocks and their labels alone.
-    """
-    old = {}
-    for c in (a, b):
-        for pos, k in enumerate(v.blocks[c]):
-            old[k] = [lab[c][pos] for lab in v.labels]
-    merged = sorted(v.blocks[a] + v.blocks[b])
-    new = [sorted(lab[a] + lab[b]) for lab in v.labels]
-    for pos, k in enumerate(merged):
-        for i, lab in enumerate(new):
-            if lab[pos] != old[k][i]:
-                return (k, i + 1, lab[pos])
-    return (v.n, merged[-1], 0)
+def _sorting(entries: tuple) -> tuple:
+    """order, with order[p] the position in entries of the p-th least,
+    and the entries sorted."""
+    return (tuple(sorted(range(len(entries)), key=entries.__getitem__)),
+            sorted(entries))
 
 
 # ── atom words ───────────────────────────────────────────────────────────

@@ -145,7 +145,7 @@ def test_merge_blocks_splice_matches_sorting_oracle(n, s):
             assert merge_blocks(v, a, b) == merge_blocks_by_sorting(v, a, b)
 
 
-@pytest.mark.parametrize("n,s", ORACLE_SIZES + [(5, 1), (2, 3)])
+@pytest.mark.parametrize("n,s", ORACLE_SIZES + [(5, 1), (2, 3), (3, 4)])
 def test_labels_born_with_covers_match_cover_label(n, s):
     # up_labels[i][k] labels the cover (i, up[i][k]), as cover_label does
     p = vector_partition_poset(n, s)
@@ -157,6 +157,14 @@ def test_labels_born_with_covers_match_cover_label(n, s):
     labels = [label for labs in p.up_labels for label in labs]
     assert len(labels) == len(p.covers)
     assert len({id(v) for v in labels}) == len(set(labels))  # shared
+
+
+@pytest.mark.parametrize("n,s", [(4, 2), (5, 1)])
+def test_rows_share_one_int_per_index(n, s):
+    # a row holds the int object of each index that every other row
+    # holds, not a fresh int per cover
+    p = vector_partition_poset(n, s)
+    assert len({id(i) for row in p.up for i in row}) <= len(p.elements)
 
 
 @pytest.mark.parametrize("n,s", [(1, 1), (3, 2), (4, 1)])
