@@ -36,14 +36,10 @@ DEFAULT_MAX_ELEMENTS = 10 ** 6
 DEFAULT_MAX_CHAINS = 10 ** 7
 
 
-class _BadInput(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad arguments; the contract here is 4
     def error(self, message):
-        raise _BadInput(message)
+        raise VpshellError(message)
 
 
 def _env_int(name: str, default: int) -> int:
@@ -53,7 +49,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _BadInput(f"{name} must be an integer, got {raw!r}")
+        raise VpshellError(f"{name} must be an integer, got {raw!r}")
 
 
 def _build_parser() -> _Parser:
@@ -100,7 +96,7 @@ def _parse(argv) -> argparse.Namespace:
     args = _build_parser().parse_args(argv)
     if args.s < 1 or getattr(args, "n", 1) < 1 \
             or getattr(args, "max_n", 1) < 1:
-        raise _BadInput("n, s, and max-n must be positive")
+        raise VpshellError("n, s, and max-n must be positive")
     if "max_elements" in args and args.max_elements is None:
         args.max_elements = _env_int("VPSHELL_MAX_ELEMENTS",
                                      DEFAULT_MAX_ELEMENTS)
@@ -108,7 +104,7 @@ def _parse(argv) -> argparse.Namespace:
         args.max_chains = _env_int("VPSHELL_MAX_CHAINS", DEFAULT_MAX_CHAINS)
     if min(getattr(args, "max_elements", 0),
            getattr(args, "max_chains", 0)) < 0:
-        raise _BadInput("a budget must not be negative")
+        raise VpshellError("a budget must not be negative")
     return args
 
 
@@ -126,7 +122,7 @@ def _emit(text, out: str | None) -> None:
     except OSError as exc:
         if out is None:
             raise
-        raise _BadInput(f"cannot write {out}: {exc.strerror}") from None
+        raise VpshellError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -220,9 +216,6 @@ def main(argv=None) -> int:
         args = _parse(argv)
         with _unlimited_int_digits():
             return _COMMANDS[args.command](args)
-    except _BadInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except ResourceLimit as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -273,7 +273,7 @@ def _first_difference_failures(p: Poset, lab: tuple, words: dict):
     label, times it occurs, capped at 2) over the maximal chains of
     [x, y], and the law holds exactly when they are only (first, 1)."""
     n, s = p.elements[p.top].n, p.elements[p.top].s
-    for x in sorted(words):
+    for x in words:
         least: dict[int, set] = {x: set()}  # for the level just done
         failures = []
         while least:

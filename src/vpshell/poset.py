@@ -138,17 +138,17 @@ def _check_aligned(up: tuple, up_labels) -> None:
                 if len(labs) < len(his) else f"extra labels at {lo}")
 
 
-def _interval(p: Poset, x: int, y: int) -> set[int]:
-    """The elements of [x, y]; raises NotComparable when x is not below
-    y.  The up-set of x no higher than y, scanned by falling rank, keeps
-    y and each element with an upper cover kept."""
+def _interval(p: Poset, x: int, y: int) -> dict[int, None]:
+    """The elements of [x, y] as dict keys in falling rank order, y first;
+    NotComparable unless x is below y.  Scanning the up-set of x by falling
+    rank keeps y and each element with an upper cover kept."""
     above = p._walk(x, p.ranks[y] - p.ranks[x])
     if y not in above:
         raise NotComparable(f"{x} is not below {y}")
-    inside = {y}
+    inside = {y: None}
     for v in sorted(above, key=p.ranks.__getitem__, reverse=True):
-        if not inside.isdisjoint(p.up[v]):
-            inside.add(v)
+        if not inside.keys().isdisjoint(p.up[v]):
+            inside[v] = None
     return inside
 
 
@@ -193,8 +193,7 @@ def mobius(p: Poset, x: int, y: int) -> int:
     the up-degree.  Nothing is cached on the poset.
     """
     mu: dict[int, int] = {}
-    for z in sorted(_interval(p, x, y), key=p.ranks.__getitem__,
-                    reverse=True):
+    for z in _interval(p, x, y):
         # mu holds exactly the elements of [x, y] ranked above z
         mu[z] = 1 if z == y else -sum(
             mu.get(v, 0) for v in p._walk(z, p.ranks[y] - p.ranks[z]))

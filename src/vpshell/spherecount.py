@@ -213,8 +213,8 @@ def _suffix_counts(a: int, s: int) -> tuple:
 @lru_cache(maxsize=None)
 def count_total(n: int, s: int) -> int:
     """All decreasing chains: 1 for n = 1, else the sum over top indices."""
-    if n < 1:
-        raise InvalidIndex("n must be at least 1")
+    if n < 1 or s < 1:
+        raise InvalidIndex("n and s must be at least 1")
     if n == 1:
         return 1
     for m in range(2, n):  # bottom-up, so a cold call does not nest n deep

@@ -13,13 +13,13 @@ an ascending tuple, labels aligned positionally with blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb, factorial, prod
+from itertools import combinations, groupby, islice, product
+from math import comb, factorial
 from operator import itemgetter
 
 from .errors import (BottomHasNoAtom, DimensionMismatch, EqualWords,
-                     InvalidPartition, MalformedWord, ResourceLimit,
-                     SizeMismatch)
+                     InvalidIndex, InvalidPartition, MalformedWord,
+                     ResourceLimit, SizeMismatch)
 from .poset import Poset, build_indexed_poset
 
 
@@ -233,6 +233,8 @@ def _element_counts(n: int, s: int):
     left out: the block holding 1 has some size j, picked in C(m-1, j-1)
     ways, each of its s labels in C(m, j) ways, and the rest is an
     element over the m - j entries left.  E_m never falls as m rises."""
+    if n < 1 or s < 1:
+        raise InvalidIndex("n and s must be at least 1")
     e = [1]
     yield 1
     for m in range(1, n + 1):
@@ -266,14 +268,14 @@ def enumerate_elements(n: int, s: int,
     by (rank, blocks, labels), and generated in that order: the
     partitions come in (rank, blocks) order, and the product of
     lex-ordered label assignments, one list per block sizes, is lex
-    ordered.  Raises ResourceLimit before any is made, at the first
-    m <= n whose 1 + E_m (see _element_counts) exceeds max_elements."""
-    if max_elements is not None:
-        for m, e in enumerate(_element_counts(n, s)):
-            if 1 + e > max_elements:  # and so is 1 + E_n >= 1 + E_m
-                raise ResourceLimit(
-                    f"poset has {'' if m == n else 'at least '}{1 + e} "
-                    f"elements, budget is {max_elements}")
+    ordered.  Raises InvalidIndex unless n, s >= 1, and ResourceLimit
+    before any element is made, at the first m <= n whose 1 + E_m (see
+    _element_counts) exceeds max_elements."""
+    for m, e in enumerate(_element_counts(n, s)):
+        if max_elements is not None and 1 + e > max_elements:
+            raise ResourceLimit(  # and so is 1 + E_n >= 1 + E_m
+                f"poset has {'' if m == n else 'at least '}{1 + e} "
+                f"elements, budget is {max_elements}")
     out = [bottom_element(n, s)]
     full = tuple(range(1, n + 1))
     by_sizes: dict = {}  # block sizes -> label tuples, lex order
@@ -303,15 +305,17 @@ def vector_partition_poset(n: int, s: int,
     * merging blocks I, J changes the atom word: its first difference;
     * merging blocks I, J keeps the atom word: (n, max(I u J), 0).
 
-    The covers are made one set partition P at a time: P's elements are
-    one run of the element list, and merging blocks a < b sends it into
-    the merged partition's run as _merge_map says for P's block sizes, a
-    and b.  Distinct merges give disjoint runs, so P's rows are its merge
-    columns read across in run order, ascending, holding the one int of
-    each index: nothing is sorted or looked up per element.  Per
-    labeling, a merge's first change depends on the orders of I + J and
-    of the two labels alone; the least of the s labels is the cover's.
-    Equal labels are one shared tuple.
+    The covers are made one set partition P at a time.  P's elements are
+    one run of the element list, grouped by blocks, and the distinct
+    first labelings of the first run with P's block sizes are their
+    label assignments, in lex order.  Merging blocks a < b sends P's run
+    into the merged partition's run as _merge_map says for P's block
+    sizes, a and b.  Distinct merges give disjoint runs, so P's rows are
+    its merge columns read across in run order, ascending, holding the
+    one int of each index: nothing is sorted or looked up per element.
+    Per labeling, a merge's first change depends on the orders of I + J
+    and of the two labels alone; the least of the s labels is the
+    cover's.  Equal labels are one shared tuple.
     """
     elements = enumerate_elements(n, s, max_elements=max_elements)
     ints = list(range(len(elements)))  # one int per index, for every row
@@ -319,14 +323,13 @@ def vector_partition_poset(n: int, s: int,
             for c in combinations(range(1, n + 1), r)}
     runs = {}  # set partition -> (its run of indices, its block sizes)
     assigned = {}  # block sizes -> label assignments, as bitmasks, lex order
-    offset = 1
-    for blocks in set_partitions(n):
-        sizes = tuple(map(len, blocks))
-        count = factorial(n) // prod(map(factorial, sizes))
-        run, offset = ints[offset:offset + count ** s], offset + count ** s
+    for blocks, group in groupby(islice(ints, 1, None),
+                                 key=lambda t: elements[t].blocks):
+        run, sizes = list(group), tuple(map(len, blocks))
         if sizes not in assigned:  # the first labeling steps through them
-            assigned[sizes] = [tuple(map(bits.get, elements[t].labels[0]))
-                               for t in run[::len(run) // count]]
+            assigned[sizes] = [tuple(map(bits.get, labs)) for labs in
+                               dict.fromkeys(elements[t].labels[0]
+                                             for t in run)]
         runs[blocks] = (run, sizes)
     rank_of = {t: r for labs in assigned.values() for r, t in enumerate(labs)}
     sets = {m: c for c, m in bits.items()}
@@ -334,9 +337,8 @@ def vector_partition_poset(n: int, s: int,
     labels = [[((n, k, 0),) * s if j == 0 else tuple(
         [(k, h, j) for h in range(1, s + 1)]) for j in range(n + 1)]
         for k in range(n + 1)]
-    atoms = ints[1:1 + factorial(n) ** s]  # they follow the bottom
-    up = [tuple(atoms)]
-    up_labels = [tuple([(n - 1, s + t, 0) for t in atoms])]
+    up = [tuple(next(iter(runs.values()))[0])]  # the first run: the atoms
+    up_labels = [tuple([(n - 1, s + t, 0) for t in up[0]])]
     maps: dict = {}  # (sizes, a, b) -> _merge_map of them
     changes: dict = {}  # (sizes, a, b, order of I + J) -> (p, j) per pair
     for blocks, (_, sizes) in runs.items():

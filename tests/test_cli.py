@@ -129,6 +129,16 @@ def test_verify_el_sabotages_exit_1(capsys):
         assert code == 1, name
 
 
+def test_verify_el_failure_exits_1(capsys, monkeypatch):
+    from vpshell import labeling
+    monkeypatch.setattr(labeling, "verify_el", lambda p: labeling.ELReport(
+        False, (0, 5, "2 increasing chains")))
+    code, out, err = run(capsys, "verify-el", "--n", "3", "--s", "1")
+    assert (code, err) == (1, "")
+    assert out == ("EL verification FAILED on interval (0, 5): "
+                   "2 increasing chains\n")
+
+
 def test_sabotages_at_n_1_change_nothing(capsys):
     # one atom and no facet: no bottom labels to swap, no tie to drop
     for s in ("1", "2"):
@@ -168,6 +178,16 @@ def test_sequence_s2_has_no_tree_column(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "n,s,count"
     assert lines[-1] == "4,2,1899"
+
+
+def test_sequence_tree_count_mismatch_exits_2(capsys, monkeypatch):
+    # every row is printed, the disagreeing ones too
+    from vpshell import spherecount
+    monkeypatch.setattr(spherecount, "nonambiguous_tree_count",
+                        lambda m: 4 if m == 2 else 1)
+    code, out, err = run(capsys, "sequence", "--s", "1", "--max-n", "4")
+    assert (code, err) == (2, "")
+    assert out == "n,s,count,tree_count\n1,1,1,1\n2,1,1,1\n3,1,4,4\n4,1,33,1\n"
 
 
 def test_build_json(capsys):

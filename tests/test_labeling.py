@@ -26,6 +26,7 @@ from vpshell import (
     verify_label_structure,
     verify_shelling,
 )
+from vpshell.poset import build_indexed_poset
 from conftest import (aligned_labels, build_poset, el_by_chain_enumeration,
                       first_difference_failures_by_chains, is_increasing,
                       label_map, poset_from_pairs, set_partition_lattice,
@@ -308,6 +309,32 @@ def test_verify_label_structure_sees_defects(p3s1):
     bad = verify_label_structure(p, rows)
     assert bad[3] and bad[5]
     assert bad[5] == first_difference_failures_by_chains(p, rows)
+
+
+def test_verify_label_structure_sees_a_rising_atom_word():
+    # condition (1): the middle cover goes from atom word 12 up to 21
+    low = canonicalize(2, 1, [[1], [2]], [[[1], [2]]])
+    high = canonicalize(2, 1, [[1], [2]], [[[2], [1]]])
+    p = build_indexed_poset(
+        [bottom_element(2, 1), low, high, top_element(2, 1)],
+        [(1,), (2,), (3,), ()], [((1, 2, 0),), ((1, 1, 2),), ((1, 1, 1),), ()])
+    assert verify_label_structure(p)[1] == [f"{low} <. {high} but atom "
+                                            "words rise"]
+
+
+def test_verify_label_structure_sees_a_rising_chain_change_words(p3s1):
+    # condition (2): relabel every atom-changing cover (k, i, j) as
+    # (n, i, j), above each bottom edge's (n - 1, s + m, 0), so that an
+    # increasing chain leaves an atom by a cover that changes its word
+    p = p3s1
+    words = [None if e.is_bottom else atom_word(e) for e in p.elements]
+    rows = tuple(tuple(
+        (3,) + label[1:] if lo != p.bottom and words[lo] != words[hi]
+        else label for hi, label in zip(his, labs))
+        for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)))
+    bad = verify_label_structure(p, rows)[2]
+    assert len(bad) == 5
+    assert all("then changes atom word stepping to" in t for t in bad)
 
 
 @pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (3, 2), (5, 1), (4, 2),

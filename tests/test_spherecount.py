@@ -128,6 +128,16 @@ def test_recursion_base_and_guards():
         count_by_recursion(3, 2, 0)
     with pytest.raises(InvalidIndex):
         count_by_recursion(3, 2, 3)
+    with pytest.raises(InvalidIndex):
+        count_by_recursion(1, 2, 1)
+    for n, s in [(0, 1), (0, 3), (3, 0), (1, 0)]:
+        with pytest.raises(InvalidIndex, match="n and s must be at least 1"):
+            count_total(n, s)
+    with pytest.raises(InvalidIndex):
+        nonambiguous_tree_count(-1)
+    # at s = 0 the certificate once agreed on 0 spheres by every method
+    with pytest.raises(InvalidIndex):
+        sphere_count_certificate(3, 0)
 
 
 def test_tree_count_sequence():
@@ -276,6 +286,17 @@ def test_recompose_rejects_mismatched_sides():
         decreasing_chains(3, 2)[0]).right)
     with pytest.raises(IncompatibleData):
         recompose(wrong)
+
+
+def test_recompose_rejects_an_unsaturated_side():
+    # right length, bottom and top, but the side's top stands in for its
+    # atom, so the step up from the bottom is no cover
+    from dataclasses import replace
+    good = next(d for d in map(decompose_chain, decreasing_chains(3, 1))
+                if d.alpha == 2)
+    bottom, _, top = good.left
+    with pytest.raises(IncompatibleData, match="left chain is not saturated"):
+        recompose(replace(good, left=(bottom, top, top)))
 
 
 def test_recompose_rejects_bad_splits():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vpshell import (
     BottomHasNoAtom,
     DimensionMismatch,
+    InvalidIndex,
     InvalidPartition,
     MalformedWord,
     ResourceLimit,
@@ -226,6 +227,15 @@ def test_single_ground_element_gives_two_chain():
         assert els[0].is_bottom and els[1] == top_element(1, s)
         p = vector_partition_poset(1, s)
         assert len(p.elements) == 2 and leq(p, p.bottom, p.top)
+
+
+@pytest.mark.parametrize("n, s", [(3, 0), (1, 0), (0, 1), (2, -1)])
+def test_sizes_below_1_are_refused(n, s):
+    # s = 0 once failed inside construction with a bare ValueError or
+    # IndexError, and n = 0 gave a poset whose top has no blocks
+    for make in (enumerate_elements, element_count, vector_partition_poset):
+        with pytest.raises(InvalidIndex, match="n and s must be at least 1"):
+            make(n, s)
 
 
 def test_enumerate_budget():
