@@ -1,5 +1,5 @@
-"""Simplicial complexes from poset proper parts: Euler characteristic,
-homology ranks over GF(2), and shelling verification.
+"""Simplicial complexes from poset proper parts: homology ranks over
+GF(2) and shelling verification.
 
 Betti numbers here are reduced and computed from exact boundary-matrix
 ranks over GF(2) (bitset Gaussian elimination, no floating point).  For
@@ -38,20 +38,14 @@ class SimplicialComplex:
         one (-1)-face of a non-empty complex is the empty face."""
         return {face for f in self.facets for face in combinations(f, d + 1)}
 
-    def f_vector(self) -> tuple:
-        """(f_0, ..., f_dim); empty tuple for the empty complex."""
-        return tuple(len(self.faces(d)) for d in range(self.dim + 1))
-
 
 def simplicial_complex(facets) -> SimplicialComplex:
     """Build a complex from an iterable of vertex iterables.
 
     Makes each facet the ascending tuple of its vertices, deduplicates,
     orders facets ascending, and rejects a facet contained in another.
-    The pairwise containment scan, O(F^2) in the number of
-    facets, runs only when the facets differ in size: distinct facets of
-    one size cannot contain one another, so for the equal-sized maximal
-    chains of a graded poset the check is skipped, not weakened.
+    The pairwise scan, O(F^2) in facets, runs only when the facets differ
+    in size: distinct facets of one size cannot contain one another.
     """
     faces = sorted({tuple(sorted(set(f))) for f in facets})
     if len({len(f) for f in faces}) > 1:
@@ -65,17 +59,15 @@ def simplicial_complex(facets) -> SimplicialComplex:
 def order_complex(p: Poset) -> SimplicialComplex:
     """The chain complex of the proper part (bottom and top removed).
 
-    A poset of height below 2 has an empty proper part; the returned
-    complex is then empty (is_empty flags it).
+    Its facets are the maximal chains as walked, cut to the proper part,
+    vertices sorted (indices need not follow rank): in a graded poset
+    they are distinct and of one size, so none contains another.  A
+    poset of height below 2 has an empty proper part and complex.
     """
     if p.height < 2:
         return SimplicialComplex(facets=())
-    return simplicial_complex(c[1:-1] for c in maximal_chains(p))
-
-
-def reduced_euler_characteristic(c: SimplicialComplex) -> int:
-    """Alternating face-count sum minus one; the empty complex gives -1."""
-    return sum((-1) ** d * f for d, f in enumerate(c.f_vector())) - 1
+    return SimplicialComplex(facets=tuple(sorted(
+        [tuple(sorted(c[1:-1])) for c in maximal_chains(p)])))
 
 
 def _boundary_rank(faces) -> int:
@@ -87,24 +79,31 @@ def _boundary_rank(faces) -> int:
     each pivoting on its highest bit."""
     bits, pivots = {}, {}
     for face in sorted(faces, reverse=True):
-        column = sum(1 << bits.setdefault(sub, len(bits))
-                     for sub in combinations(face, len(face) - 1))
+        column = 0
+        for sub in combinations(face, len(face) - 1):
+            bit = bits.get(sub)
+            if bit is None:
+                bit = bits[sub] = len(bits)
+            column |= 1 << bit
         while column:
-            lead = column.bit_length() - 1
-            if lead not in pivots:
+            pivot = pivots.get(lead := column.bit_length() - 1)
+            if pivot is None:
                 pivots[lead] = column
                 break
-            column ^= pivots[lead]
+            column ^= pivot
     return len(pivots)
 
 
 def betti(c: SimplicialComplex, d: int) -> int:
     """Reduced Betti number over GF(2) in dimension d >= 0, read off the
-    (d + 1)-faces and then the d-faces, never both sets at once."""
+    (d + 1)-faces and then the d-faces, never both sets at once.  At the
+    top dimension there are no (d + 1)-faces, and the d-faces are the
+    facets of d + 1 vertices, read as they are."""
     if d < 0:
         raise ValueError("betti is defined here for dimensions >= 0")
-    upper = _boundary_rank(c.faces(d + 1))
-    faces = c.faces(d)
+    top = d == c.dim
+    upper = 0 if top else _boundary_rank(c.faces(d + 1))
+    faces = [f for f in c.facets if len(f) == d + 1] if top else c.faces(d)
     return len(faces) - _boundary_rank(faces) - upper
 
 

@@ -217,7 +217,7 @@ def verify_label_structure(p: Poset,
     bad: dict[int, list] = {c: [] for c in (1, 2, 3, 4, 5)}
     lab = _label_table(p, labels)
     els = p.elements
-    n = els[p.top].n
+    n, s = els[p.top].n, els[p.top].s
     words = {t: atom_word(e) for t, e in enumerate(els) if not e.is_bottom}
 
     # DFS over increasing chains from the bottom only; extensions of a
@@ -248,13 +248,16 @@ def verify_label_structure(p: Poset,
             if words[lo] == words[hi]:
                 continue
             pos = (i - 1) * n + (k - 1)
-            if not (words[lo][pos] > j and words[hi][pos] == j):
+            if not (1 <= k <= n and 1 <= i <= s
+                    and words[lo][pos] > j and words[hi][pos] == j):
                 if len(bad[3]) < _REPORTED:
                     bad[3].append(f"label ({k},{i},{j}) on {x} <. "
                                   f"{els[hi]} fails the entry comparison")
-            ka = next(t for t, blk in enumerate(x.blocks) if k in blk)
-            kb = next(t for t, js in enumerate(x.labels[i - 1]) if j in js)
-            if ka == kb or merge_blocks(x, ka, kb) != els[hi]:
+            # a k or j that no block holds, or an i outside 1..s, names none
+            ka = next((t for t, blk in enumerate(x.blocks) if k in blk), None)
+            kb = next((t for t, js in enumerate(x.labels[i - 1]) if j in js),
+                      None) if 1 <= i <= s else None
+            if None in (ka, kb) or ka == kb or merge_blocks(x, ka, kb) != els[hi]:
                 if len(bad[4]) < _REPORTED:
                     bad[4].append(f"label ({k},{i},{j}) on {x} <. "
                                   f"{els[hi]} does not name the merged blocks")

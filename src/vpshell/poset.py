@@ -200,6 +200,26 @@ def mobius(p: Poset, x: int, y: int) -> int:
     return mu[x]
 
 
+def chain_f_vector(p: Poset) -> tuple:
+    """(f_0, ..., f_(h-2)) for p of height h: f_k counts the (k+1)-element
+    chains of the proper part, the k-faces of its order complex, unbuilt.
+    In rank order each proper z packs g(z), its chains by size, one int
+    slot each, and adds them one element longer to every w above z below
+    the top (Hall 1936; Rota 1964); a slot counts < N^(h-1) < 2^width."""
+    h, ranks = p.height, p.ranks
+    width = max(h - 1, 0) * len(p).bit_length()
+    g = [0] * len(p)
+    for z in sorted(range(len(p)), key=ranks.__getitem__):
+        if z != p.bottom and z != p.top:
+            g[z] += 1
+            longer = g[z] << width
+            for w in p._walk(z, h - 1 - ranks[z]):
+                if w != z:
+                    g[w] += longer
+    total, mask = sum(g), (1 << width) - 1
+    return tuple(total >> k * width & mask for k in range(h - 1))
+
+
 # ── serialization ────────────────────────────────────────────────────────
 
 def poset_to_json(p: Poset, up_labels: tuple | None = None) -> str:

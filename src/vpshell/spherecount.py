@@ -23,12 +23,12 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
-from .complexes import betti, order_complex, reduced_euler_characteristic
+from .complexes import betti, order_complex
 from .errors import (DimensionMismatch, IncompatibleData, InvalidIndex,
                      NotDecreasing, NotSaturated, OracleMismatch,
                      ResourceLimit)
 from .labeling import chain_label, is_weakly_decreasing
-from .poset import Poset, mobius
+from .poset import Poset, chain_f_vector, mobius
 from .vecpart import (VectorPartition, bottom_element, is_cover,
                       maximal_chain_count, top_element,
                       vector_partition_poset)
@@ -46,14 +46,14 @@ def check_chain_budget(n: int, s: int, max_chains: int | None) -> None:
             f"poset has {total} maximal chains, budget is {max_chains}")
 
 
-def _walked_decreasing(p: Poset) -> list[Chain]:
-    """The weakly decreasing maximal chains of p, in lexicographic index
-    order: walked up p.up and p.up_labels a rank at a time, a chain at v
-    steps to w, in ascending w, only when the label of v <. w is at most
-    its last one, since a word that rises once cannot decrease weakly.
-    Weakly, as in Wachs's Poset Topology notes.  No decreasing chain
-    repeats a label at (3,3), (4,2), (5,1) or (3,4), as a test pins, so
-    there "at most" and "below" find the same chains; a hand-labelled
+def _walked_decreasing(p: Poset) -> list[tuple]:
+    """The weakly decreasing maximal chains of p as index tuples, in
+    lexicographic order: walked up p.up and p.up_labels a rank at a time,
+    a chain at v steps to w, in ascending w, only when the label of v <. w
+    is at most its last one, since a word that rises once cannot decrease
+    weakly.  Weakly, as in Wachs's Poset Topology notes.  No decreasing
+    chain repeats a label at (3,3), (4,2), (5,1) or (3,4), as a test pins,
+    so there "at most" and "below" find the same chains; a hand-labelled
     poset in the tests tells them apart."""
     up, lab = p.up, p.up_labels
     chains = [((p.bottom, a), label)
@@ -61,74 +61,65 @@ def _walked_decreasing(p: Poset) -> list[Chain]:
     for _ in range(p.height - 1):
         chains = [(c + (w,), label) for c, last in chains
                   for w, label in zip(up[c[-1]], lab[c[-1]]) if label <= last]
-    return [tuple([p.elements[i] for i in c]) for c, _ in chains]
+    return [c for c, _ in chains]
 
 
 # ── enumeration, route two: structural top-down generation ──────────────
 
-def _generated_decreasing(n: int, s: int) -> list[Chain]:
-    """Grow decreasing chains downward from the one-block element.
+def _generated_decreasing(n: int, s: int) -> list[tuple]:
+    """Grow decreasing chains downward from the one-block element, each a
+    tuple of (blocks, labels) records, the bottom's ((), ()) first.
 
     Every element of a decreasing chain looks like {1}..{k-1} B ... with
     B the leftmost non-singleton block, min B = k.  The next element
     splits B into L (keeping k) and R, splitting each label set
-    compatibly.  Writing i' for the first labeling index whose label
-    minimum lands in R's label: a split is admissible iff i' exists, and,
-    when the previous split acted at this same position k, i' is at least
-    the previous split's index.  The new edge label is then (k, i', _),
-    which keeps the bottom-up label word weakly decreasing.
+    compatibly.  Only admissible splits are made: pick i' at least the
+    previous split's index when that acted at this same k, else at least
+    1; labelings before i' keep their label minimum in L's label, i'
+    sends it to R's, and the later ones are free.  The new edge label is
+    then (k, i', _), keeping the bottom-up label word weakly decreasing.
     """
-    bottom = bottom_element(n, s)
-    out: list[Chain] = []
-    desc: list[VectorPartition] = [top_element(n, s)]
+    full = tuple(range(1, n + 1))
+    out: list[tuple] = []
+    desc = [((full,), ((full,),) * s)]
 
     def extend(prev_pos: int, prev_idx: int) -> None:
-        cur = desc[-1]
-        bi = next((t for t, b in enumerate(cur.blocks) if len(b) > 1), None)
+        blocks, labels = desc[-1]
+        bi = next((t for t, b in enumerate(blocks) if len(b) > 1), None)
         if bi is None:
-            out.append((bottom,) + tuple(reversed(desc)))
+            out.append((((), ()),) + tuple(reversed(desc)))
             return
-        block = cur.blocks[bi]
+        block = blocks[bi]
         k = block[0]
-        floor_idx = prev_idx if prev_pos == k else 1
-        mins = tuple(cur.labels[h][bi][0] for h in range(cur.s))
-        others = block[1:]
-        for r in range(1, len(others) + 1):
-            for right_block in combinations(others, r):
-                rset = set(right_block)
-                left_block = tuple(v for v in block if v not in rset)
-                for left_labs in product(*[
-                        combinations(cur.labels[h][bi], len(left_block))
-                        for h in range(cur.s)]):
-                    i_prime = next(
-                        (h + 1 for h in range(cur.s)
-                         if mins[h] not in set(left_labs[h])), None)
-                    if i_prime is None or i_prime < floor_idx:
-                        continue
-                    right_labs = tuple(
-                        tuple(v for v in cur.labels[h][bi]
-                              if v not in set(left_labs[h]))
-                        for h in range(cur.s))
-                    desc.append(_split_block(cur, bi, left_block, left_labs,
-                                             right_block, right_labs))
-                    extend(k, i_prime)
-                    desc.pop()
+        for r in range(1, len(block)):
+            for right in combinations(block[1:], r):
+                left = tuple(v for v in block if v not in right)
+                at = next((t for t in range(bi + 1, len(blocks))
+                           if blocks[t][0] > right[0]), len(blocks))
+                new_blocks = (blocks[:bi] + (left,) + blocks[bi + 1:at]
+                              + (right,) + blocks[at:])
+                # per labeling, the (L, R) splits in lex order of L: the
+                # first cut of them keep the label minimum in L
+                cut = comb(len(block) - 1, len(left) - 1)
+                ways = [[(c, tuple(v for v in lab[bi] if v not in c))
+                         for c in combinations(lab[bi], len(left))]
+                        for lab in labels]
+                for i_prime in range(prev_idx if prev_pos == k else 1, s + 1):
+                    for parts in product(*[
+                            w[:cut] if h < i_prime else w[cut:]
+                            if h == i_prime else w
+                            for h, w in enumerate(ways, 1)]):
+                        desc.append((new_blocks, tuple(
+                            lab[:bi] + (lo,) + lab[bi + 1:at] + (hi,) + lab[at:]
+                            for lab, (lo, hi) in zip(labels, parts))))
+                        extend(k, i_prime)
+                        desc.pop()
 
     extend(0, 0)
     # extend holds itself through its closure; unbinding it lets the
     # chains go with `out`, not wait for the cyclic collector
     del extend
     return out
-
-
-def _split_block(cur: VectorPartition, bi: int, left_block, left_labs,
-                 right_block, right_labs) -> VectorPartition:
-    records = [(cur.blocks[t],
-                tuple(cur.labels[h][t] for h in range(cur.s)))
-               for t in range(cur.num_blocks) if t != bi]
-    records.append((left_block, left_labs))
-    records.append((right_block, right_labs))
-    return _assemble(cur.n, cur.s, records)
 
 
 def _assemble(n: int, s: int, records) -> VectorPartition:
@@ -145,25 +136,30 @@ def decreasing_chains(n: int, s: int,
                       poset: Poset | None = None) -> list[Chain]:
     """All decreasing maximal chains, canonically sorted.
 
-    Two independent routes must agree element for element, else
+    Two independent routes must agree on index chains, else
     OracleMismatch: walking the labelled covers of `poset`, which must be
     vector_partition_poset(n, s) and is built when none is given, and
-    growing the chains structurally without a poset.  The walk yields
-    the chains in canonical order already, since elements are indexed in
-    sort_key order and it steps in index order; only the generated
-    chains are sorted, so a walk out of order is a mismatch.  Callers
-    bound the walk with check_chain_budget first.
+    growing (blocks, labels) records without a poset, which one dict
+    maps to indices; a record that is no element is a mismatch too.
+    Elements are indexed in sort_key order and the walk steps in index
+    order, so only the generated chains are sorted, and a walk out of
+    order is a mismatch.  Callers bound the walk with check_chain_budget.
     """
     if poset is None:
         poset = vector_partition_poset(n, s)
     walked = _walked_decreasing(poset)
-    generated = sorted(_generated_decreasing(n, s),
-                       key=lambda c: tuple(v.sort_key for v in c))
+    index = {(v.blocks, v.labels): t for t, v in enumerate(poset.elements)}
+    try:
+        generated = sorted([tuple([index[r] for r in c])
+                            for c in _generated_decreasing(n, s)])
+    except KeyError as exc:
+        raise OracleMismatch(f"generation made {exc.args[0]}, which is not "
+                             "an element of the poset") from None
     if walked != generated:
         raise OracleMismatch(
             f"poset walk found {len(walked)} decreasing chains, "
             f"generation found {len(generated)}")
-    return walked
+    return [tuple([poset.elements[t] for t in c]) for c in walked]
 
 
 # ── exact recursion ──────────────────────────────────────────────────────
@@ -404,9 +400,10 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     part is empty (n = 1); match is true when no two of the remaining
     values differ.  The mobius entry reports |mu(bottom, top)|; the
     signed value rides along under "signed_mobius".  Every method that
-    needs the poset reads one build of it, and homology and Euler read
-    one order complex.
-    max_chains bounds every chain walk, checked once before the build.
+    needs the poset reads one build of it.  Euler counts the chains of
+    the proper part by size (Philip Hall's theorem); only homology builds
+    the order complex.  max_chains bounds every chain walk, and Euler's
+    walks of comparable pairs too, checked once before the build.
     """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -425,15 +422,15 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
         mu = mobius(p, p.bottom, p.top)
         info["signed_mobius"] = mu
         values["mobius"] = abs(mu)
-    if "homology" in methods or "euler" in methods:
+    if "euler" in methods:
+        f = chain_f_vector(p)
+        values["euler"] = (abs(sum((-1) ** k * fk for k, fk in enumerate(f))
+                               - 1) if f else None)
+    if "homology" in methods:
         # built after enumeration has returned, so the complex and the
         # enumerated chains are never in memory together
         c = order_complex(p)
-        if "homology" in methods:
-            values["homology"] = None if c.is_empty else betti(c, n - 2)
-        if "euler" in methods:
-            values["euler"] = (None if c.is_empty
-                               else abs(reduced_euler_characteristic(c)))
+        values["homology"] = None if c.is_empty else betti(c, n - 2)
     present = [v for v in values.values() if v is not None]
     return {"n": n, "s": s, "methods": values,
             "match": len(set(present)) <= 1, **info}

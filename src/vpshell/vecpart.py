@@ -245,7 +245,10 @@ def _element_counts(n: int, s: int):
 
 def maximal_chain_count(n: int, s: int) -> int:
     """Number of bottom-to-top maximal chains, computed arithmetically:
-    (n!)^s atoms, each with n!(n-1)!/2^(n-1) chains above it."""
+    (n!)^s atoms, each with n!(n-1)!/2^(n-1) chains above it.  Raises
+    InvalidIndex unless n, s >= 1."""
+    if n < 1 or s < 1:
+        raise InvalidIndex("n and s must be at least 1")
     return factorial(n) ** s * (factorial(n) * factorial(n - 1)) // 2 ** (n - 1)
 
 

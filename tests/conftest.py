@@ -10,9 +10,10 @@ the indexed sphere counts from math.comb, the EL property by
 enumerating the maximal chains of every interval, the JSON and DOT
 texts of a poset through a document of dicts or one escape per edge,
 an element's text by joining every set afresh, the decreasing
-chains by filtering every maximal chain, and the first-difference law
-of verify_label_structure by the label words of every interval's
-maximal chains.
+chains by filtering every maximal chain or by trying every split of
+every label set, the first-difference law of verify_label_structure by
+the label words of every interval's maximal chains, and the f-vector
+and reduced Euler characteristic of a complex by listing every face.
 They are slow and only fit tiny inputs, which is the point.
 
 The fixtures build posets the package has no use for: from cover pairs,
@@ -24,15 +25,16 @@ Betti number of a complex, the dense oracle of betti.
 """
 import json
 from collections.abc import Mapping
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
 from vpshell import (ELReport, ShellingReport, UnknownElement,
-                     VectorPartition, atom_word, cover_label,
-                     enumerate_elements, first_word_difference,
-                     is_weakly_decreasing, maximal_chains, set_partitions,
+                     VectorPartition, atom_word, bottom_element,
+                     canonicalize, cover_label, enumerate_elements,
+                     first_word_difference, is_weakly_decreasing,
+                     maximal_chains, set_partitions, top_element,
                      vector_partition_poset)
 from vpshell.poset import build_indexed_poset
 
@@ -115,12 +117,63 @@ def aligned_labels(p, labels):
 
 
 def decreasing_by_filter(p):
-    """The weakly decreasing maximal chains of p, as element tuples: every
+    """The weakly decreasing maximal chains of p, as index tuples: every
     maximal chain is listed, and those whose label word decreases weakly
     are kept."""
     lab = label_map(p)
-    return [tuple(p.elements[i] for i in c) for c in maximal_chains(p)
+    return [c for c in maximal_chains(p)
             if is_weakly_decreasing([lab[e] for e in zip(c, c[1:])])]
+
+
+def decreasing_by_splitting(n, s):
+    """The decreasing chains of vector_partition_poset(n, s) as element
+    tuples, grown down from the top without a poset: at the leftmost
+    non-singleton block B, min B = k, every split of B into L (keeping k)
+    and R is tried with every split of each of its label sets, and kept
+    when i', the first labeling sending its minimum to R, exists and is
+    at least the previous split's when that acted at k too."""
+    out, desc = [], [top_element(n, s)]
+
+    def extend(prev_pos, prev_idx):
+        cur = desc[-1]
+        bi = next((t for t, b in enumerate(cur.blocks) if len(b) > 1), None)
+        if bi is None:
+            out.append((bottom_element(n, s),) + tuple(reversed(desc)))
+            return
+        block = cur.blocks[bi]
+        k = block[0]
+        floor_idx = prev_idx if prev_pos == k else 1
+        for r in range(1, len(block)):
+            for right_block in combinations(block[1:], r):
+                left_block = tuple(v for v in block if v not in right_block)
+                for left_labs in product(*[
+                        combinations(cur.labels[h][bi], len(left_block))
+                        for h in range(s)]):
+                    i_prime = next((h + 1 for h in range(s)
+                                    if cur.labels[h][bi][0]
+                                    not in left_labs[h]), None)
+                    if i_prime is None or i_prime < floor_idx:
+                        continue
+                    right_labs = tuple(
+                        tuple(v for v in cur.labels[h][bi]
+                              if v not in left_labs[h]) for h in range(s))
+                    desc.append(split_block(cur, bi, left_block, left_labs,
+                                            right_block, right_labs))
+                    extend(k, i_prime)
+                    desc.pop()
+
+    extend(0, 0)
+    return out
+
+
+def split_block(cur, bi, left_block, left_labs, right_block, right_labs):
+    """cur with block bi and its label sets replaced by the two halves,
+    put in canonical order by canonicalize."""
+    return canonicalize(
+        cur.n, cur.s,
+        cur.blocks[:bi] + (left_block, right_block) + cur.blocks[bi + 1:],
+        [lab[:bi] + (lo, hi) + lab[bi + 1:]
+         for lab, lo, hi in zip(cur.labels, left_labs, right_labs)])
 
 
 def chains_by_powerset(p, x=None, y=None):
@@ -404,6 +457,18 @@ def top_label_index_counts(chains):
         k, i, j = cover_label(c[-2], c[-1])
         counts[i] = counts.get(i, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def f_vector(c):
+    """(f_0, ..., f_dim) of a complex, every face of every facet listed;
+    the empty tuple for the empty complex."""
+    return tuple(len(c.faces(d)) for d in range(c.dim + 1))
+
+
+def reduced_euler_characteristic(c):
+    """The alternating face-count sum minus one; -1 for the empty
+    complex."""
+    return sum((-1) ** d * f for d, f in enumerate(f_vector(c))) - 1
 
 
 def reduced_betti_numbers(c):

@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from vpshell import (
     SimplicialComplex,
     betti,
+    count_total,
     order_complex,
-    reduced_euler_characteristic,
     simplicial_complex,
     vector_partition_poset,
     verify_shelling,
 )
-from conftest import (facets_by_pairwise_containment, reduced_betti_numbers,
-                      shelling_by_intersections)
+from vpshell.poset import chain_f_vector
+from conftest import (f_vector, facets_by_pairwise_containment,
+                      poset_from_pairs, reduced_betti_numbers,
+                      reduced_euler_characteristic, shelling_by_intersections)
 
 
 def hollow_triangle():
@@ -32,10 +34,10 @@ def test_factory_dedupes_and_rejects_containment():
 def test_f_vector_and_dim():
     c = hollow_triangle()
     assert c.dim == 1
-    assert c.f_vector() == (3, 3)
+    assert f_vector(c) == (3, 3)
     pts = simplicial_complex([(1,), (2,), (3,), (4,)])
     assert pts.dim == 0
-    assert pts.f_vector() == (4,)
+    assert f_vector(pts) == (4,)
 
 
 def test_empty_complex():
@@ -72,24 +74,29 @@ def test_betti_mixed_complex():
     # every dimension, the three components giving b_0 = 2
     c = simplicial_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
                             (5, 6), (6, 7), (5, 7), (8,)])
-    assert c.f_vector() == (8, 9, 4)
+    assert f_vector(c) == (8, 9, 4)
     assert reduced_betti_numbers(c) == (2, 1, 1)
     assert [betti(c, d) for d in range(4)] == [2, 1, 1, 0]
     assert reduced_euler_characteristic(c) == 2
 
 
 def test_top_betti_reduces_only_the_top_map(monkeypatch, p4s1):
+    # at the top dimension no face set is built: the top faces are the
+    # facets, and there are none above them; one dimension lower both
+    # face sets are built, the two maps reduced
     c, read = order_complex(p4s1), []
     honest = SimplicialComplex.faces
     monkeypatch.setattr(SimplicialComplex, "faces",
                         lambda self, d: read.append(d) or honest(self, d))
     assert betti(c, 2) == 33
-    assert sorted(read) == [2, 3]
+    assert read == []
+    assert betti(c, 1) == 0
+    assert sorted(read) == [1, 2]
 
 
 def test_complex_holds_only_its_facets(p3s1):
     c = order_complex(p3s1)
-    assert c.dim == 1 and c.f_vector() == (15, 18) and betti(c, 1) == 4
+    assert c.dim == 1 and f_vector(c) == (15, 18) and betti(c, 1) == 4
     assert vars(c) == {"facets": c.facets}
 
 
@@ -138,7 +145,7 @@ def test_euler_poincare_identity():
 
 def test_order_complex_proper_part(p3s1):
     c = order_complex(p3s1)
-    assert c.f_vector() == (15, 18)
+    assert f_vector(c) == (15, 18)
     assert reduced_euler_characteristic(c) == -4
     assert betti(c, 0) == 0
     assert betti(c, 1) == 4
@@ -148,6 +155,32 @@ def test_order_complex_height_one():
     from conftest import build_poset
     p = build_poset("01", [("0", "1")])
     assert order_complex(p).is_empty
+    assert chain_f_vector(p) == ()
+    assert chain_f_vector(build_poset("0", [])) == ()
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (3, 2), (4, 2), (3, 4),
+                                  (5, 1)])
+def test_chain_counts_match_the_faces_of_the_order_complex(n, s):
+    # Euler by counting the chains of the proper part against listing
+    # every face of its order complex
+    p = vector_partition_poset(n, s)
+    c = order_complex(p)
+    f = chain_f_vector(p)
+    assert f == f_vector(c)
+    chi = sum((-1) ** k * fk for k, fk in enumerate(f)) - 1
+    assert chi == reduced_euler_characteristic(c)
+    assert abs(chi) == count_total(n, s)
+
+
+def test_indices_need_not_follow_rank():
+    # bottom last and top first: chain counting goes by rank, and the
+    # order complex sorts each walked chain's vertices
+    p = poset_from_pairs("tmabz", [(4, 3), (4, 2), (3, 1), (2, 1), (1, 0)])
+    c = order_complex(p)
+    assert c.facets == ((1, 2), (1, 3))
+    assert chain_f_vector(p) == f_vector(c) == (3, 2)
+    assert c == simplicial_complex([(3, 1), (2, 1)])
 
 
 def test_verify_shelling_hollow_triangle():

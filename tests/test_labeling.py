@@ -337,6 +337,28 @@ def test_verify_label_structure_sees_a_rising_chain_change_words(p3s1):
     assert all("then changes atom word stepping to" in t for t in bad)
 
 
+@pytest.mark.parametrize("change", [
+    lambda k, i, j: (4, 0, 0),  # k in no block
+    lambda k, i, j: (1, 1, 9),  # j in no label set
+    lambda k, i, j: (k, 0, j),  # i = 0 once read the last labeling
+    lambda k, i, j: (k, 2, j),  # i = 2 > s once indexed past the word
+], ids=["k-in-no-block", "j-in-no-set", "i-zero", "i-above-s"])
+def test_verify_label_structure_reports_labels_naming_no_block(change, p3s1):
+    # conditions (3) and (4): every atom-changing cover relabelled so
+    # that its label names no position or no pair of blocks is reported,
+    # neither raised nor passed
+    p = p3s1
+    words = [None if e.is_bottom else atom_word(e) for e in p.elements]
+    rows = tuple(tuple(
+        change(*label) if lo != p.bottom and words[lo] != words[hi]
+        else label for hi, label in zip(his, labs))
+        for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)))
+    bad = verify_label_structure(p, rows)
+    assert len(bad[3]) == len(bad[4]) == 5
+    assert all("fails the entry comparison" in t for t in bad[3])
+    assert all("does not name the merged blocks" in t for t in bad[4])
+
+
 @pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (3, 2), (5, 1), (4, 2),
                                   (3, 3)])
 def test_first_difference_law_matches_chain_enumeration(n, s):

@@ -21,8 +21,9 @@ from vpshell import (
     top_element,
     vector_partition_poset,
 )
-from conftest import (decreasing_by_filter, indexed_counts_by_comb,
-                      poset_from_pairs, top_label_index_counts)
+from conftest import (decreasing_by_filter, decreasing_by_splitting,
+                      indexed_counts_by_comb, poset_from_pairs,
+                      top_label_index_counts)
 
 KNOWN = {(2, 1): 1, (3, 1): 4, (4, 1): 33, (2, 2): 3, (3, 2): 46}
 
@@ -65,10 +66,23 @@ def test_chain_budget():
                                   (3, 4)])
 def test_walk_finds_the_chains_the_filter_keeps(n, s):
     # the pruned walk along up and up_labels against the filter over
-    # every maximal chain: the same chains, in the same order
+    # every maximal chain: the same index chains, in the same order
     from vpshell.spherecount import _walked_decreasing
     p = vector_partition_poset(n, s)
     assert _walked_decreasing(p) == decreasing_by_filter(p)
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (3, 2), (4, 2), (5, 1),
+                                  (3, 4)])
+def test_generation_makes_the_chains_every_split_keeps(n, s):
+    # only admissible splits are made, as records, against trying every
+    # split of every label set and keeping the admissible ones: the same
+    # chains, each element as its (blocks, labels) record
+    from vpshell.spherecount import _generated_decreasing
+    want = sorted(tuple((v.blocks, v.labels) for v in c)
+                  for c in decreasing_by_splitting(n, s))
+    assert sorted(_generated_decreasing(n, s)) == want
+    assert len(want) == count_total(n, s)
 
 
 def test_walk_keeps_a_chain_that_repeats_a_label():
@@ -78,7 +92,9 @@ def test_walk_keeps_a_chain_that_repeats_a_label():
     from vpshell.spherecount import _walked_decreasing
     p = poset_from_pairs("0abc1", {(0, 1): 1, (1, 4): 1, (0, 2): 2,
                                    (2, 4): 1, (0, 3): 1, (3, 4): 2})
-    assert _walked_decreasing(p) == decreasing_by_filter(p) == [
+    chains = _walked_decreasing(p)
+    assert chains == decreasing_by_filter(p) == [(0, 1, 4), (0, 2, 4)]
+    assert [tuple(p.elements[t] for t in c) for c in chains] == [
         ("0", "a", "1"), ("0", "b", "1")]
 
 
@@ -92,12 +108,14 @@ def test_no_decreasing_chain_repeats_a_label(n, s):
 
 
 def test_filter_route_comes_out_in_canonical_order(p4s1, p3s2):
-    # decreasing_chains sorts only the generated route, relying on this
+    # decreasing_chains sorts only the generated route, relying on this:
+    # the index chains ascend, and so do their elements by sort_key
     from vpshell.spherecount import _walked_decreasing
     for p in (p4s1, p3s2):
         chains = _walked_decreasing(p)
-        assert chains == sorted(
-            chains, key=lambda c: tuple(v.sort_key for v in c))
+        assert chains == sorted(chains)
+        els = [tuple(p.elements[t] for t in c) for c in chains]
+        assert els == sorted(els, key=lambda c: tuple(v.sort_key for v in c))
 
 
 def test_top_label_classification():
@@ -186,6 +204,9 @@ def test_certificate_builds_poset_and_complex_once(monkeypatch):
     assert calls == {"vector_partition_poset": 1, "order_complex": 1}
     assert sphere_count_certificate(3, 2, methods=("recursion",))["match"]
     assert calls == {"vector_partition_poset": 1, "order_complex": 1}
+    # Euler counts chains on the poset; only homology builds the complex
+    assert sphere_count_certificate(3, 2, methods=("euler",))["match"]
+    assert calls == {"vector_partition_poset": 2, "order_complex": 1}
 
 
 def test_certificate_degenerate_case():
@@ -368,3 +389,26 @@ def test_enumeration_routes_are_compared(monkeypatch, capsys):
                         lambda p: walked(p)[::-1])
     with pytest.raises(OracleMismatch):
         decreasing_chains(3, 2)
+
+
+def test_generated_record_that_is_no_element_is_a_mismatch(monkeypatch,
+                                                           capsys):
+    # one atom record with its blocks out of order, so no element of the
+    # poset, in a list of the right length: caught at the index lookup,
+    # in the library and as the CLI's exit code 2
+    from vpshell import spherecount
+    from vpshell.cli import main
+    honest = spherecount._generated_decreasing
+
+    def corrupt(n, s):
+        chains = honest(n, s)
+        bottom, (blocks, labels), *rest = chains[0]
+        chains[0] = (bottom, (blocks[::-1], labels), *rest)
+        return chains
+
+    monkeypatch.setattr(spherecount, "_generated_decreasing", corrupt)
+    with pytest.raises(OracleMismatch, match="not an element of the poset"):
+        decreasing_chains(3, 2)
+    code = main(["count", "--n", "3", "--s", "2", "--method", "enumerate"])
+    assert code == 2
+    assert "oracle mismatch" in capsys.readouterr().err

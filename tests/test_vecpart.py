@@ -269,6 +269,17 @@ def test_maximal_chain_count_formula(p3s1, p3s2):
     assert maximal_chain_count(4, 1) == 432
 
 
+@pytest.mark.parametrize("n, s", [(0, 1), (3, 0), (-1, 2)])
+def test_maximal_chain_count_refuses_sizes_below_one(n, s):
+    # (0, 1) once raised factorial's bare ValueError and (3, 0) gave 3;
+    # the chain budget reads it before any poset is built
+    from vpshell import sphere_count_certificate
+    with pytest.raises(InvalidIndex):
+        maximal_chain_count(n, s)
+    with pytest.raises(InvalidIndex):
+        sphere_count_certificate(n, s, methods=("enumerate",))
+
+
 def test_poset_mobius_sign(p2s1, p3s1, p4s1, p2s2, p3s2):
     # |mu| with sign (-1)^n at the full interval
     for n, p, mu in [(2, p2s1, 1), (3, p3s1, -4), (4, p4s1, 33),
