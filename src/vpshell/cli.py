@@ -9,9 +9,12 @@ Usage:
 Exit codes: 0 success, 1 verification failure, 2 oracle mismatch,
 3 budget exceeded or out of memory, 4 bad input (a negative budget too)
 or an unwritable -o path.  build, verify-el and count refuse over 10^6
-elements (--max-elements or VPSHELL_MAX_ELEMENTS); verify-el and count
-refuse to walk over 10^7 maximal chains (--max-chains or
-VPSHELL_MAX_CHAINS), checked before any walk.  sequence has no budget.
+elements (--max-elements or VPSHELL_MAX_ELEMENTS).  A route that lists
+chains refuses over 10^7 of them (--max-chains or VPSHELL_MAX_CHAINS),
+checked before any walk: verify-el --sabotage and count --method
+homology list every maximal chain, count --method enumerate the
+decreasing ones; euler, mobius and recursion list none.  sequence has
+no budget.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 
 from . import complexes, labeling, spherecount, vecpart
 from .errors import OracleMismatch, ResourceLimit, VpshellError
-from .poset import _dot_pieces, _json_pieces
+from .poset import poset_to_dot, poset_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -128,8 +131,8 @@ def _emit(text, out: str | None) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     p = vecpart.vector_partition_poset(args.n, args.s,
                                        max_elements=args.max_elements)
-    pieces = _dot_pieces if args.fmt == "dot" else _json_pieces
-    _emit(pieces(p, p.up_labels if args.labels else None), args.out)
+    write = poset_to_dot if args.fmt == "dot" else poset_to_json
+    _emit(write(p, p.up_labels if args.labels else None), args.out)
     return EXIT_OK
 
 

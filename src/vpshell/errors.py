@@ -25,10 +25,6 @@ class UnknownElement(VpshellError):
     """A cover names a key, or an index, that is not an element."""
 
 
-class NotComparable(VpshellError):
-    """The two elements are not related in the partial order."""
-
-
 class InvalidPartition(VpshellError):
     """Blocks (or a labeling) do not partition the ground set."""
 

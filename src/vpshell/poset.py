@@ -1,4 +1,5 @@
-"""Bounded graded posets: construction, chains, Mobius function, serialization.
+"""Bounded graded posets: construction, maximal chains, mu(bottom, top),
+serialization.
 
 Elements are opaque hashable keys held in an indexed table; all operations
 speak element indices.  Covers are index pairs (lo, hi) with
@@ -11,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import (CycleDetected, DuplicateElement, MissingLabels,
-                     NotBounded, NotComparable, NotGraded, UnknownElement)
+                     NotBounded, NotGraded, UnknownElement)
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,7 @@ class Poset:
     Use build_indexed_poset() to construct: it validates acyclicity,
     unique bottom and top, and gradedness.  up[i] holds the ascending
     indices covering i, the only record of the covers; nothing is cached
-    on the instance, and intervals are walked up through it on demand.
+    on the instance, and up-sets are walked up through it on demand.
     up_labels, if present, labels (i, up[i][k]) by up_labels[i][k], the
     only record of the labels; it takes no part in equality.
     """
@@ -35,11 +36,6 @@ class Poset:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def covers(self) -> list[tuple[int, int]]:
-        """The (lo, hi) index pairs of the covers, ascending."""
-        return [(lo, hi) for lo, his in enumerate(self.up) for hi in his]
 
     @property
     def height(self) -> int:
@@ -138,66 +134,41 @@ def _check_aligned(up: tuple, up_labels) -> None:
                 if len(labs) < len(his) else f"extra labels at {lo}")
 
 
-def _interval(p: Poset, x: int, y: int) -> dict[int, None]:
-    """The elements of [x, y] as dict keys in falling rank order, y first;
-    NotComparable unless x is below y.  Scanning the up-set of x by falling
-    rank keeps y and each element with an upper cover kept."""
-    above = p._walk(x, p.ranks[y] - p.ranks[x])
-    if y not in above:
-        raise NotComparable(f"{x} is not below {y}")
-    inside = {y: None}
-    for v in sorted(above, key=p.ranks.__getitem__, reverse=True):
-        if not inside.keys().isdisjoint(p.up[v]):
-            inside[v] = None
-    return inside
-
-
-def maximal_chains(p: Poset, x: int | None = None, y: int | None = None) -> list[tuple[int, ...]]:
-    """All saturated chains from x to y, in lexicographic index order.
-
-    Defaults to the full interval [bottom, top].  Raises NotComparable
-    when x is not below y.  The walk keeps to [x, y], found once.
-    """
-    if x is None:
-        x = p.bottom
-    if y is None:
-        y = p.top
-    inside = _interval(p, x, y)
-    out: list[tuple[int, ...]] = []
-    path = [x]
+def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
+    """All maximal chains of p, bottom to top, in lexicographic index
+    order.  Only the top has no upper cover, so every upward walk from
+    the bottom ends there and the walk tests no element for membership."""
+    up, out, path = p.up, [], [p.bottom]
 
     def walk(v: int) -> None:
-        if v == y:
+        if not up[v]:
             out.append(tuple(path))
-            return
-        for w in p.up[v]:
-            if w in inside:
-                path.append(w)
-                walk(w)
-                path.pop()
+        for w in up[v]:
+            path.append(w)
+            walk(w)
+            path.pop()
 
-    walk(x)
+    walk(p.bottom)
     # walk holds itself through its closure; unbinding it lets the
     # chains go with `out`, not wait for the cyclic collector
     del walk
     return out
 
 
-def mobius(p: Poset, x: int, y: int) -> int:
-    """Mobius function mu(x, y), by the dual of the defining recursion.
+def mobius(p: Poset) -> int:
+    """mu(bottom, top), by the dual of the defining recursion.
 
-    mu(y, y) = 1 and mu(z, y) = -sum of mu(v, y) over z < v <= y, filled
-    over [x, y] from y downward (Rota 1964).  Each z walks its up-set no
-    higher than y and sums the values found, so a call costs the covers
-    met on those walks, about the comparable pairs of the interval times
-    the up-degree.  Nothing is cached on the poset.
+    mu(top, top) = 1 and mu(z, top) = -sum of mu(v, top) over z < v,
+    filled in falling rank order (Rota 1964).  Each z walks its up-set
+    and sums the values found, so a call costs the covers met on those
+    walks, about the comparable pairs times the up-degree.
     """
-    mu: dict[int, int] = {}
-    for z in _interval(p, x, y):
-        # mu holds exactly the elements of [x, y] ranked above z
-        mu[z] = 1 if z == y else -sum(
-            mu.get(v, 0) for v in p._walk(z, p.ranks[y] - p.ranks[z]))
-    return mu[x]
+    mu = [0] * len(p)
+    mu[p.top] = 1
+    for z in sorted(range(len(p)), key=p.ranks.__getitem__, reverse=True)[1:]:
+        # [1:] skips the top; mu holds mu(v, top) above z, and 0 at z
+        mu[z] = -sum(map(mu.__getitem__, p._walk(z, p.height - p.ranks[z])))
+    return mu[p.bottom]
 
 
 def chain_f_vector(p: Poset) -> tuple:
@@ -222,27 +193,17 @@ def chain_f_vector(p: Poset) -> tuple:
 
 # ── serialization ────────────────────────────────────────────────────────
 
-def poset_to_json(p: Poset, up_labels: tuple | None = None) -> str:
-    """JSON document with element keys (via str), covers, bottom and top.
+def poset_to_json(p: Poset, up_labels: tuple | None = None):
+    """JSON document with element keys (via str), covers, bottom and top,
+    in pieces, so that a writer holds one at a time: the head, the covers
+    of each element that has any, the keys 256 at a time, and the tail.
 
     With up_labels, aligned with p.up as Poset.up_labels is, covers
     become objects carrying a "label" field, written as json.dumps writes
-    the label; MissingLabels names a cover with none.  The text is the
-    one json.dumps(doc, sort_keys=True) gives for the document, written
-    directly: keys in sorted order, ", " and ": " separators.
+    the label; MissingLabels, naming a cover with none, comes before the
+    head.  The joined text is the one json.dumps(doc, sort_keys=True)
+    gives, written directly: keys sorted, ", " and ": " separators.
     """
-    return "".join(_json_pieces(p, up_labels))
-
-
-def poset_to_dot(p: Poset, up_labels: tuple | None = None) -> str:
-    """GraphViz DOT text for the Hasse diagram, bottom drawn lowest."""
-    return "".join(_dot_pieces(p, up_labels))
-
-
-def _json_pieces(p: Poset, up_labels: tuple | None):
-    """poset_to_json's text in pieces, so that a writer holds one piece
-    at a time: the head, the covers of each element that has any, the
-    keys 256 at a time, and the tail.  MissingLabels comes first."""
     texts = _label_texts(p, up_labels, json.dumps)
     yield f'{{"bottom": {p.bottom}, "covers": ['
     sep = ""
@@ -260,10 +221,10 @@ def _json_pieces(p: Poset, up_labels: tuple | None):
     yield f'], "top": {p.top}}}'
 
 
-def _dot_pieces(p: Poset, up_labels: tuple | None):
-    """poset_to_dot's text in pieces, as _json_pieces gives JSON's: the
-    head, each element's line, the cover lines of each element, and the
-    tail."""
+def poset_to_dot(p: Poset, up_labels: tuple | None = None):
+    """GraphViz DOT text for the Hasse diagram, bottom drawn lowest, in
+    pieces as poset_to_json yields JSON's: the head, each element's line,
+    the cover lines of each element, and the tail."""
     def esc(s) -> str:
         return str(s).replace("\\", "\\\\").replace('"', '\\"')
 

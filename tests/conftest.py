@@ -17,8 +17,10 @@ and reduced Euler characteristic of a complex by listing every face.
 They are slow and only fit tiny inputs, which is the point.
 
 The fixtures build posets the package has no use for: from cover pairs,
-of element keys or of indices, and the plain partition lattice.  The
-order helpers leq and up_set walk the covers up from an element.  The
+of element keys or of indices, the plain partition lattice, and an
+interval [x, y] of a poset as a poset of its own.  The order helpers
+leq, up_set and interval_chains walk the covers up from an element;
+covers lists the cover pairs.  The
 helpers that close the file serve only tests: a strictly increasing
 word test, the count of chains per top label index, and every reduced
 Betti number of a complex, the dense oracle of betti.
@@ -100,6 +102,47 @@ def up_set(p, x):
         level = {w for v in level for w in p.up[v]}
         seen |= level
     return sorted(seen)
+
+
+def covers(p):
+    """The (lo, hi) index pairs of p's covers, ascending, read off p.up."""
+    return [(lo, hi) for lo, his in enumerate(p.up) for hi in his]
+
+
+def interval_chains(p, x, y):
+    """The maximal chains of [x, y] in lexicographic index order, none
+    when x is not below y.  [x, y] is found first, scanning the up-set
+    of x by falling rank and keeping y and each element with an upper
+    cover kept; the walk up from x then keeps to it."""
+    inside = {y}
+    for v in sorted(up_set(p, x), key=p.ranks.__getitem__, reverse=True):
+        if inside.intersection(p.up[v]):
+            inside.add(v)
+    out, path = [], [x]
+
+    def walk(v):
+        if v == y:
+            out.append(tuple(path))
+            return
+        for w in p.up[v]:
+            if w in inside:
+                path.append(w)
+                walk(w)
+                path.pop()
+
+    if x in inside:
+        walk(x)
+    return out
+
+
+def interval_poset(p, x, y):
+    """[x, y] of p as a poset of its own, without labels: its element
+    keys are p's indices in ascending order, so index order and chains
+    carry over through q.elements."""
+    keys = [t for t in up_set(p, x) if leq(p, t, y)]
+    index = {t: i for i, t in enumerate(keys)}
+    return poset_from_pairs(keys, [(index[lo], index[hi]) for lo in keys
+                                   for hi in p.up[lo] if hi in index])
 
 
 def label_map(p, up_labels=None):
@@ -308,7 +351,7 @@ def el_by_chain_enumeration(p, labels):
             if y == x:
                 continue
             words = [tuple(labels[e] for e in zip(c, c[1:]))
-                     for c in maximal_chains(p, x, y)]
+                     for c in interval_chains(p, x, y)]
             rising = [t for t, w in enumerate(words) if is_increasing(w)]
             if len(rising) != 1:
                 return ELReport(False, (x, y,
@@ -339,7 +382,7 @@ def first_difference_failures_by_chains(p, up_labels):
             if wx == wy:
                 continue
             first = first_word_difference(wx, wy, n, s)
-            for c in maximal_chains(p, x, y):
+            for c in interval_chains(p, x, y):
                 word = [lab[e] for e in zip(c, c[1:])]
                 if word.count(first) != 1 or min(word) < first:
                     bad.append(f"interval [{els[x]}, {els[y]}] has a chain "

@@ -3,7 +3,8 @@ import vpshell
 
 DELETED = ["parse_element", "element_to_json", "element_from_json",
            "word_to_atom", "poset_from_json", "MalformedDocument",
-           "top_label_index_counts", "is_increasing", "reduced_betti_numbers"]
+           "top_label_index_counts", "is_increasing", "reduced_betti_numbers",
+           "NotComparable"]
 
 
 def test_star_import_resolves_every_public_name():
@@ -18,3 +19,14 @@ def test_deleted_names_are_gone():
     for name in DELETED:
         assert not hasattr(vpshell, name)
     assert not hasattr(vpshell.Poset, "interval")
+    assert not hasattr(vpshell.Poset, "covers")
+
+
+def test_cli_binds_no_private_name_of_the_poset_module():
+    # the CLI streams the public writers, under any name it binds them to
+    import vpshell.cli
+    import vpshell.poset
+    private = [value for name, value in vars(vpshell.poset).items()
+               if name.startswith("_") and not name.startswith("__")]
+    assert [name for name, value in vars(vpshell.cli).items()
+            if any(value is obj for obj in private)] == []

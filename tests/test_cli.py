@@ -60,15 +60,21 @@ def test_count_budget_exit(capsys):
 
 
 def test_chain_budget_bounds_every_chain_walk(capsys):
-    # (4,2) has 10,368 maximal chains; each of these walks them all
-    for argv in (("count", "--method", "homology"),
-                 ("count", "--method", "euler"),
-                 ("verify-el", "--sabotage", "min-merge-label")):
+    # (4,2) has 10,368 maximal chains, which homology and the shelling
+    # check list, and 1,899 decreasing chains, which enumerate lists
+    for argv, chains in ((("count", "--method", "homology"), "10368 maximal"),
+                         (("verify-el", "--sabotage", "min-merge-label"),
+                          "10368 maximal"),
+                         (("count", "--method", "enumerate"),
+                          "1899 decreasing")):
         code, out, err = run(capsys, *argv, "--n", "4", "--s", "2",
                              "--max-chains", "5")
         assert (code, out) == (3, ""), argv
-        assert err.startswith("budget exceeded: poset has 10368 maximal "
-                              "chains, budget is 5"), argv
+        assert err == (f"budget exceeded: poset has {chains} chains, "
+                       "budget is 5\n"), argv
+    code, out, _ = run(capsys, "count", "--method", "enumerate", "--n",
+                       "4", "--s", "2", "--max-chains", "1899")
+    assert code == 0 and json.loads(out)["methods"] == {"enumerate": 1899}
 
 
 def test_only_the_walks_that_use_a_budget_take_it(capsys):
@@ -78,10 +84,13 @@ def test_only_the_walks_that_use_a_budget_take_it(capsys):
                "--max-chains", "1")[0] == 4
     assert run(capsys, "build", "--n", "2", "--s", "1",
                "--max-chains", "1")[0] == 4
-    # the mobius and recursion routes walk no chain
+    # the mobius, euler and recursion routes list no chain
     code, out, _ = run(capsys, "count", "--n", "3", "--s", "1",
                        "--method", "mobius", "--max-chains", "5")
     assert code == 0 and json.loads(out)["methods"] == {"mobius": 4}
+    code, out, _ = run(capsys, "count", "--n", "4", "--s", "2",
+                       "--method", "euler", "--max-chains", "5")
+    assert code == 0 and json.loads(out)["methods"] == {"euler": 1899}
 
 
 def test_count_env_budget(capsys, monkeypatch):

@@ -27,7 +27,8 @@ from vpshell import (
     verify_shelling,
 )
 from vpshell.poset import build_indexed_poset
-from conftest import (aligned_labels, build_poset, el_by_chain_enumeration,
+from conftest import (aligned_labels, build_poset, covers,
+                      el_by_chain_enumeration,
                       first_difference_failures_by_chains, is_increasing,
                       label_map, poset_from_pairs, set_partition_lattice,
                       shelling_by_intersections, shelling_order_by_pairs)
@@ -140,7 +141,7 @@ def test_merge_max_label_partition_lattice():
     assert label(lat, x, ((1, 3), (2,))) == 3
     lat = set_partition_lattice(4)
     assert label(lat, ((1, 2), (3, 4)), ((1, 2, 3, 4),)) == 4
-    assert set(label_map(lat)) == set(lat.covers)
+    assert set(label_map(lat)) == set(covers(lat))
 
 
 def test_verify_el_on_partition_lattice():
@@ -195,16 +196,16 @@ def test_verify_el_matches_chain_enumeration_oracle(data):
         moved = {(to[lo], to[hi]): label
                  for (lo, hi), label in label_map(p).items()}
         p = poset_from_pairs(elements, moved)
-    covers = sorted(p.covers)
+    pairs = covers(p)
     if data.draw(st.booleans(), label="random labels"):
         alphabet = st.integers(1, data.draw(st.integers(1, 3)))
-        labels = dict(zip(covers, data.draw(st.lists(
-            alphabet, min_size=len(covers), max_size=len(covers)))))
+        labels = dict(zip(pairs, data.draw(st.lists(
+            alphabet, min_size=len(pairs), max_size=len(pairs)))))
     else:
         labels = label_map(p)
         values = sorted(set(labels.values()))
         for _ in range(data.draw(st.integers(0, 3), label="moved")):
-            labels[data.draw(st.sampled_from(covers))] = \
+            labels[data.draw(st.sampled_from(pairs))] = \
                 data.draw(st.sampled_from(values))
     assert verify_el(p, aligned_labels(p, labels)) == \
         el_by_chain_enumeration(p, labels)
@@ -246,12 +247,12 @@ def test_unlabeled_poset_without_labels_is_refused(check):
 @pytest.mark.parametrize("check", [verify_el, verify_label_structure,
                                    lex_shelling_order])
 def test_labels_missing_a_cover_are_refused(check, p3s1):
-    # rows cut short before covers[20] and before the last cover: the
+    # rows cut short before pairs[20] and before the last cover: the
     # least missing cover is named, whichever the check reads first
-    covers, rows = p3s1.covers, list(p3s1.up_labels)
-    lo, hi = covers[20]
+    pairs, rows = covers(p3s1), list(p3s1.up_labels)
+    lo, hi = pairs[20]
     rows[lo] = rows[lo][:p3s1.up[lo].index(hi)]
-    rows[covers[-1][0]] = rows[covers[-1][0]][:-1]
+    rows[pairs[-1][0]] = rows[pairs[-1][0]][:-1]
     with pytest.raises(MissingLabels,
                        match=rf"^cover \({lo}, {hi}\) has no edge label$"):
         check(p3s1, tuple(rows))

@@ -10,7 +10,6 @@ from vpshell import (
     DuplicateElement,
     MissingLabels,
     NotBounded,
-    NotComparable,
     NotGraded,
     UnknownElement,
     VpshellError,
@@ -22,10 +21,18 @@ from vpshell import (
     poset_to_json,
     vector_partition_poset,
 )
-from vpshell.poset import _dot_pieces, _json_pieces
 from conftest import (aligned_labels, build_poset, chains_by_powerset,
-                      hall_mobius, label_map, leq, poset_to_dot_by_edges,
+                      covers, hall_mobius, interval_chains, interval_poset,
+                      label_map, leq, poset_to_dot_by_edges,
                       poset_to_json_by_dict, set_partition_lattice, up_set)
+
+
+def json_text(p, up_labels=None):
+    return "".join(poset_to_json(p, up_labels))
+
+
+def dot_text(p, up_labels=None):
+    return "".join(poset_to_dot(p, up_labels))
 
 
 def diamond():
@@ -81,7 +88,7 @@ def test_build_takes_labels_with_the_covers():
     from vpshell.poset import build_indexed_poset
     p = build_indexed_poset("abc", [[1], [2], []], [["x"], ["y"], []])
     assert p.up_labels == (("x",), ("y",), ())
-    assert p.up == ((1,), (2,), ()) and p.covers == [(0, 1), (1, 2)]
+    assert p.up == ((1,), (2,), ())
     q = build_indexed_poset("abc", [(1,), (2,), ()])
     assert q.up_labels is None and q == p
     with pytest.raises(MissingLabels,
@@ -111,9 +118,7 @@ def test_covers_are_the_ascending_pairs_of_up(p3s2):
     from vpshell.poset import build_indexed_poset
     for p in (diamond(), chain4(), p3s2, set_partition_lattice(4),
               build_indexed_poset("tmb", [(), (0,), (1,)])):
-        assert p.covers == sorted(p.covers)
-        assert p.covers == [(lo, hi) for lo in range(len(p))
-                            for hi in p.up[lo]]
+        assert covers(p) == sorted(covers(p))
         assert all(type(js) is tuple and list(js) == sorted(set(js))
                    for js in p.up)
 
@@ -157,16 +162,12 @@ def test_maximal_chains_diamond():
         assert c[0] == p.bottom and c[-1] == p.top and len(c) == 3
 
 
-def test_maximal_chains_not_comparable():
-    p = diamond()
-    with pytest.raises(NotComparable):
-        maximal_chains(p, p.elements.index("a"), p.elements.index("b"))
-
-
 def test_maximal_chains_degenerate_interval():
     p = diamond()
     a = p.elements.index("a")
-    assert maximal_chains(p, a, a) == [(a,)]
+    q = interval_poset(p, a, a)
+    assert q.elements == (a,) and maximal_chains(q) == [(0,)]
+    assert interval_chains(p, a, a) == [(a,)]
 
 
 def test_maximal_chains_are_pure(p3s2):
@@ -174,16 +175,33 @@ def test_maximal_chains_are_pure(p3s2):
     assert len(lengths) == 1
 
 
-def test_maximal_chains_against_powerset_oracle(p3s1):
-    assert maximal_chains(p3s1) == chains_by_powerset(p3s1)
-    assert len(maximal_chains(p3s1)) == 18
+def test_maximal_chains_against_powerset_oracle(p3s1, p2s2):
+    for p, chains in ((diamond(), 2), (p3s1, 18), (p2s2, 4)):
+        assert maximal_chains(p) == chains_by_powerset(p)
+        assert len(maximal_chains(p)) == chains
 
 
 def test_interval_chains_against_powerset_oracle(p3s1):
+    # [a, top] built as a poset of its own: its chains, read back through
+    # its keys, are the chains of the interval in p
     p = p3s1
     atoms = sorted(p.up[p.bottom])
     for a in atoms[:3]:
-        assert maximal_chains(p, a, p.top) == chains_by_powerset(p, a, p.top)
+        q = interval_poset(p, a, p.top)
+        assert [tuple(q.elements[t] for t in c) for c in maximal_chains(q)] \
+            == chains_by_powerset(p, a, p.top)
+
+
+@pytest.mark.parametrize("size", ["p3s1", "p2s2"])
+def test_oracle_interval_walk_against_powerset_oracle(size, request):
+    # the EL and first-difference oracles list interval chains by this
+    # walk; it answers to the powerset oracle on every comparable pair
+    p = request.getfixturevalue(size)
+    pairs = [(x, y) for x in range(len(p)) for y in up_set(p, x)]
+    for x, y in pairs:
+        assert interval_chains(p, x, y) == chains_by_powerset(p, x, y)
+    assert interval_chains(p, p.top, p.bottom) == []
+    assert len(pairs) > len(p)
 
 
 @pytest.mark.parametrize("make, mu, above_atom, below_coatom", [
@@ -199,48 +217,44 @@ def test_queries_leave_no_state_on_the_poset(make, mu, above_atom,
     up_labels = p.up_labels or tuple((1,) * len(his) for his in p.up)
     atom = p.up[p.bottom][0]
     coatom = min(v for v, his in enumerate(p.up) if p.top in his)
-    assert mobius(p, p.bottom, p.top) == mu
-    assert len(maximal_chains(p, atom, p.top)) == above_atom
-    assert len(maximal_chains(p, p.bottom, coatom)) == below_coatom
-    assert poset_to_json(p) and poset_to_dot(p, up_labels)
+    assert mobius(p) == mu
+    assert len(maximal_chains(interval_poset(p, atom, p.top))) == above_atom
+    assert len(maximal_chains(interval_poset(p, p.bottom, coatom))) \
+        == below_coatom
+    assert maximal_chains(p)
+    assert json_text(p) and dot_text(p, up_labels)
     verify_el(p, up_labels)
     assert set(p.__dict__) == {f.name for f in fields(p)}
 
 
-def test_mobius_not_comparable():
-    p = diamond()
-    a, b = p.elements.index("a"), p.elements.index("b")
-    for x, y in ((a, b), (b, a), (p.top, a), (a, p.bottom)):
-        with pytest.raises(NotComparable):
-            mobius(p, x, y)
-
-
 def test_mobius_chain():
     p = chain4()
-    assert mobius(p, p.bottom, p.top) == 0
-    assert mobius(p, 0, 1) == -1
-    assert mobius(p, 0, 0) == 1
+    assert mobius(p) == 0
+    assert mobius(interval_poset(p, 0, 1)) == -1
+    assert mobius(interval_poset(p, 0, 0)) == 1
 
 
 def test_mobius_diamond():
     p = diamond()
-    assert mobius(p, p.bottom, p.top) == 1
+    assert mobius(p) == 1
 
 
 def test_mobius_partition_lattice():
     lat = set_partition_lattice(3)
-    assert mobius(lat, lat.bottom, lat.top) == 2
+    assert mobius(lat) == 2
     # (n-1)! with alternating sign in general
     lat4 = set_partition_lattice(4)
-    assert mobius(lat4, lat4.bottom, lat4.top) == -6
+    assert mobius(lat4) == -6
 
 
 def test_mobius_against_hall_oracle(p3s1, p2s2):
     for p in (p3s1, p2s2):
+        assert mobius(p) == hall_mobius(p, p.bottom, p.top)
         for x in range(len(p.elements)):
             for y in range(len(p.elements)):
                 if leq(p, x, y):
-                    assert mobius(p, x, y) == hall_mobius(p, x, y)
+                    assert mobius(interval_poset(p, x, y)) \
+                        == hall_mobius(p, x, y)
 
 
 def test_mobius_sum_identity(p3s1):
@@ -249,7 +263,7 @@ def test_mobius_sum_identity(p3s1):
     for y in range(len(p.elements)):
         if y == p.bottom:
             continue
-        total = sum(mobius(p, p.bottom, t)
+        total = sum(mobius(interval_poset(p, p.bottom, t))
                     for t in range(len(p.elements))
                     if leq(p, p.bottom, t) and leq(p, t, y))
         assert total == 0
@@ -272,7 +286,7 @@ def test_leq_matches_element_order(p3s1, p2s2, p3s2):
 
 
 def test_json_roundtrip():
-    doc = json.loads(poset_to_json(diamond()))
+    doc = json.loads(json_text(diamond()))
     assert doc == {"elements": ["0", "a", "b", "1"],
                    "covers": [[0, 1], [0, 2], [1, 3], [2, 3]],
                    "bottom": 0, "top": 3}
@@ -280,8 +294,8 @@ def test_json_roundtrip():
 
 def test_json_labeled_covers():
     p = diamond()
-    labels = {e: ("L", e) for e in p.covers}
-    doc = json.loads(poset_to_json(p, aligned_labels(p, labels)))
+    labels = {e: ("L", e) for e in covers(p)}
+    doc = json.loads(json_text(p, aligned_labels(p, labels)))
     assert doc["elements"] == ["0", "a", "b", "1"]
     assert doc["covers"] == [{"lo": lo, "hi": hi, "label": ["L", [lo, hi]]}
                              for lo, hi in [(0, 1), (0, 2), (1, 3), (2, 3)]]
@@ -289,17 +303,17 @@ def test_json_labeled_covers():
 
 
 def test_json_is_deterministic():
-    assert poset_to_json(diamond()) == poset_to_json(diamond())
+    assert json_text(diamond()) == json_text(diamond())
 
 
 def test_dot_output():
     p = diamond()
-    dot = poset_to_dot(p)
+    dot = dot_text(p)
     assert dot.startswith("digraph")
     assert "rankdir=BT" in dot
     assert dot.count("->") == 4
-    labeled = poset_to_dot(p, aligned_labels(
-        p, {e: (1, 2, 3) for e in p.covers}))
+    labeled = dot_text(p, aligned_labels(
+        p, {e: (1, 2, 3) for e in covers(p)}))
     assert 'label="(1, 2, 3)"' in labeled
 
 
@@ -307,33 +321,33 @@ def test_dot_output():
 def test_writers_match_the_oracles(size, request):
     p = request.getfixturevalue(size)
     for up_labels, labels in ((None, None), (p.up_labels, label_map(p))):
-        assert poset_to_json(p, up_labels) == poset_to_json_by_dict(p, labels)
-        assert poset_to_dot(p, up_labels) == poset_to_dot_by_edges(p, labels)
+        assert json_text(p, up_labels) == poset_to_json_by_dict(p, labels)
+        assert dot_text(p, up_labels) == poset_to_dot_by_edges(p, labels)
 
 
 def test_writers_escape_keys_and_labels_as_the_oracles_do():
     keys = ['lo"', "back\\slash", "new\nline", "\u00e9t\u00e9 \u2192 \U0001d53d", "hi"]
     p = build_poset(keys, [(keys[0], k) for k in keys[1:4]]
                     + [(k, keys[4]) for k in keys[1:4]])
-    labels = {(lo, hi): (keys[lo], hi) for lo, hi in p.covers}
+    labels = {(lo, hi): (keys[lo], hi) for lo, hi in covers(p)}
     for up_labels, lab in ((None, None), (aligned_labels(p, labels), labels)):
-        assert poset_to_json(p, up_labels) == poset_to_json_by_dict(p, lab)
-        assert poset_to_dot(p, up_labels) == poset_to_dot_by_edges(p, lab)
-    assert json.loads(poset_to_json(p))["elements"] == keys
+        assert json_text(p, up_labels) == poset_to_json_by_dict(p, lab)
+        assert dot_text(p, up_labels) == poset_to_dot_by_edges(p, lab)
+    assert json.loads(json_text(p))["elements"] == keys
 
 
 @pytest.mark.parametrize("writer", [
-    poset_to_json, poset_to_dot,
-    # a piece writer checks before its first piece, the head
-    lambda p, rows: next(_json_pieces(p, rows)),
-    lambda p, rows: next(_dot_pieces(p, rows)),
+    json_text, dot_text,
+    # a writer checks before its first piece, the head
+    lambda p, rows: next(poset_to_json(p, rows)),
+    lambda p, rows: next(poset_to_dot(p, rows)),
 ], ids=["poset_to_json", "poset_to_dot", "first_json_piece",
         "first_dot_piece"])
 def test_writers_name_the_least_cover_a_short_table_misses(writer, p3s1):
     # (0, 6) is the last cover of the bottom: cut its row and the row of
     # the last cover short by one label each
     rows = list(p3s1.up_labels)
-    last = p3s1.covers[-1][0]
+    last = covers(p3s1)[-1][0]
     assert p3s1.up[0][-1] == 6
     rows[0], rows[last] = rows[0][:-1], rows[last][:-1]
     with pytest.raises(MissingLabels,
@@ -343,8 +357,8 @@ def test_writers_name_the_least_cover_a_short_table_misses(writer, p3s1):
 
 def test_json_writes_int_labels_of_the_partition_lattice():
     lat = set_partition_lattice(4)
-    doc = json.loads(poset_to_json(lat, lat.up_labels))
-    assert len(doc["covers"]) == len(lat.covers)
+    doc = json.loads(json_text(lat, lat.up_labels))
+    assert len(doc["covers"]) == len(covers(lat))
     for cover in doc["covers"]:
         below = set(lat.elements[cover["lo"]])
         merged = next(b for b in lat.elements[cover["hi"]] if b not in below)
