@@ -6,15 +6,15 @@ Usage:
   vpshell count      --n N --s S [--method M] [-o PATH]
   vpshell sequence   --s S --max-n N [-o PATH]
 
-Exit codes: 0 success, 1 verification failure, 2 oracle mismatch,
-3 budget exceeded or out of memory, 4 bad input (a negative budget too)
-or an unwritable -o path.  build, verify-el and count refuse over 10^6
-elements (--max-elements or VPSHELL_MAX_ELEMENTS).  A route that lists
-chains refuses over 10^7 of them (--max-chains or VPSHELL_MAX_CHAINS),
-checked before any walk: verify-el --sabotage and count --method
-homology list every maximal chain, count --method enumerate the
-decreasing ones; euler, mobius and recursion list none.  sequence has
-no budget.
+Exit codes: 0 success, 1 verification failure, 2 oracle mismatch, 3
+budget exceeded or out of memory, 4 bad input (a negative budget too) or
+an -o path or stdout that cannot be written (a closed pipe, a full
+disk).  build, verify-el and count refuse over 10^6 elements
+(--max-elements or VPSHELL_MAX_ELEMENTS).  A route that lists chains
+refuses over 10^7 of them (--max-chains or VPSHELL_MAX_CHAINS), checked
+before any walk: verify-el --sabotage and count --method homology list
+every maximal chain, count --method enumerate the decreasing ones;
+euler, mobius and recursion list none.  sequence has no budget.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _parse(argv) -> argparse.Namespace:
 
 def _emit(text, out: str | None) -> None:
     """Write text, a str or an iterable of str pieces, to stdout or to the
-    file out, each piece as it arrives."""
+    file out, each piece as it arrives; a failed write is a VpshellError."""
     try:
         with (contextlib.nullcontext(sys.stdout) if out is None
               else open(out, "w")) as fh:
@@ -122,10 +122,14 @@ def _emit(text, out: str | None) -> None:
                 fh.write(last)
             if not last.endswith("\n"):  # stdout and a file get the same bytes
                 fh.write("\n")
+            fh.flush()  # so stdout fails here, not at interpreter exit
     except OSError as exc:
-        if out is None:
-            raise
-        raise VpshellError(f"cannot write {out}: {exc.strerror}") from None
+        if out is None and sys.stdout is sys.__stdout__:
+            # stdout's leftover buffer is flushed again at exit: to nowhere
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise VpshellError(f"cannot write {'stdout' if out is None else out}: "
+                           f"{exc.strerror}") from None
 
 
 def _cmd_build(args: argparse.Namespace) -> int:

@@ -1,9 +1,7 @@
-"""Simplicial complexes from poset proper parts: homology ranks over
-GF(2) and shelling verification.
-
-Betti numbers here are reduced and computed from exact boundary-matrix
-ranks over GF(2) (bitset Gaussian elimination, no floating point).  For
-the wedges of equal-dimension spheres this package produces, GF(2) ranks
+"""Order complexes of poset proper parts: the top reduced Betti number
+over GF(2), from an exact boundary-matrix rank (bitset Gaussian
+elimination, no floating point), and shelling verification.  For the
+wedges of equal-dimension spheres this package produces, GF(2) ranks
 agree with the ranks over any field.
 """
 from __future__ import annotations
@@ -16,11 +14,10 @@ from .poset import Poset, maximal_chains
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Facet-presented complex over integer vertices.
-
-    Every face is the ascending tuple of its vertices; facets are
-    inclusion-maximal, as the factory simplicial_complex() checks.  The
-    empty complex (no facets) is allowed and flagged by is_empty.
+    """Facet-presented complex over integer vertices, each face the
+    ascending tuple of its vertices.  The facets are distinct and
+    inclusion-maximal because order_complex builds them from the maximal
+    chains of a graded poset.  No facets: the empty complex, is_empty.
     """
 
     facets: tuple  # of ascending int tuples, in ascending order
@@ -32,28 +29,6 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
-
-    def faces(self, d: int) -> set:
-        """The d-faces, made afresh on each call: nothing is cached.  The
-        one (-1)-face of a non-empty complex is the empty face."""
-        return {face for f in self.facets for face in combinations(f, d + 1)}
-
-
-def simplicial_complex(facets) -> SimplicialComplex:
-    """Build a complex from an iterable of vertex iterables.
-
-    Makes each facet the ascending tuple of its vertices, deduplicates,
-    orders facets ascending, and rejects a facet contained in another.
-    The pairwise scan, O(F^2) in facets, runs only when the facets differ
-    in size: distinct facets of one size cannot contain one another.
-    """
-    faces = sorted({tuple(sorted(set(f))) for f in facets})
-    if len({len(f) for f in faces}) > 1:
-        for a in faces:
-            for b in faces:
-                if len(a) < len(b) and set(a) <= set(b):
-                    raise ValueError(f"facet {list(a)} is contained in {list(b)}")
-    return SimplicialComplex(facets=tuple(faces))
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
@@ -94,17 +69,13 @@ def _boundary_rank(faces) -> int:
     return len(pivots)
 
 
-def betti(c: SimplicialComplex, d: int) -> int:
-    """Reduced Betti number over GF(2) in dimension d >= 0, read off the
-    (d + 1)-faces and then the d-faces, never both sets at once.  At the
-    top dimension there are no (d + 1)-faces, and the d-faces are the
-    facets of d + 1 vertices, read as they are."""
-    if d < 0:
-        raise ValueError("betti is defined here for dimensions >= 0")
-    top = d == c.dim
-    upper = 0 if top else _boundary_rank(c.faces(d + 1))
-    faces = [f for f in c.facets if len(f) == d + 1] if top else c.faces(d)
-    return len(faces) - _boundary_rank(faces) - upper
+def betti(c: SimplicialComplex) -> int:
+    """Reduced Betti number over GF(2) in the top dimension: the facets
+    of top size, which are all its faces there and have none above them,
+    less the rank of their boundary map.  0 for the empty complex."""
+    size = c.dim + 1
+    top = [f for f in c.facets if len(f) == size]
+    return len(top) - _boundary_rank(top)
 
 
 @dataclass(frozen=True)
@@ -127,11 +98,11 @@ class ShellingReport:
 def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
     """Check that the given facet order is a shelling of c.
 
-    order: iterable of vertex iterables, each read as the ascending tuple
-    of its vertices; it must list every facet of c exactly once.  At each
-    position i >= 1, the intersection of facet F_i with the union of the
-    earlier facets must be pure of dimension |F_i| - 2; when |F_i| = 1
-    that intersection is the empty face alone, treated as vacuously pure.
+    order lists every facet of c once, as c holds it, an ascending vertex
+    tuple (an unsorted tuple or a set is a stranger).  At each position
+    i >= 1, the intersection of facet F_i with the union of the earlier
+    facets must be pure of dimension |F_i| - 2; when |F_i| = 1 that
+    intersection is the empty face alone, treated as vacuously pure.
     Failures are reported, never raised.
 
     The test uses restriction faces (Bjorner, "Shellable and
@@ -145,11 +116,11 @@ def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
     R(F_i) = F_i.  The cost is one dictionary entry per face of every
     facet, sum of 2^|F|, instead of F^2 facet intersections.
     """
-    facets = [tuple(sorted(set(f))) for f in order]
+    facets = list(order)
     known = set(c.facets)
     seen: set = set()
     for i, f in enumerate(facets):
-        if f not in known:
+        if not isinstance(f, tuple) or f not in known:
             return ShellingReport(False, i, (),
                                   f"entry {i} is not a facet of the complex")
         if f in seen:

@@ -303,11 +303,12 @@ def lex_shelling_order(p: Poset, labels: tuple | None = None) -> list:
     Maximal chains, walked in canonical order, are stably sorted by label
     word (ties keep that order) and stripped of bottom and top, leaving
     index tuples that ascend when elements are indexed by rank.  labels,
-    aligned with p.up, default to p.up_labels.  Height-1 posets give [].
+    aligned with p.up, default to p.up_labels; a height-1 poset gives []
+    once they have been checked.
     """
+    lab = _label_table(p, labels)
     if p.height < 2:
         return []
-    lab = _label_table(p, labels)
     chains = maximal_chains(p)
     chains.sort(key=lambda c: _word(p, lab, c))
     return [c[1:-1] for c in chains]

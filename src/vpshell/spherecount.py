@@ -437,7 +437,7 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
         # built after enumeration has returned, so the complex and the
         # enumerated chains are never in memory together
         c = order_complex(p)
-        values["homology"] = None if c.is_empty else betti(c, n - 2)
+        values["homology"] = None if c.is_empty else betti(c)
     present = [v for v in values.values() if v is not None]
     return {"n": n, "s": s, "methods": values,
             "match": len(set(present)) <= 1, **info}

@@ -18,12 +18,15 @@ They are slow and only fit tiny inputs, which is the point.
 
 The fixtures build posets the package has no use for: from cover pairs,
 of element keys or of indices, the plain partition lattice, and an
-interval [x, y] of a poset as a poset of its own.  The order helpers
+interval [x, y] of a poset as a poset of its own; simplicial_complex
+builds a complex from any facet list, and faces lists a complex's
+faces of one dimension.  The order helpers
 leq, up_set and interval_chains walk the covers up from an element;
 covers lists the cover pairs.  The
 helpers that close the file serve only tests: a strictly increasing
 word test, the count of chains per top label index, and every reduced
-Betti number of a complex, the dense oracle of betti.
+Betti number of a complex, the dense oracle of betti, which gives the
+top one.
 """
 import json
 from collections.abc import Mapping
@@ -32,8 +35,8 @@ from math import comb
 
 import pytest
 
-from vpshell import (ELReport, ShellingReport, UnknownElement,
-                     VectorPartition, atom_word, bottom_element,
+from vpshell import (ELReport, ShellingReport, SimplicialComplex,
+                     UnknownElement, VectorPartition, atom_word, bottom_element,
                      canonicalize, cover_label, enumerate_elements,
                      first_word_difference, is_weakly_decreasing,
                      maximal_chains, set_partitions, top_element,
@@ -281,27 +284,30 @@ def sorted_word_rank(word, n, s):
     return sorted(words).index(tuple(word)) + 1
 
 
-def facets_by_pairwise_containment(facets):
-    """Canonical facet tuple of simplicial_complex, with the containment
-    check run on every pair of facets whatever their sizes, as frozensets."""
-    sets = sorted({frozenset(f) for f in facets}, key=lambda f: tuple(sorted(f)))
+def simplicial_complex(facets):
+    """A SimplicialComplex from vertex iterables: each facet made the
+    ascending tuple of its vertices, repeats dropped, facets in ascending
+    order.  ValueError for a facet contained in another, every pair of
+    facets checked as frozensets."""
+    sets = {frozenset(f) for f in facets}
     for a in sets:
         for b in sets:
             if a < b:
-                raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
-    return tuple(tuple(sorted(f)) for f in sets)
+                raise ValueError(f"facet {sorted(a)} is in {sorted(b)}")
+    return SimplicialComplex(
+        facets=tuple(sorted(tuple(sorted(f)) for f in sets)))
 
 
 def shelling_by_intersections(c, order):
     """verify_shelling by the definition: intersect each facet with every
     earlier one and test the maximal intersections.  O(F^2) in facets.
-    Entries are checked against c as ascending tuples and intersected as
-    frozensets."""
-    given = [tuple(sorted(set(f))) for f in order]
+    Entries are checked against c as given, so only a tuple that is a
+    facet of c is one, and intersected as frozensets."""
+    given = list(order)
     known = set(c.facets)
     seen = set()
     for i, f in enumerate(given):
-        if f not in known:
+        if not isinstance(f, tuple) or f not in known:
             return ShellingReport(False, i, (),
                                   f"entry {i} is not a facet of the complex")
         if f in seen:
@@ -502,10 +508,16 @@ def top_label_index_counts(chains):
     return dict(sorted(counts.items()))
 
 
+def faces(c, d):
+    """The d-faces of a complex, every (d + 1)-subset of every facet; the
+    one (-1)-face of a non-empty complex is the empty face."""
+    return {face for f in c.facets for face in combinations(f, d + 1)}
+
+
 def f_vector(c):
     """(f_0, ..., f_dim) of a complex, every face of every facet listed;
     the empty tuple for the empty complex."""
-    return tuple(len(c.faces(d)) for d in range(c.dim + 1))
+    return tuple(len(faces(c, d)) for d in range(c.dim + 1))
 
 
 def reduced_euler_characteristic(c):
@@ -520,15 +532,15 @@ def reduced_betti_numbers(c):
     empty face included.  Each boundary map is a dense matrix, a row per
     face with one bit per sorted face a vertex smaller, reduced column by
     column from the lowest bit."""
-    faces = {}
+    by_dim = {}
     for f in c.facets:
         for k in range(len(f) + 1):
-            faces.setdefault(k - 1, set()).update(combinations(f, k))
+            by_dim.setdefault(k - 1, set()).update(combinations(f, k))
 
     def rank(d):
-        index = {g: t for t, g in enumerate(sorted(faces.get(d - 1, ())))}
+        index = {g: t for t, g in enumerate(sorted(by_dim.get(d - 1, ())))}
         rows = [sum(1 << index[g] for g in combinations(f, d))
-                for f in faces.get(d, ())]
+                for f in by_dim.get(d, ())]
         found = 0
         for bit in range(len(index)):
             hits = [row for row in rows if row >> bit & 1]
@@ -538,7 +550,7 @@ def reduced_betti_numbers(c):
                 found += 1
         return found
 
-    return tuple(len(faces[d]) - rank(d) - rank(d + 1)
+    return tuple(len(by_dim[d]) - rank(d) - rank(d + 1)
                  for d in range(c.dim + 1))
 
 

@@ -1,10 +1,12 @@
 """The package's public names."""
+import inspect
+
 import vpshell
 
 DELETED = ["parse_element", "element_to_json", "element_from_json",
            "word_to_atom", "poset_from_json", "MalformedDocument",
            "top_label_index_counts", "is_increasing", "reduced_betti_numbers",
-           "NotComparable"]
+           "NotComparable", "simplicial_complex"]
 
 
 def test_star_import_resolves_every_public_name():
@@ -20,6 +22,11 @@ def test_deleted_names_are_gone():
         assert not hasattr(vpshell, name)
     assert not hasattr(vpshell.Poset, "interval")
     assert not hasattr(vpshell.Poset, "covers")
+    assert not hasattr(vpshell.SimplicialComplex, "faces")
+
+
+def test_betti_takes_the_complex_alone():
+    assert list(inspect.signature(vpshell.betti).parameters) == ["c"]
 
 
 def test_cli_binds_no_private_name_of_the_poset_module():

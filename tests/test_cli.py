@@ -1,11 +1,16 @@
 """Command line interface: exit codes, determinism, output formats."""
+import errno
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import vpshell
 from vpshell import count_by_recursion, count_total
 from vpshell.cli import main
 
@@ -249,6 +254,50 @@ def test_unwritable_output_exits_4(tmp_path, capsys, argv):
     assert (code, out) == (4, "")
     assert err.startswith(f"error: cannot write {target}: ")
     assert "Traceback" not in err
+
+
+class FailingStdout:
+    """A stdout whose every write raises the given OSError."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("exc", [
+    BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+], ids=["broken_pipe", "disk_full"])
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "3", "--s", "1"),
+    ("build", "--n", "3", "--s", "1", "--format", "dot"),
+], ids=["count", "build_dot"])
+def test_stdout_write_failure_exits_4(capsys, monkeypatch, exc, argv):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(exc))
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert (code, err) == (4, f"error: cannot write stdout: {exc.strerror}\n")
+
+
+def test_stdout_closed_early_exits_4_without_traceback():
+    # the reader takes 100 bytes of some 360 KB and closes the pipe, more
+    # than the pipe and the stdout buffer hold; nothing else reaches
+    # stderr, not even at interpreter exit
+    env = dict(os.environ, PYTHONPATH=str(Path(vpshell.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vpshell", "build", "--n", "4", "--s", "2",
+         "--labels"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (4, "error: cannot write stdout: "
+                                     f"{os.strerror(errno.EPIPE)}\n")
 
 
 def test_build_writes_its_file_a_piece_at_a_time(tmp_path, monkeypatch):

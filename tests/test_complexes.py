@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpshell import (
-    SimplicialComplex,
     betti,
     count_total,
     order_complex,
-    simplicial_complex,
     vector_partition_poset,
     verify_shelling,
 )
 from vpshell.poset import chain_f_vector
-from conftest import (f_vector, facets_by_pairwise_containment,
-                      poset_from_pairs, reduced_betti_numbers,
-                      reduced_euler_characteristic, shelling_by_intersections)
+from conftest import (f_vector, poset_from_pairs, reduced_betti_numbers,
+                      reduced_euler_characteristic, shelling_by_intersections,
+                      simplicial_complex)
 
 
 def hollow_triangle():
@@ -44,28 +42,30 @@ def test_empty_complex():
     c = simplicial_complex([])
     assert c.is_empty
     assert reduced_euler_characteristic(c) == -1
-    assert betti(c, 0) == 0
+    assert betti(c) == 0
+    assert reduced_betti_numbers(c) == ()
 
 
 def test_euler_points():
     # four isolated points: chi-tilde = 4 - 1
     pts = simplicial_complex([(1,), (2,), (3,), (4,)])
     assert reduced_euler_characteristic(pts) == 3
-    assert betti(pts, 0) == 3
+    assert betti(pts) == 3
+    assert reduced_betti_numbers(pts) == (3,)
 
 
 def test_euler_hollow_triangle():
     # a circle: chi-tilde = (3 - 3) - 1
     c = hollow_triangle()
     assert reduced_euler_characteristic(c) == -1
-    assert betti(c, 0) == 0
-    assert betti(c, 1) == 1
+    assert betti(c) == 1
     assert reduced_betti_numbers(c) == (0, 1)
 
 
 def test_betti_filled_triangle():
     c = simplicial_complex([(1, 2, 3)])
     assert reduced_betti_numbers(c) == (0, 0, 0)
+    assert betti(c) == 0
     assert reduced_euler_characteristic(c) == 0
 
 
@@ -76,27 +76,13 @@ def test_betti_mixed_complex():
                             (5, 6), (6, 7), (5, 7), (8,)])
     assert f_vector(c) == (8, 9, 4)
     assert reduced_betti_numbers(c) == (2, 1, 1)
-    assert [betti(c, d) for d in range(4)] == [2, 1, 1, 0]
+    assert betti(c) == 1
     assert reduced_euler_characteristic(c) == 2
-
-
-def test_top_betti_reduces_only_the_top_map(monkeypatch, p4s1):
-    # at the top dimension no face set is built: the top faces are the
-    # facets, and there are none above them; one dimension lower both
-    # face sets are built, the two maps reduced
-    c, read = order_complex(p4s1), []
-    honest = SimplicialComplex.faces
-    monkeypatch.setattr(SimplicialComplex, "faces",
-                        lambda self, d: read.append(d) or honest(self, d))
-    assert betti(c, 2) == 33
-    assert read == []
-    assert betti(c, 1) == 0
-    assert sorted(read) == [1, 2]
 
 
 def test_complex_holds_only_its_facets(p3s1):
     c = order_complex(p3s1)
-    assert c.dim == 1 and f_vector(c) == (15, 18) and betti(c, 1) == 4
+    assert c.dim == 1 and f_vector(c) == (15, 18) and betti(c) == 4
     assert vars(c) == {"facets": c.facets}
 
 
@@ -104,7 +90,7 @@ def test_top_betti_peak_memory(p4s2):
     c = order_complex(p4s2)
     tracemalloc.start()
     try:
-        assert betti(c, 2) == 1899
+        assert betti(c) == 1899
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -117,20 +103,16 @@ def test_top_betti_peak_memory(p4s2):
 def test_betti_matches_dense_oracle(sets):
     facets = [f for f in sets if not any(f < g for g in sets)]
     c = simplicial_complex(facets)
-    assert ([betti(c, d) for d in range(c.dim + 3)]
-            == list(reduced_betti_numbers(c)) + [0, 0])
+    assert betti(c) == reduced_betti_numbers(c)[-1]
 
 
 @pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (2, 2), (3, 2), (3, 3)])
 def test_order_complex_betti_matches_dense_oracle(n, s):
+    # the wedge of (n - 2)-spheres: homology only at the top
     c = order_complex(vector_partition_poset(n, s))
-    assert ([betti(c, d) for d in range(c.dim + 2)]
-            == list(reduced_betti_numbers(c)) + [0])
-
-
-def test_betti_rejects_negative_dimension():
-    with pytest.raises(ValueError):
-        betti(hollow_triangle(), -1)
+    *lower, top = reduced_betti_numbers(c)
+    assert betti(c) == top == count_total(n, s)
+    assert lower == [0] * (n - 2)
 
 
 def test_euler_poincare_identity():
@@ -147,8 +129,8 @@ def test_order_complex_proper_part(p3s1):
     c = order_complex(p3s1)
     assert f_vector(c) == (15, 18)
     assert reduced_euler_characteristic(c) == -4
-    assert betti(c, 0) == 0
-    assert betti(c, 1) == 4
+    assert reduced_betti_numbers(c) == (0, 4)
+    assert betti(c) == 4
 
 
 def test_order_complex_height_one():
@@ -185,11 +167,16 @@ def test_indices_need_not_follow_rank():
 
 def test_verify_shelling_hollow_triangle():
     c = hollow_triangle()
-    # entries are read as vertex sets, in any order
-    rep = verify_shelling(c, [(1, 2), (3, 2), frozenset((1, 3))])
+    rep = verify_shelling(c, [(1, 2), (2, 3), (1, 3)])
     assert rep.valid
     # the last edge closes the cycle: boundary fully covered
     assert rep.homology_facets == (2,)
+    # a face is an ascending tuple: an unsorted tuple or a set of a
+    # facet's vertices is not a facet
+    for stranger in ((3, 2), frozenset((1, 3))):
+        rep = verify_shelling(c, [(1, 2), stranger, (1, 3)])
+        assert (rep.valid, rep.failing_index) == (False, 1)
+        assert rep.problem == "entry 1 is not a facet of the complex"
 
 
 def test_verify_shelling_detects_gap():
@@ -213,9 +200,10 @@ def test_verify_shelling_rejects_stranger_and_duplicate():
     bad = [(1, 2), (9, 10), (1, 3)]
     rep = verify_shelling(c, bad)
     assert not rep.valid and rep.failing_index == 1
-    dup = [(1, 2), (2, 1), (2, 3)]
+    dup = [(1, 2), (1, 2), (2, 3)]
     rep = verify_shelling(c, dup)
     assert not rep.valid and rep.failing_index == 1
+    assert rep.problem == "facet at position 1 listed twice"
 
 
 def test_verify_shelling_zero_spheres():
@@ -250,29 +238,24 @@ def test_verify_shelling_matches_intersection_oracle(data):
         candidates = _vertex_sets(top, range(1, 5))
     facets = data.draw(st.lists(st.sampled_from(candidates), unique=True,
                                 min_size=1, max_size=8), label="facets")
-    if data.draw(st.booleans(), label="keep maximal only"):
-        facets = [f for f in facets if not any(f < g for g in facets)]
-    try:
-        expected = facets_by_pairwise_containment(facets)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as caught:
-            simplicial_complex(facets)
-        assert str(caught.value) == str(exc)
-        return
-    c = simplicial_complex(facets)
-    assert c.facets == expected
+    c = simplicial_complex([f for f in facets
+                            if not any(f < g for g in facets)])
 
     order = data.draw(st.permutations(c.facets), label="order")
     defect = data.draw(st.sampled_from(
-        ["none"] * 3 + ["duplicate", "stranger", "missing"]), label="defect")
+        ["none"] * 3 + ["duplicate", "stranger", "set", "missing"]),
+        label="defect")
     if defect == "duplicate":
         twin = data.draw(st.sampled_from(order), label="twin")
         order.insert(data.draw(st.integers(0, len(order))), twin)
     elif defect == "stranger":
-        strangers = [f for f in _vertex_sets(5, range(1, 5))
+        strangers = [tuple(sorted(f)) for f in _vertex_sets(5, range(1, 5))
                      if tuple(sorted(f)) not in c.facets]
         order.insert(data.draw(st.integers(0, len(order))),
                      data.draw(st.sampled_from(strangers), label="stranger"))
+    elif defect == "set":  # a facet's vertices, not in the face format
+        k = data.draw(st.integers(0, len(order) - 1), label="set at")
+        order[k] = frozenset(order[k])
     elif defect == "missing":
         order.pop(data.draw(st.integers(0, len(order) - 1)))
     assert verify_shelling(c, order) == shelling_by_intersections(c, order)

@@ -258,6 +258,16 @@ def test_labels_missing_a_cover_are_refused(check, p3s1):
         check(p3s1, tuple(rows))
 
 
+@pytest.mark.parametrize("check", [verify_el, verify_label_structure,
+                                   lex_shelling_order])
+def test_short_table_is_refused_at_height_1(check):
+    # n = 1 has no facet and no interval past its one cover, yet a table
+    # of one row for its two elements is bad input
+    p = vector_partition_poset(1, 2)
+    with pytest.raises(MissingLabels, match=r"^1 label lists, 2 elements$"):
+        check(p, ((),))
+
+
 @pytest.mark.parametrize("fixture", ["p3s1", "p2s2", "p3s2", "p4s1"])
 def test_given_labels_read_as_the_labels_the_poset_carries(fixture, request):
     # labels=None reads p.up_labels; the same rows given explicitly, to
