@@ -44,6 +44,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise VpshellError(message)
 
+    # argparse drops a failed help write; _emit makes it exit 4
+    def print_help(self, file=None):
+        _emit(self.format_help(), None)
+
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)

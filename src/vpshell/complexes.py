@@ -34,15 +34,15 @@ class SimplicialComplex:
 def order_complex(p: Poset) -> SimplicialComplex:
     """The chain complex of the proper part (bottom and top removed).
 
-    Its facets are the maximal chains as walked, cut to the proper part,
-    vertices sorted (indices need not follow rank): in a graded poset
-    they are distinct and of one size, so none contains another.  A
-    poset of height below 2 has an empty proper part and complex.
+    Its facets are the maximal chains as walked, cut to the proper part:
+    ascending, as covers rise, and in lexicographic order.  In a graded
+    poset they are distinct and of one size, so none contains another.
+    A poset of height below 2 has an empty proper part and complex.
     """
     if p.height < 2:
         return SimplicialComplex(facets=())
-    return SimplicialComplex(facets=tuple(sorted(
-        [tuple(sorted(c[1:-1])) for c in maximal_chains(p)])))
+    return SimplicialComplex(
+        facets=tuple([c[1:-1] for c in maximal_chains(p)]))
 
 
 def _boundary_rank(faces) -> int:

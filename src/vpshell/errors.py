@@ -6,7 +6,7 @@ class VpshellError(Exception):
 
 
 class CycleDetected(VpshellError):
-    """The cover relation contains a directed cycle."""
+    """A cover (i, j) with j <= i; every directed cycle has one."""
 
 
 class NotBounded(VpshellError):

@@ -302,9 +302,9 @@ def lex_shelling_order(p: Poset, labels: tuple | None = None) -> list:
 
     Maximal chains, walked in canonical order, are stably sorted by label
     word (ties keep that order) and stripped of bottom and top, leaving
-    index tuples that ascend when elements are indexed by rank.  labels,
-    aligned with p.up, default to p.up_labels; a height-1 poset gives []
-    once they have been checked.
+    ascending index tuples, the facets as order_complex holds them.
+    labels, aligned with p.up, default to p.up_labels; a height-1 poset
+    gives [] once they have been checked.
     """
     lab = _label_table(p, labels)
     if p.height < 2:

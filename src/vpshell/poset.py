@@ -2,9 +2,10 @@
 serialization.
 
 Elements are opaque hashable keys held in an indexed table; all operations
-speak element indices.  Covers are index pairs (lo, hi) with
-rank(hi) = rank(lo) + 1, where ranks are longest-path distances from the
-bottom.  Gradedness is validated at build time, never assumed.
+speak element indices.  Index order is a linear extension: covers are
+index pairs (lo, hi) with lo < hi and rank(hi) = rank(lo) + 1, where
+ranks are longest-path distances from the bottom, index 0, and the top
+is the last index.  Both are validated at build time, never assumed.
 """
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ from .errors import (CycleDetected, DuplicateElement, MissingLabels,
 class Poset:
     """Immutable bounded graded poset, held as its Hasse diagram.
 
-    Use build_indexed_poset() to construct: it validates acyclicity,
-    unique bottom and top, and gradedness.  up[i] holds the ascending
-    indices covering i, the only record of the covers; nothing is cached
-    on the instance, and up-sets are walked up through it on demand.
+    Use build_indexed_poset() to construct: it validates that covers
+    rise in index order, the bottom 0, the top len - 1, and gradedness.
+    up[i] holds the ascending indices covering i, the only record of the
+    covers; nothing is cached, and up-sets are walked up it on demand.
     up_labels, if present, labels (i, up[i][k]) by up_labels[i][k], the
     only record of the labels; it takes no part in equality.
     """
@@ -30,16 +31,19 @@ class Poset:
     elements: tuple
     up: tuple
     ranks: tuple
-    bottom: int
-    top: int
     up_labels: tuple | None = field(default=None, compare=False, repr=False)
+    bottom = 0  # not a field: first in every linear extension
 
     def __len__(self) -> int:
         return len(self.elements)
 
     @property
+    def top(self) -> int:
+        return len(self.elements) - 1
+
+    @property
     def height(self) -> int:
-        return self.ranks[self.top]
+        return self.ranks[-1]
 
     def _walk(self, start: int, levels: int) -> set[int]:
         """start and the elements above it at most levels ranks higher.
@@ -55,17 +59,17 @@ class Poset:
 def build_indexed_poset(elements, up, up_labels=None) -> Poset:
     """Validate a Hasse diagram and assemble a Poset.
 
-    elements:  sequence of unique hashable keys.
+    elements:  sequence of unique hashable keys, each after those below.
     up:        up[i] holds the indices covering elements[i], ascending.
     up_labels: optional; up_labels[i][k] labels the cover (i, up[i][k]).
 
     Raises DuplicateElement for duplicate keys, UnknownElement unless up
     has one strictly ascending entry of indices per element, and
-    CycleDetected, NotBounded, or NotGraded when the data does not
-    describe a bounded graded poset; MissingLabels when up_labels does
-    not line up with up.  Ranks are longest-path distances from the
-    bottom; a cover whose endpoints differ by more than one rank (a
-    transitive edge in disguise) trips NotGraded.
+    CycleDetected for a cover (i, j) with j <= i, then NotBounded or
+    NotGraded when the data is no bounded graded poset; MissingLabels
+    when up_labels does not line up with up.  Ranks are longest-path
+    distances from the bottom; a cover whose endpoints differ by more
+    than one rank (a transitive edge in disguise) trips NotGraded.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
@@ -77,36 +81,22 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
     if len(up) != n:
         raise UnknownElement(f"{len(up)} upper-cover lists for {n} elements")
 
-    indeg = [0] * n  # lower covers per element, for Kahn's pass
+    ranks = [0] * n  # final at i, whose lower covers all come before it
     for i, js in enumerate(up):
         for prev, j in zip((-1,) + js, js):
             if not prev < j < n:
                 raise UnknownElement(
                     f"up[{i}] does not ascend strictly in 0..{n - 1}")
-            if i == j:
-                raise CycleDetected(f"self-cover at element {i}")
-            indeg[j] += 1
+            if j <= i:
+                raise CycleDetected(
+                    f"cover ({i}, {j}) does not rise in index order")
+            if ranks[j] <= ranks[i]:
+                ranks[j] = ranks[i] + 1
 
-    # Kahn's algorithm, ranking longest paths on the way: w joins the
-    # order after all its lower covers; leftover nodes witness a cycle
-    order = [i for i in range(n) if indeg[i] == 0]
-    sources = len(order)
-    ranks = [0] * n
-    for v in order:  # order grows while it is walked
-        for w in up[v]:
-            if ranks[v] + 1 > ranks[w]:
-                ranks[w] = ranks[v] + 1
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    if len(order) != n:
-        raise CycleDetected("cover relation contains a cycle")
-
-    sinks = [i for i in range(n) if not up[i]]
-    if sources != 1 or len(sinks) != 1:
-        raise NotBounded(
-            f"{sources} minimal and {len(sinks)} maximal elements")
-    bottom, top = order[0], sinks[0]
+    # rank 0 means no lower cover: one source and one sink are 0, n - 1
+    sources, sinks = ranks.count(0), sum(not js for js in up)
+    if sources != 1 or sinks != 1:
+        raise NotBounded(f"{sources} minimal and {sinks} maximal elements")
 
     for i, js in enumerate(up):
         for j in js:
@@ -118,7 +108,7 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
         up_labels = tuple(map(tuple, up_labels))
         _check_aligned(up, up_labels)
     return Poset(elements=elements, up=up, ranks=tuple(ranks),
-                 bottom=bottom, top=top, up_labels=up_labels)
+                 up_labels=up_labels)
 
 
 def _check_aligned(up: tuple, up_labels) -> None:
@@ -159,14 +149,14 @@ def mobius(p: Poset) -> int:
     """mu(bottom, top), by the dual of the defining recursion.
 
     mu(top, top) = 1 and mu(z, top) = -sum of mu(v, top) over z < v,
-    filled in falling rank order (Rota 1964).  Each z walks its up-set
+    filled in falling index order (Rota 1964).  Each z walks its up-set
     and sums the values found, so a call costs the covers met on those
     walks, about the comparable pairs times the up-degree.
     """
     mu = [0] * len(p)
     mu[p.top] = 1
-    for z in sorted(range(len(p)), key=p.ranks.__getitem__, reverse=True)[1:]:
-        # [1:] skips the top; mu holds mu(v, top) above z, and 0 at z
+    for z in range(p.top - 1, -1, -1):
+        # mu holds mu(v, top) above z, all of higher index, and 0 at z
         mu[z] = -sum(map(mu.__getitem__, p._walk(z, p.height - p.ranks[z])))
     return mu[p.bottom]
 
@@ -174,19 +164,18 @@ def mobius(p: Poset) -> int:
 def chain_f_vector(p: Poset) -> tuple:
     """(f_0, ..., f_(h-2)) for p of height h: f_k counts the (k+1)-element
     chains of the proper part, the k-faces of its order complex, unbuilt.
-    In rank order each proper z packs g(z), its chains by size, one int
+    In index order each proper z packs g(z), its chains by size, one int
     slot each, and adds them one element longer to every w above z below
     the top (Hall 1936; Rota 1964); a slot counts < N^(h-1) < 2^width."""
     h, ranks = p.height, p.ranks
     width = max(h - 1, 0) * len(p).bit_length()
     g = [0] * len(p)
-    for z in sorted(range(len(p)), key=ranks.__getitem__):
-        if z != p.bottom and z != p.top:
-            g[z] += 1
-            longer = g[z] << width
-            for w in p._walk(z, h - 1 - ranks[z]):
-                if w != z:
-                    g[w] += longer
+    for z in range(1, p.top):
+        g[z] += 1
+        longer = g[z] << width
+        for w in p._walk(z, h - 1 - ranks[z]):
+            if w != z:
+                g[w] += longer
     total, mask = sum(g), (1 << width) - 1
     return tuple(total >> k * width & mask for k in range(h - 1))
 

@@ -143,7 +143,9 @@ def decreasing_chains(n: int, s: int,
     maps to indices; a record that is no element is a mismatch too.
     Elements are indexed in sort_key order and the walk steps in index
     order, so only the generated chains are sorted, and a walk out of
-    order is a mismatch.  Callers bound the walk with check_chain_budget.
+    order is a mismatch.  sphere_count_certificate bounds the walk by
+    the decreasing chains, count_total(n, s), not check_chain_budget's
+    count of every maximal chain.
     """
     if poset is None:
         poset = vector_partition_poset(n, s)

@@ -284,6 +284,18 @@ def test_stdout_write_failure_exits_4(capsys, monkeypatch, exc, argv):
     assert (code, err) == (4, f"error: cannot write stdout: {exc.strerror}\n")
 
 
+@pytest.mark.parametrize("argv", [("--help",), ("count", "--help")],
+                         ids=["help", "count_help"])
+def test_help_write_failure_exits_4(capsys, monkeypatch, argv):
+    # argparse prints help through a write that drops OSError; the
+    # parser routes it through the writer every command uses
+    exc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(sys, "stdout", FailingStdout(exc))
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert (code, err) == (4, f"error: cannot write stdout: {exc.strerror}\n")
+
+
 def test_stdout_closed_early_exits_4_without_traceback():
     # the reader takes 100 bytes of some 360 KB and closes the pipe, more
     # than the pipe and the stdout buffer hold; nothing else reaches

@@ -13,7 +13,7 @@ from vpshell import (
     verify_shelling,
 )
 from vpshell.poset import chain_f_vector
-from conftest import (f_vector, poset_from_pairs, reduced_betti_numbers,
+from conftest import (f_vector, reduced_betti_numbers,
                       reduced_euler_characteristic, shelling_by_intersections,
                       simplicial_complex)
 
@@ -153,16 +153,6 @@ def test_chain_counts_match_the_faces_of_the_order_complex(n, s):
     chi = sum((-1) ** k * fk for k, fk in enumerate(f)) - 1
     assert chi == reduced_euler_characteristic(c)
     assert abs(chi) == count_total(n, s)
-
-
-def test_indices_need_not_follow_rank():
-    # bottom last and top first: chain counting goes by rank, and the
-    # order complex sorts each walked chain's vertices
-    p = poset_from_pairs("tmabz", [(4, 3), (4, 2), (3, 1), (2, 1), (1, 0)])
-    c = order_complex(p)
-    assert c.facets == ((1, 2), (1, 3))
-    assert chain_f_vector(p) == f_vector(c) == (3, 2)
-    assert c == simplicial_complex([(3, 1), (2, 1)])
 
 
 def test_verify_shelling_hollow_triangle():

@@ -163,18 +163,23 @@ def test_verify_el_flags_bad_labeling():
 
 
 def test_verify_el_reports_the_least_failing_index():
-    # [0, t] fails: its one increasing word (3, 4) is not the least,
-    # (2, 1).  [0, 1] extends both words by 5 and fails for that reason
-    # alone; 1 has the smaller index, so it is the one reported
-    p = build_poset("01abt", [("0", "a"), ("0", "b"), ("a", "t"),
-                              ("b", "t"), ("t", "1")])
+    # listed along a linear extension, the branch a, b, t, h comes before
+    # c, d, u, v.  [0, t] passes, with the one increasing word (1, 2);
+    # [0, h] extends both its words by 1 and has none.  [0, u] has two,
+    # (1, 2) and (1, 3).  The scan meets u at rank 2 before h at rank 3,
+    # but h, incomparable to u, has the smaller index and is reported
+    p = build_poset("0abthcduv1", [
+        ("0", "a"), ("0", "b"), ("a", "t"), ("b", "t"), ("t", "h"),
+        ("0", "c"), ("0", "d"), ("c", "u"), ("d", "u"), ("u", "v"),
+        ("h", "1"), ("v", "1")])
     i = {k: t for t, k in enumerate(p.elements)}
-    labels = {(i["0"], i["a"]): 2, (i["a"], i["t"]): 1,
-              (i["0"], i["b"]): 3, (i["b"], i["t"]): 4,
-              (i["t"], i["1"]): 5}
+    labels = {(i[lo], i[hi]): label for lo, hi, label in [
+        ("0", "a", 1), ("a", "t", 2), ("0", "b", 3), ("b", "t", 2),
+        ("t", "h", 1), ("0", "c", 1), ("c", "u", 2), ("0", "d", 1),
+        ("d", "u", 3), ("u", "v", 4), ("h", "1", 5), ("v", "1", 5)]}
+    assert (p.ranks[i["h"]], p.ranks[i["u"]]) == (3, 2) and i["h"] < i["u"]
     rep = verify_el(p, aligned_labels(p, labels))
-    assert rep.counterexample == (
-        0, 1, "increasing chain is not lexicographically first")
+    assert rep.counterexample == (0, i["h"], "0 increasing chains")
     assert rep == el_by_chain_enumeration(p, labels)
 
 
@@ -184,18 +189,27 @@ def test_verify_el_matches_chain_enumeration_oracle(data):
     # random labels from a small alphabet make ties, intervals without an
     # increasing chain and intervals with several all common; the honest
     # table with a few labels moved makes failures above the bottom; the
-    # built posets index elements by rank, so shuffled indices make the
-    # least failing index differ from the first failure found by rank
+    # built posets index elements by rank, so relisting them along a
+    # random linear extension interleaves the ranks and lets the least
+    # failing index differ from the first failure found by rank
     name = data.draw(st.sampled_from(sorted(_EL_POSETS)), label="poset")
     p = _EL_POSETS[name]
-    if data.draw(st.booleans(), label="shuffle indices"):
-        to = data.draw(st.permutations(range(len(p.elements))))
-        elements = [None] * len(to)
-        for i, key in enumerate(p.elements):
-            elements[to[i]] = key
+    if data.draw(st.booleans(), label="relist along a linear extension"):
+        below = [set() for _ in p.elements]
+        for lo, hi in covers(p):
+            below[hi].add(lo)
+        order, placed = [], set()
+        while len(order) < len(p):
+            # any element whose lower covers are all placed comes next
+            t = data.draw(st.sampled_from([
+                t for t in range(len(p))
+                if t not in placed and below[t] <= placed]))
+            order.append(t)
+            placed.add(t)
+        to = {t: i for i, t in enumerate(order)}
         moved = {(to[lo], to[hi]): label
                  for (lo, hi), label in label_map(p).items()}
-        p = poset_from_pairs(elements, moved)
+        p = poset_from_pairs([p.elements[t] for t in order], moved)
     pairs = covers(p)
     if data.draw(st.booleans(), label="random labels"):
         alphabet = st.integers(1, data.draw(st.integers(1, 3)))

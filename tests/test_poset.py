@@ -11,15 +11,18 @@ from vpshell import (
     MissingLabels,
     NotBounded,
     NotGraded,
+    ShellingReport,
     UnknownElement,
     VpshellError,
     is_leq,
+    lex_shelling_order,
     maximal_chains,
     mobius,
     order_complex,
     poset_to_dot,
     poset_to_json,
     vector_partition_poset,
+    verify_shelling,
 )
 from conftest import (aligned_labels, build_poset, chains_by_powerset,
                       covers, hall_mobius, interval_chains, interval_poset,
@@ -73,6 +76,21 @@ def test_build_rejects_cycle():
         build_poset("a", [("a", "a")])
 
 
+def test_build_refuses_an_index_order_against_the_covers():
+    # b2 is listed before a1, which it covers: the order complex and the
+    # shelling order both read their faces off walked chains, and index
+    # order must ascend along them for the two to agree.  Listed along a
+    # linear extension, the same 4-cycle shells in walk order.
+    covers = [("0", "a1"), ("0", "c1"), ("a1", "b2"), ("a1", "d2"),
+              ("c1", "b2"), ("c1", "d2"), ("b2", "1"), ("d2", "1")]
+    with pytest.raises(CycleDetected, match=r"^cover \(2, 1\) does not"):
+        build_poset("0 b2 a1 c1 d2 1".split(), covers)
+    p = build_poset("0 a1 c1 b2 d2 1".split(), covers)
+    ties = tuple((1,) * len(his) for his in p.up)
+    assert verify_shelling(order_complex(p), lex_shelling_order(p, ties)) \
+        == ShellingReport(True, None, (3,), None)
+
+
 def test_build_rejects_unbounded():
     # two maximal elements
     with pytest.raises(NotBounded):
@@ -115,9 +133,7 @@ def test_build_takes_one_ascending_cover_tuple_per_element():
 
 
 def test_covers_are_the_ascending_pairs_of_up(p3s2):
-    from vpshell.poset import build_indexed_poset
-    for p in (diamond(), chain4(), p3s2, set_partition_lattice(4),
-              build_indexed_poset("tmb", [(), (0,), (1,)])):
+    for p in (diamond(), chain4(), p3s2, set_partition_lattice(4)):
         assert covers(p) == sorted(covers(p))
         assert all(type(js) is tuple and list(js) == sorted(set(js))
                    for js in p.up)
@@ -133,9 +149,11 @@ def test_build_checks_cycle_then_bounds_then_grading():
     with pytest.raises(NotBounded):
         build_poset("0abx", [("0", "a"), ("a", "b"), ("0", "b"),
                              ("0", "x")])
-    # ranks are longest paths whatever the index order
-    p = build_indexed_poset("tmb", [(), (0,), (1,)])
-    assert (p.ranks, p.bottom, p.top) == ((2, 1, 0), 2, 0)
+    # top first and bottom last: the falling cover is refused as a
+    # cycle is, before the bounds are looked at
+    with pytest.raises(CycleDetected,
+                       match=r"^cover \(1, 0\) does not rise in index order$"):
+        build_indexed_poset("tmb", [(), (0,), (1,)])
 
 
 def test_build_rejects_transitive_edge():

@@ -172,12 +172,14 @@ def test_rows_share_one_int_per_index(n, s):
 def test_poset_holds_no_mapping(n, s):
     # the covers and their labels are tuples aligned with one another,
     # held once: no record of the covers keyed by (lo, hi), none of the
-    # lower covers beside up
+    # lower covers beside up; bottom and top are the first and last
+    # indices, read off the length
     from collections.abc import Mapping
     from dataclasses import fields
     p = vector_partition_poset(n, s)
     assert [f.name for f in fields(p)] == [
-        "elements", "up", "ranks", "bottom", "top", "up_labels"]
+        "elements", "up", "ranks", "up_labels"]
+    assert (p.bottom, p.top) == (0, len(p) - 1)
     for f in fields(p):
         value = getattr(p, f.name)
         assert not isinstance(value, Mapping), f.name
