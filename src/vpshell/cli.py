@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 verification failure, 2 oracle mismatch, 3
 budget exceeded or out of memory, 4 bad input (a negative budget too) or
 an -o path or stdout that cannot be written (a closed pipe, a full
 disk).  build, verify-el and count refuse over 10^6 elements
-(--max-elements or VPSHELL_MAX_ELEMENTS).  A route that lists chains
-refuses over 10^7 of them (--max-chains or VPSHELL_MAX_CHAINS), checked
+(--max-elements or VPSHELL_MAX_ELEMENTS), checked first; then a route
+listing chains refuses over 10^7 (--max-chains or VPSHELL_MAX_CHAINS)
 before any walk: verify-el --sabotage and count --method homology list
 every maximal chain, count --method enumerate the decreasing ones;
 euler, mobius and recursion list none.  sequence has no budget.
@@ -146,6 +146,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_verify_el(args: argparse.Namespace) -> int:
     if args.sabotage is not None:  # the shelling check walks every chain
+        vecpart.check_element_budget(args.n, args.s, args.max_elements)
         spherecount.check_chain_budget(args.n, args.s, args.max_chains)
     p = vecpart.vector_partition_poset(args.n, args.s,
                                        max_elements=args.max_elements)

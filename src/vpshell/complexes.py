@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .poset import Poset, maximal_chains
+from .poset import Poset
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,20 @@ class SimplicialComplex:
 def order_complex(p: Poset) -> SimplicialComplex:
     """The chain complex of the proper part (bottom and top removed).
 
-    Its facets are the maximal chains as walked, cut to the proper part:
-    ascending, as covers rise, and in lexicographic order.  In a graded
-    poset they are distinct and of one size, so none contains another.
-    A poset of height below 2 has an empty proper part and complex.
+    Its facets, the maximal chains of the proper part, grow a rank at a
+    time from the atoms, each chain stepping to every upper cover of its
+    last element in up's ascending order: ascending tuples, as covers
+    rise, in lexicographic order.  In a graded poset they are distinct
+    and of one size, so none contains another.  A poset of height below
+    2 has an empty proper part and complex.
     """
     if p.height < 2:
         return SimplicialComplex(facets=())
-    return SimplicialComplex(
-        facets=tuple([c[1:-1] for c in maximal_chains(p)]))
+    up = p.up
+    chains = [(a,) for a in up[p.bottom]]
+    for _ in range(p.height - 2):
+        chains = [c + (w,) for c in chains for w in up[c[-1]]]
+    return SimplicialComplex(facets=tuple(chains))
 
 
 def _boundary_rank(faces) -> int:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from itertools import groupby, islice
 
 from .errors import MissingLabels, NotACover, NotSaturated
-from .poset import Poset, _check_aligned, maximal_chains
+from .complexes import order_complex
+from .poset import Poset, _check_aligned
 from .vecpart import (VectorPartition, atom_lex_rank, atom_word,
                       first_word_difference, is_cover, merge_blocks)
 
@@ -96,9 +97,11 @@ def _label_table(p: Poset, labels: tuple | None) -> tuple:
     return labels
 
 
-def _word(p: Poset, lab: tuple, c) -> tuple:
-    """Label word of the index chain c under lab, aligned with p.up: the
+def _word(p: Poset, lab: tuple, f) -> tuple:
+    """Label word under lab, aligned with p.up, of the maximal chain
+    (p.bottom, *f, p.top) through the facet f of the order complex: the
     label of lo <. hi sits where hi does in the ascending p.up[lo]."""
+    c = (p.bottom, *f, p.top)
     return tuple([lab[lo][bisect_left(p.up[lo], hi)]
                   for lo, hi in zip(c, c[1:])])
 
@@ -300,18 +303,13 @@ def _first_difference_failures(p: Poset, lab: tuple, words: dict):
 def lex_shelling_order(p: Poset, labels: tuple | None = None) -> list:
     """Facets of the proper-part complex in induced shelling order.
 
-    Maximal chains, walked in canonical order, are stably sorted by label
-    word (ties keep that order) and stripped of bottom and top, leaving
-    ascending index tuples, the facets as order_complex holds them.
-    labels, aligned with p.up, default to p.up_labels; a height-1 poset
-    gives [] once they have been checked.
+    The facets of order_complex(p), in its lexicographic order, stably
+    sorted by the label word of their maximal chains (ties keep that
+    order).  labels, aligned with p.up, default to p.up_labels; a
+    height-1 poset gives [] once they have been checked.
     """
     lab = _label_table(p, labels)
-    if p.height < 2:
-        return []
-    chains = maximal_chains(p)
-    chains.sort(key=lambda c: _word(p, lab, c))
-    return [c[1:-1] for c in chains]
+    return sorted(order_complex(p).facets, key=lambda f: _word(p, lab, f))
 
 
 # ── deliberate defects, for exercising the verifiers ─────────────────────
@@ -359,5 +357,4 @@ def sabotaged_shelling_order(p: Poset, name: str) -> list:
         return lex_shelling_order(p, sabotaged_label_map(p, name))
     lab = _label_table(p, None)
     return [next(tied) for _, tied in groupby(
-        lex_shelling_order(p), key=lambda f: _word(
-            p, lab, (p.bottom, *f, p.top)))]
+        lex_shelling_order(p), key=lambda f: _word(p, lab, f))]

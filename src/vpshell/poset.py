@@ -1,5 +1,5 @@
-"""Bounded graded posets: construction, maximal chains, mu(bottom, top),
-serialization.
+"""Bounded graded posets: construction, mu(bottom, top), the chain
+f-vector of the proper part, serialization.
 
 Elements are opaque hashable keys held in an indexed table; all operations
 speak element indices.  Index order is a linear extension: covers are
@@ -122,27 +122,6 @@ def _check_aligned(up: tuple, up_labels) -> None:
             raise MissingLabels(
                 f"cover ({lo}, {his[len(labs)]}) has no edge label"
                 if len(labs) < len(his) else f"extra labels at {lo}")
-
-
-def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
-    """All maximal chains of p, bottom to top, in lexicographic index
-    order.  Only the top has no upper cover, so every upward walk from
-    the bottom ends there and the walk tests no element for membership."""
-    up, out, path = p.up, [], [p.bottom]
-
-    def walk(v: int) -> None:
-        if not up[v]:
-            out.append(tuple(path))
-        for w in up[v]:
-            path.append(w)
-            walk(w)
-            path.pop()
-
-    walk(p.bottom)
-    # walk holds itself through its closure; unbinding it lets the
-    # chains go with `out`, not wait for the cyclic collector
-    del walk
-    return out
 
 
 def mobius(p: Poset) -> int:

@@ -29,9 +29,9 @@ from .errors import (DimensionMismatch, IncompatibleData, InvalidIndex,
                      ResourceLimit)
 from .labeling import chain_label, is_weakly_decreasing
 from .poset import Poset, chain_f_vector, mobius
-from .vecpart import (VectorPartition, bottom_element, is_cover,
-                      maximal_chain_count, top_element,
-                      vector_partition_poset)
+from .vecpart import (VectorPartition, bottom_element,
+                      check_element_budget, is_cover, maximal_chain_count,
+                      top_element, vector_partition_poset)
 
 Chain = tuple  # (bottom, C_1, ..., C_n), VectorPartition entries
 
@@ -141,11 +141,11 @@ def decreasing_chains(n: int, s: int,
     vector_partition_poset(n, s) and is built when none is given, and
     growing (blocks, labels) records without a poset, which one dict
     maps to indices; a record that is no element is a mismatch too.
-    Elements are indexed in sort_key order and the walk steps in index
-    order, so only the generated chains are sorted, and a walk out of
-    order is a mismatch.  sphere_count_certificate bounds the walk by
-    the decreasing chains, count_total(n, s), not check_chain_budget's
-    count of every maximal chain.
+    Elements are indexed in (rank, blocks, labels) order and the walk
+    steps in index order, so only the generated chains are sorted, and a
+    walk out of order is a mismatch.  sphere_count_certificate bounds the
+    walk by the decreasing chains, count_total(n, s), not
+    check_chain_budget's count of every maximal chain.
     """
     if poset is None:
         poset = vector_partition_poset(n, s)
@@ -404,14 +404,18 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     signed value rides along under "signed_mobius".  Every method that
     needs the poset reads one build of it.  Euler counts the chains of
     the proper part by size (Philip Hall's theorem); only homology builds
-    the order complex.  max_chains bounds the chains a route lists,
-    checked before the build: homology lists every maximal chain and
-    enumerate the decreasing ones; Euler, like Mobius, walks comparable
-    pairs and lists none.
+    the order complex.  Budgets are checked before the build, the
+    element budget first, whenever a method needs the poset: then
+    max_chains bounds the chains a route lists, every maximal chain for
+    homology and the decreasing ones for enumerate; Euler, like Mobius,
+    walks comparable pairs and lists none.
     """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method {unknown[0]!r}")
+    needs_poset = any(m != "recursion" for m in methods)
+    if needs_poset:
+        check_element_budget(n, s, max_elements)
     if "homology" in methods:
         check_chain_budget(n, s, max_chains)
     if "enumerate" in methods:
@@ -420,7 +424,7 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
             raise ResourceLimit(f"poset has {total} decreasing chains, "
                                 f"budget is {max_chains}")
     p = (vector_partition_poset(n, s, max_elements=max_elements)
-         if any(m != "recursion" for m in methods) else None)
+         if needs_poset else None)
     values: dict[str, int | None] = {}
     info: dict = {}
     if "enumerate" in methods:

@@ -44,17 +44,8 @@ class VectorPartition:
         return len(self.blocks)
 
     @property
-    def rank(self) -> int:
-        """0 for the bottom, n - #blocks + 1 otherwise."""
-        return 0 if self.is_bottom else self.n - self.num_blocks + 1
-
-    @property
     def is_atom(self) -> bool:
         return not self.is_bottom and all(len(b) == 1 for b in self.blocks)
-
-    @property
-    def sort_key(self):
-        return (self.rank, self.blocks, self.labels)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -265,20 +256,25 @@ def _label_assignments(sizes: tuple, universe: tuple):
             yield (c,) + tail
 
 
+def check_element_budget(n: int, s: int, max_elements: int | None) -> None:
+    """InvalidIndex unless n, s >= 1; ResourceLimit, before any element
+    is made, at the first m <= n whose 1 + E_m (see _element_counts)
+    exceeds max_elements: a refusal costs E_0..E_m, however large n is."""
+    for m, e in enumerate(_element_counts(n, s)):
+        if max_elements is not None and 1 + e > max_elements:
+            raise ResourceLimit(  # and so is 1 + E_n >= 1 + E_m
+                f"poset has {'' if m == n else 'at least '}{1 + e} "
+                f"elements, budget is {max_elements}")
+
+
 def enumerate_elements(n: int, s: int,
                        max_elements: int | None = None) -> list[VectorPartition]:
     """Every element including the bottom and the top, canonically ordered
     by (rank, blocks, labels), and generated in that order: the
     partitions come in (rank, blocks) order, and the product of
     lex-ordered label assignments, one list per block sizes, is lex
-    ordered.  Raises InvalidIndex unless n, s >= 1, and ResourceLimit
-    before any element is made, at the first m <= n whose 1 + E_m (see
-    _element_counts) exceeds max_elements."""
-    for m, e in enumerate(_element_counts(n, s)):
-        if max_elements is not None and 1 + e > max_elements:
-            raise ResourceLimit(  # and so is 1 + E_n >= 1 + E_m
-                f"poset has {'' if m == n else 'at least '}{1 + e} "
-                f"elements, budget is {max_elements}")
+    ordered.  check_element_budget runs first."""
+    check_element_budget(n, s, max_elements)
     out = [bottom_element(n, s)]
     full = tuple(range(1, n + 1))
     by_sizes: dict = {}  # block sizes -> label tuples, lex order

@@ -39,7 +39,7 @@ from vpshell import (ELReport, ShellingReport, SimplicialComplex,
                      UnknownElement, VectorPartition, atom_word, bottom_element,
                      canonicalize, cover_label, enumerate_elements,
                      first_word_difference, is_weakly_decreasing,
-                     maximal_chains, set_partitions, top_element,
+                     set_partitions, top_element,
                      vector_partition_poset)
 from vpshell.poset import build_indexed_poset
 
@@ -167,7 +167,7 @@ def decreasing_by_filter(p):
     maximal chain is listed, and those whose label word decreases weakly
     are kept."""
     lab = label_map(p)
-    return [c for c in maximal_chains(p)
+    return [c for c in interval_chains(p, p.bottom, p.top)
             if is_weakly_decreasing([lab[e] for e in zip(c, c[1:])])]
 
 
@@ -344,7 +344,7 @@ def shelling_order_by_pairs(p, labels):
     tied words fall back on the chains' index tuples, and each chain
     stripped of bottom and top."""
     pairs = sorted((tuple(labels[e] for e in zip(c, c[1:])), c)
-                   for c in maximal_chains(p))
+                   for c in interval_chains(p, p.bottom, p.top))
     return [(word, c[1:-1]) for word, c in pairs]
 
 

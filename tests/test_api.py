@@ -6,7 +6,7 @@ import vpshell
 DELETED = ["parse_element", "element_to_json", "element_from_json",
            "word_to_atom", "poset_from_json", "MalformedDocument",
            "top_label_index_counts", "is_increasing", "reduced_betti_numbers",
-           "NotComparable", "simplicial_complex"]
+           "NotComparable", "simplicial_complex", "maximal_chains"]
 
 
 def test_star_import_resolves_every_public_name():
@@ -23,6 +23,8 @@ def test_deleted_names_are_gone():
     assert not hasattr(vpshell.Poset, "interval")
     assert not hasattr(vpshell.Poset, "covers")
     assert not hasattr(vpshell.SimplicialComplex, "faces")
+    assert not hasattr(vpshell.VectorPartition, "sort_key")
+    assert not hasattr(vpshell.VectorPartition, "rank")
 
 
 def test_betti_takes_the_complex_alone():

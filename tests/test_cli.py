@@ -356,6 +356,36 @@ def test_element_budget_is_checked_before_enumerating(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "1000", "--s", "1", "--method", "enumerate"),
+    ("count", "--n", "50000", "--s", "1", "--method", "homology"),
+    ("count", "--n", "200000", "--s", "1"),
+    ("verify-el", "--n", "200000", "--s", "1", "--sabotage",
+     "min-merge-label"),
+], ids=["enumerate", "homology", "all", "verify-el"])
+def test_element_budget_comes_before_the_chain_counts(capsys, argv):
+    # the chain counts, count_total and maximal_chain_count, grow with n
+    # as big ints; the element budget refuses at a small m instead
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: poset has at least ")
+    assert err.endswith(" elements, budget is 1000000\n")
+
+
+def test_element_budget_is_checked_before_the_chain_budget(capsys):
+    # both budgets refuse (4,2), 1,614 elements and 10,368 maximal chains
+    for argv in (("count",), ("count", "--method", "homology"),
+                 ("count", "--method", "enumerate"),
+                 ("verify-el", "--sabotage", "drop-tie-break")):
+        code, out, err = run(capsys, *argv, "--n", "4", "--s", "2",
+                             "--max-elements", "1613", "--max-chains", "5")
+        assert (code, out) == (3, ""), argv
+        assert err == ("budget exceeded: poset has 1614 elements, "
+                       "budget is 1613\n"), argv
+
+
 def test_recursion_reaches_large_n(capsys):
     count_by_recursion.cache_clear()
     count_total.cache_clear()

@@ -16,7 +16,6 @@ from vpshell import (
     VpshellError,
     is_leq,
     lex_shelling_order,
-    maximal_chains,
     mobius,
     order_complex,
     poset_to_dot,
@@ -172,31 +171,40 @@ def test_leq_and_interval():
     assert [t for t in up_set(p, a) if leq(p, t, p.top)] == [a, p.top]
 
 
-def test_maximal_chains_diamond():
+def test_order_complex_diamond():
     p = diamond()
-    chains = maximal_chains(p)
-    assert len(chains) == 2
-    for c in chains:
-        assert c[0] == p.bottom and c[-1] == p.top and len(c) == 3
+    a, b = p.elements.index("a"), p.elements.index("b")
+    assert order_complex(p).facets == ((a,), (b,))
 
 
-def test_maximal_chains_degenerate_interval():
+def test_order_complex_is_empty_below_height_two():
+    # a one-element poset, and the (1, s) posets: bottom and top only
     p = diamond()
     a = p.elements.index("a")
     q = interval_poset(p, a, a)
-    assert q.elements == (a,) and maximal_chains(q) == [(0,)]
+    assert q.elements == (a,) and order_complex(q).is_empty
     assert interval_chains(p, a, a) == [(a,)]
+    for s in (1, 2):
+        p1 = vector_partition_poset(1, s)
+        assert p1.height == 1 and order_complex(p1).facets == ()
 
 
-def test_maximal_chains_are_pure(p3s2):
-    lengths = {len(c) for c in maximal_chains(p3s2)}
-    assert len(lengths) == 1
+def test_order_complex_at_n_two_is_the_atoms(p2s1, p2s2):
+    for p in (p2s1, p2s2):
+        assert order_complex(p).facets == tuple(
+            (a,) for a in p.up[p.bottom])
 
 
-def test_maximal_chains_against_powerset_oracle(p3s1, p2s2):
+def test_order_complex_is_pure(p3s2):
+    lengths = {len(f) for f in order_complex(p3s2).facets}
+    assert lengths == {2}
+
+
+def test_order_complex_against_powerset_oracle(p3s1, p2s2):
     for p, chains in ((diamond(), 2), (p3s1, 18), (p2s2, 4)):
-        assert maximal_chains(p) == chains_by_powerset(p)
-        assert len(maximal_chains(p)) == chains
+        facets = order_complex(p).facets
+        assert list(facets) == [c[1:-1] for c in chains_by_powerset(p)]
+        assert len(facets) == chains
 
 
 def test_interval_chains_against_powerset_oracle(p3s1):
@@ -206,7 +214,8 @@ def test_interval_chains_against_powerset_oracle(p3s1):
     atoms = sorted(p.up[p.bottom])
     for a in atoms[:3]:
         q = interval_poset(p, a, p.top)
-        assert [tuple(q.elements[t] for t in c) for c in maximal_chains(q)] \
+        assert [tuple(q.elements[t] for t in c)
+                for c in interval_chains(q, q.bottom, q.top)] \
             == chains_by_powerset(p, a, p.top)
 
 
@@ -236,10 +245,11 @@ def test_queries_leave_no_state_on_the_poset(make, mu, above_atom,
     atom = p.up[p.bottom][0]
     coatom = min(v for v, his in enumerate(p.up) if p.top in his)
     assert mobius(p) == mu
-    assert len(maximal_chains(interval_poset(p, atom, p.top))) == above_atom
-    assert len(maximal_chains(interval_poset(p, p.bottom, coatom))) \
-        == below_coatom
-    assert maximal_chains(p)
+    q = interval_poset(p, atom, p.top)
+    assert len(interval_chains(q, q.bottom, q.top)) == above_atom
+    q = interval_poset(p, p.bottom, coatom)
+    assert len(interval_chains(q, q.bottom, q.top)) == below_coatom
+    assert order_complex(p).facets
     assert json_text(p) and dot_text(p, up_labels)
     verify_el(p, up_labels)
     assert set(p.__dict__) == {f.name for f in fields(p)}
@@ -385,13 +395,13 @@ def test_json_writes_int_labels_of_the_partition_lattice():
 
 
 def test_chains_are_freed_without_the_cyclic_collector(p3s2):
-    # with the collector off, nothing the chain walk or the EL scan
-    # leaves behind may sit in a reference cycle
+    # with the collector off, nothing the order complex's chain walk or
+    # the EL scan leaves behind may sit in a reference cycle
     from vpshell import verify_el
     gc.collect()
     gc.disable()
     try:
-        assert len(maximal_chains(p3s2)) == 108
+        assert len(order_complex(p3s2).facets) == 108
         assert verify_el(p3s2).ok
         assert gc.collect() == 0
     finally:

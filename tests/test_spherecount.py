@@ -109,13 +109,15 @@ def test_no_decreasing_chain_repeats_a_label(n, s):
 
 def test_filter_route_comes_out_in_canonical_order(p4s1, p3s2):
     # decreasing_chains sorts only the generated route, relying on this:
-    # the index chains ascend, and so do their elements by sort_key
+    # the index chains ascend, and so do their elements in canonical
+    # (rank, blocks, labels) order, the rank falling as blocks merge
     from vpshell.spherecount import _walked_decreasing
     for p in (p4s1, p3s2):
         chains = _walked_decreasing(p)
         assert chains == sorted(chains)
         els = [tuple(p.elements[t] for t in c) for c in chains]
-        assert els == sorted(els, key=lambda c: tuple(v.sort_key for v in c))
+        assert els == sorted(els, key=lambda c: tuple(
+            (-len(v.blocks), v.blocks, v.labels) for v in c))
 
 
 def test_top_label_classification():

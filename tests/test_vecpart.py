@@ -25,9 +25,9 @@ from vpshell import (
     is_cover,
     is_leq,
     maximal_chain_count,
-    maximal_chains,
     merge_blocks,
     mobius,
+    order_complex,
     perm_lex_rank,
     set_partitions,
     top_element,
@@ -82,12 +82,15 @@ def test_canonicalize_rejects_size_mismatch():
         canonicalize(3, 2, [(1, 2, 3)], [[(1, 2, 3)]])    # one labeling short
 
 
-def test_rank_and_atoms():
-    assert bottom_element(3, 1).rank == 0
+def test_rank_and_atoms(p3s1):
     atom = canonicalize(3, 1, [(1,), (2,), (3,)], [[(2,), (3,), (1,)]])
-    assert atom.rank == 1 and atom.is_atom
-    assert top_element(3, 1).rank == 3
-    assert not top_element(3, 1).is_atom
+    assert atom.is_atom and not top_element(3, 1).is_atom
+    assert not bottom_element(3, 1).is_atom
+    # the poset's ranks: 0 at the bottom, n - #blocks + 1 above it
+    assert p3s1.ranks[p3s1.bottom] == 0 and p3s1.height == 3
+    assert all(p3s1.ranks[t] == 4 - v.num_blocks
+               for t, v in enumerate(p3s1.elements) if not v.is_bottom)
+    assert p3s1.ranks[p3s1.elements.index(atom)] == 1
 
 
 def test_format_element_pinned():
@@ -210,7 +213,9 @@ def test_enumerate_counts_match_formula():
 @pytest.mark.parametrize("n,s", [(3, 2), (3, 4), (4, 2), (5, 1), (6, 1)])
 def test_elements_are_generated_in_canonical_order(n, s):
     els = enumerate_elements(n, s)
-    assert els == sorted(els, key=lambda v: v.sort_key)
+    assert els[0].is_bottom
+    assert els[1:] == sorted(els[1:], key=lambda v: (-len(v.blocks),
+                                                      v.blocks, v.labels))
     assert len(set(els)) == len(els) == element_count(n, s)
 
 
@@ -266,8 +271,8 @@ def test_element_budget_stops_at_the_first_count_over_it(monkeypatch):
 
 
 def test_maximal_chain_count_formula(p3s1, p3s2):
-    assert maximal_chain_count(3, 1) == 18 == len(maximal_chains(p3s1))
-    assert maximal_chain_count(3, 2) == 108 == len(maximal_chains(p3s2))
+    assert maximal_chain_count(3, 1) == 18 == len(order_complex(p3s1).facets)
+    assert maximal_chain_count(3, 2) == 108 == len(order_complex(p3s2).facets)
     assert maximal_chain_count(4, 1) == 432
 
 
@@ -311,7 +316,7 @@ def test_atom_word_is_lex_least_atom_below():
         for s in (1, 2):
             els = enumerate_elements(n, s)
             atoms = {atom_word(a): a for a in els
-                     if not a.is_bottom and a.rank == 1}
+                     if a.is_atom}
             for x in els:
                 if x.is_bottom:
                     continue
@@ -403,7 +408,8 @@ def test_same_atom_interval_is_partition_lattice():
     atom = next(t for t in p.up[p.bottom]
                 if atom_word(p.elements[t]) == tuple(range(1, n + 1)) * s)
     inside = sorted([t for t in up_set(p, atom) if leq(p, t, p.top)],
-                    key=lambda t: (p.ranks[t], p.elements[t].sort_key))
+                    key=lambda t: (p.ranks[t], p.elements[t].blocks,
+                                   p.elements[t].labels))
     assert len(inside) == len(lat.elements)
 
     def blocks_of(t):
@@ -459,4 +465,4 @@ def test_top_and_bottom_shapes():
     assert t.blocks == ((1, 2, 3, 4),)
     assert t.labels == (((1, 2, 3, 4),), ((1, 2, 3, 4),))
     b = bottom_element(4, 2)
-    assert b.is_bottom and b.blocks == () and b.rank == 0
+    assert b.is_bottom and b.blocks == ()
