@@ -137,19 +137,18 @@ def _emit(text, out: str | None) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    p = vecpart.vector_partition_poset(args.n, args.s,
-                                       max_elements=args.max_elements)
+    vecpart.check_budgets(args.n, args.s, args.max_elements)
+    p = vecpart.vector_partition_poset(args.n, args.s)
     write = poset_to_dot if args.fmt == "dot" else poset_to_json
     _emit(write(p, p.up_labels if args.labels else None), args.out)
     return EXIT_OK
 
 
 def _cmd_verify_el(args: argparse.Namespace) -> int:
-    if args.sabotage is not None:  # the shelling check walks every chain
-        vecpart.check_element_budget(args.n, args.s, args.max_elements)
-        spherecount.check_chain_budget(args.n, args.s, args.max_chains)
-    p = vecpart.vector_partition_poset(args.n, args.s,
-                                       max_elements=args.max_elements)
+    # the shelling check of a sabotage walks every maximal chain
+    vecpart.check_budgets(args.n, args.s, args.max_elements,
+                          None if args.sabotage is None else args.max_chains)
+    p = vecpart.vector_partition_poset(args.n, args.s)
     lines = []
     code = EXIT_OK
     if args.sabotage is None:

@@ -192,8 +192,7 @@ def _first_el_failure(p: Poset, lab: tuple, x: int) -> tuple | None:
     return failure
 
 
-def verify_label_structure(p: Poset,
-                           labels: tuple | None = None) -> dict[int, list]:
+def verify_label_structure(p: Poset) -> dict[int, list]:
     """Counterexamples to the five structural facts the labeling rests on.
 
     (1) x <= y implies A(y) <=_lex A(x) on atom words;
@@ -211,14 +210,13 @@ def verify_label_structure(p: Poset,
     joined by a chain of covers and <=_lex is transitive, so it holds on
     all pairs exactly when it holds on every cover.
 
-    p must be a vector-partition poset; labels, aligned with p.up as in
-    verify_el, default to its p.up_labels (MissingLabels when there is
-    neither, or labels misses a cover).  Returns {condition: [text]},
+    p must be a vector-partition poset, and its p.up_labels are audited
+    (MissingLabels when it carries none).  Returns {condition: [text]},
     every list empty exactly when the condition holds; each list is
     capped at five.
     """
     bad: dict[int, list] = {c: [] for c in (1, 2, 3, 4, 5)}
-    lab = _label_table(p, labels)
+    lab = _label_table(p, None)
     els = p.elements
     n, s = els[p.top].n, els[p.top].s
     words = {t: atom_word(e) for t, e in enumerate(els) if not e.is_bottom}

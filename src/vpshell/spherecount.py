@@ -29,22 +29,13 @@ from .errors import (DimensionMismatch, IncompatibleData, InvalidIndex,
                      ResourceLimit)
 from .labeling import chain_label, is_weakly_decreasing
 from .poset import Poset, chain_f_vector, mobius
-from .vecpart import (VectorPartition, bottom_element,
-                      check_element_budget, is_cover, maximal_chain_count,
-                      top_element, vector_partition_poset)
+from .vecpart import (VectorPartition, bottom_element, check_budgets,
+                      is_cover, top_element, vector_partition_poset)
 
 Chain = tuple  # (bottom, C_1, ..., C_n), VectorPartition entries
 
 
 # ── enumeration, route one: walk the built poset ────────────────────────
-
-def check_chain_budget(n: int, s: int, max_chains: int | None) -> None:
-    """ResourceLimit when maximal_chain_count exceeds max_chains."""
-    total = maximal_chain_count(n, s)
-    if max_chains is not None and total > max_chains:
-        raise ResourceLimit(
-            f"poset has {total} maximal chains, budget is {max_chains}")
-
 
 def _walked_decreasing(p: Poset) -> list[tuple]:
     """The weakly decreasing maximal chains of p as index tuples, in
@@ -144,8 +135,8 @@ def decreasing_chains(n: int, s: int,
     Elements are indexed in (rank, blocks, labels) order and the walk
     steps in index order, so only the generated chains are sorted, and a
     walk out of order is a mismatch.  sphere_count_certificate bounds the
-    walk by the decreasing chains, count_total(n, s), not
-    check_chain_budget's count of every maximal chain.
+    walk by the decreasing chains, count_total(n, s), not check_budgets'
+    count of every maximal chain.
     """
     if poset is None:
         poset = vector_partition_poset(n, s)
@@ -404,27 +395,24 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     signed value rides along under "signed_mobius".  Every method that
     needs the poset reads one build of it.  Euler counts the chains of
     the proper part by size (Philip Hall's theorem); only homology builds
-    the order complex.  Budgets are checked before the build, the
-    element budget first, whenever a method needs the poset: then
-    max_chains bounds the chains a route lists, every maximal chain for
-    homology and the decreasing ones for enumerate; Euler, like Mobius,
-    walks comparable pairs and lists none.
+    the order complex.  When a method needs the poset, check_budgets
+    runs once before any work, charging every maximal chain to
+    max_chains only for homology; then enumerate charges its decreasing
+    chains.  Euler, like Mobius, walks comparable pairs and lists none.
     """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method {unknown[0]!r}")
     needs_poset = any(m != "recursion" for m in methods)
     if needs_poset:
-        check_element_budget(n, s, max_elements)
-    if "homology" in methods:
-        check_chain_budget(n, s, max_chains)
+        check_budgets(n, s, max_elements,
+                      max_chains if "homology" in methods else None)
     if "enumerate" in methods:
         total = count_total(n, s)
         if max_chains is not None and total > max_chains:
             raise ResourceLimit(f"poset has {total} decreasing chains, "
                                 f"budget is {max_chains}")
-    p = (vector_partition_poset(n, s, max_elements=max_elements)
-         if needs_poset else None)
+    p = vector_partition_poset(n, s) if needs_poset else None
     values: dict[str, int | None] = {}
     info: dict = {}
     if "enumerate" in methods:

@@ -256,25 +256,31 @@ def _label_assignments(sizes: tuple, universe: tuple):
             yield (c,) + tail
 
 
-def check_element_budget(n: int, s: int, max_elements: int | None) -> None:
+def check_budgets(n: int, s: int, max_elements: int | None,
+                  max_chains: int | None = None) -> None:
     """InvalidIndex unless n, s >= 1; ResourceLimit, before any element
     is made, at the first m <= n whose 1 + E_m (see _element_counts)
-    exceeds max_elements: a refusal costs E_0..E_m, however large n is."""
+    exceeds max_elements, so a refusal costs E_0..E_m however large n is;
+    then, only if max_chains is given, when maximal_chain_count exceeds it."""
     for m, e in enumerate(_element_counts(n, s)):
         if max_elements is not None and 1 + e > max_elements:
             raise ResourceLimit(  # and so is 1 + E_n >= 1 + E_m
                 f"poset has {'' if m == n else 'at least '}{1 + e} "
                 f"elements, budget is {max_elements}")
+    if (max_chains is not None
+            and (total := maximal_chain_count(n, s)) > max_chains):
+        raise ResourceLimit(
+            f"poset has {total} maximal chains, budget is {max_chains}")
 
 
-def enumerate_elements(n: int, s: int,
-                       max_elements: int | None = None) -> list[VectorPartition]:
+def enumerate_elements(n: int, s: int) -> list[VectorPartition]:
     """Every element including the bottom and the top, canonically ordered
     by (rank, blocks, labels), and generated in that order: the
     partitions come in (rank, blocks) order, and the product of
     lex-ordered label assignments, one list per block sizes, is lex
-    ordered.  check_element_budget runs first."""
-    check_element_budget(n, s, max_elements)
+    ordered.  InvalidIndex unless n, s >= 1; callers check_budgets first."""
+    if n < 1 or s < 1:
+        raise InvalidIndex("n and s must be at least 1")
     out = [bottom_element(n, s)]
     full = tuple(range(1, n + 1))
     by_sizes: dict = {}  # block sizes -> label tuples, lex order
@@ -289,9 +295,9 @@ def enumerate_elements(n: int, s: int,
     return out
 
 
-def vector_partition_poset(n: int, s: int,
-                           max_elements: int | None = None) -> Poset:
+def vector_partition_poset(n: int, s: int) -> Poset:
     """The bounded poset of all vector partitions, built and validated.
+    Like enumerate_elements it checks n, s >= 1 and no budget.
 
     Keys are VectorPartition values; covers join each non-bottom element
     to its two-block merges, and the bottom to every atom.  Each cover is
@@ -316,7 +322,7 @@ def vector_partition_poset(n: int, s: int,
     and of the two labels alone; the least of the s labels is the
     cover's.  Equal labels are one shared tuple.
     """
-    elements = enumerate_elements(n, s, max_elements=max_elements)
+    elements = enumerate_elements(n, s)
     ints = list(range(len(elements)))  # one int per index, for every row
     bits = {c: sum(1 << k for k in c) for r in range(1, n + 1)
             for c in combinations(range(1, n + 1), r)}
@@ -418,8 +424,10 @@ def first_word_difference(a, b, n: int, s: int) -> tuple:
     Scans (k, i) pairs with k major and i minor, i.e. position k of the
     first labeling, then position k of the second, before moving to
     position k+1.  j is b's entry at the first differing pair.  Raises
-    EqualWords when a == b.
+    EqualWords when a == b, MalformedWord when a length is not n*s.
     """
+    if len(a) != n * s or len(b) != n * s:
+        raise MalformedWord(f"lengths {len(a)} and {len(b)}, expected {n * s}")
     for k in range(1, n + 1):
         for i in range(1, s + 1):
             pos = (i - 1) * n + (k - 1)

@@ -31,6 +31,20 @@ def test_betti_takes_the_complex_alone():
     assert list(inspect.signature(vpshell.betti).parameters) == ["c"]
 
 
+def test_the_structure_audit_takes_the_poset_alone():
+    assert list(inspect.signature(
+        vpshell.verify_label_structure).parameters) == ["p"]
+
+
+def test_construction_takes_no_budget():
+    # vecpart.check_budgets is the one budget check, run before any build
+    for build in (vpshell.enumerate_elements, vpshell.vector_partition_poset):
+        assert list(inspect.signature(build).parameters) == ["n", "s"]
+    for module in (vpshell.vecpart, vpshell.spherecount):
+        for name in ("check_element_budget", "check_chain_budget"):
+            assert not hasattr(module, name)
+
+
 def test_cli_binds_no_private_name_of_the_poset_module():
     # the CLI streams the public writers, under any name it binds them to
     import vpshell.cli

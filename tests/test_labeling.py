@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from vpshell import (
     EqualWords,
+    MalformedWord,
     MissingLabels,
     NotACover,
     NotSaturated,
@@ -84,6 +85,16 @@ def test_first_word_difference_scans_position_major():
     assert first_word_difference(a, b, 3, 2) == (1, 2, 3)
     with pytest.raises(EqualWords):
         first_word_difference(a, a, 3, 2)
+
+
+@pytest.mark.parametrize("a, b", [((1, 2, 3), (1, 2, 3, 4)),
+                                  ((1, 2, 3, 4), (1, 2, 3)),
+                                  ((1, 2), (1, 2))])
+def test_first_word_difference_refuses_words_of_the_wrong_length(a, b):
+    # a prefix once read as equal words, and short words as a bare
+    # IndexError
+    with pytest.raises(MalformedWord, match=r"expected 3$"):
+        first_word_difference(a, b, 3, 1)
 
 
 def test_cover_label_bottom_edge():
@@ -258,8 +269,7 @@ def test_unlabeled_poset_without_labels_is_refused(check):
         check(p)
 
 
-@pytest.mark.parametrize("check", [verify_el, verify_label_structure,
-                                   lex_shelling_order])
+@pytest.mark.parametrize("check", [verify_el, lex_shelling_order])
 def test_labels_missing_a_cover_are_refused(check, p3s1):
     # rows cut short before pairs[20] and before the last cover: the
     # least missing cover is named, whichever the check reads first
@@ -272,8 +282,7 @@ def test_labels_missing_a_cover_are_refused(check, p3s1):
         check(p3s1, tuple(rows))
 
 
-@pytest.mark.parametrize("check", [verify_el, verify_label_structure,
-                                   lex_shelling_order])
+@pytest.mark.parametrize("check", [verify_el, lex_shelling_order])
 def test_short_table_is_refused_at_height_1(check):
     # n = 1 has no facet and no interval past its one cover, yet a table
     # of one row for its two elements is bad input
@@ -286,15 +295,18 @@ def test_short_table_is_refused_at_height_1(check):
 def test_given_labels_read_as_the_labels_the_poset_carries(fixture, request):
     # labels=None reads p.up_labels; the same rows given explicitly, to
     # the poset that carries them or to one that carries others, give
-    # the same results, honest or sabotaged
+    # the same results, honest or sabotaged; the structure audit reads
+    # only the labels its poset carries
     from dataclasses import replace
     p = request.getfixturevalue(fixture)
     for labels in (aligned_labels(p, label_map(p)),
                    sabotaged_label_map(p, "min-merge-label"),
                    sabotaged_label_map(p, "swap-bottom-labels")):
         q = replace(p, up_labels=labels)
-        for check in (verify_el, verify_label_structure, lex_shelling_order):
+        for check in (verify_el, lex_shelling_order):
             assert check(q) == check(q, labels) == check(p, labels)
+        assert verify_label_structure(q) == verify_label_structure(
+            build_indexed_poset(p.elements, p.up, labels))
     assert not verify_el(q).ok
 
 
@@ -331,7 +343,7 @@ def test_verify_label_structure_sees_defects(p3s1):
             lab[(lo, hi)] = (k, i, atom_word(x)[pos])
             break
     rows = aligned_labels(p, lab)
-    bad = verify_label_structure(p, rows)
+    bad = verify_label_structure(build_indexed_poset(p.elements, p.up, rows))
     assert bad[3] and bad[5]
     assert bad[5] == first_difference_failures_by_chains(p, rows)
 
@@ -357,7 +369,8 @@ def test_verify_label_structure_sees_a_rising_chain_change_words(p3s1):
         (3,) + label[1:] if lo != p.bottom and words[lo] != words[hi]
         else label for hi, label in zip(his, labs))
         for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)))
-    bad = verify_label_structure(p, rows)[2]
+    bad = verify_label_structure(
+        build_indexed_poset(p.elements, p.up, rows))[2]
     assert len(bad) == 5
     assert all("then changes atom word stepping to" in t for t in bad)
 
@@ -378,7 +391,7 @@ def test_verify_label_structure_reports_labels_naming_no_block(change, p3s1):
         change(*label) if lo != p.bottom and words[lo] != words[hi]
         else label for hi, label in zip(his, labs))
         for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)))
-    bad = verify_label_structure(p, rows)
+    bad = verify_label_structure(build_indexed_poset(p.elements, p.up, rows))
     assert len(bad[3]) == len(bad[4]) == 5
     assert all("fails the entry comparison" in t for t in bad[3])
     assert all("does not name the merged blocks" in t for t in bad[4])
@@ -400,7 +413,8 @@ def test_first_difference_law_matches_chain_enumeration(n, s):
             and words[lo] != words[hi] else (k, i, j)
             for hi, (k, i, j) in zip(his, labs))
             for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)))
-        bad = verify_label_structure(p, rows)[5]
+        bad = verify_label_structure(
+            build_indexed_poset(p.elements, p.up, rows))[5]
         assert len(bad) == 5
         assert bad == first_difference_failures_by_chains(p, rows)
 

@@ -57,9 +57,14 @@ def test_decreasing_chain_structure():
 
 
 def test_chain_budget():
-    from vpshell import spherecount
+    from vpshell import vecpart
     with pytest.raises(ResourceLimit):
-        spherecount.check_chain_budget(9, 3, 100)
+        vecpart.check_budgets(9, 3, None, 100)
+    # (4,2) has 10,368 maximal chains
+    with pytest.raises(ResourceLimit, match=r"^poset has 10368 maximal "
+                       r"chains, budget is 10367$"):
+        vecpart.check_budgets(4, 2, 1614, 10367)
+    vecpart.check_budgets(4, 2, 1614, 10368)
 
 
 @pytest.mark.parametrize("n, s", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1),

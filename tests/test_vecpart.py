@@ -240,14 +240,15 @@ def test_single_ground_element_gives_two_chain():
 def test_sizes_below_1_are_refused(n, s):
     # s = 0 once failed inside construction with a bare ValueError or
     # IndexError, and n = 0 gave a poset whose top has no blocks
-    for make in (enumerate_elements, element_count, vector_partition_poset):
+    for make in (enumerate_elements, element_count, vector_partition_poset,
+                 lambda n, s: vecpart.check_budgets(n, s, None)):
         with pytest.raises(InvalidIndex, match="n and s must be at least 1"):
             make(n, s)
 
 
 def test_enumerate_budget():
     with pytest.raises(ResourceLimit):
-        enumerate_elements(9, 3, max_elements=1000)
+        vecpart.check_budgets(9, 3, 1000)
 
 
 def test_element_budget_stops_at_the_first_count_over_it(monkeypatch):
@@ -263,11 +264,27 @@ def test_element_budget_stops_at_the_first_count_over_it(monkeypatch):
     monkeypatch.setattr(vecpart, "comb", counted)
     with pytest.raises(ResourceLimit, match=r"^poset has at least \d+ "
                        r"elements, budget is 1000000$"):
-        enumerate_elements(1000, 1, max_elements=10 ** 6)
+        vecpart.check_budgets(1000, 1, 10 ** 6)
     with pytest.raises(ResourceLimit, match=r"^poset has 1614 elements, "
                        r"budget is 1613$"):
-        enumerate_elements(4, 2, max_elements=1613)
-    assert len(enumerate_elements(4, 2, max_elements=1614)) == 1614
+        vecpart.check_budgets(4, 2, 1613)
+    vecpart.check_budgets(4, 2, 1614)
+    assert len(enumerate_elements(4, 2)) == 1614
+
+
+def test_chains_are_charged_only_when_asked_and_the_elements_fit(
+        monkeypatch):
+    # a refusal on elements never counts the chains, and max_chains=None
+    # charges none
+    def refuse(n, s):
+        raise AssertionError("the maximal chains were counted")
+
+    monkeypatch.setattr(vecpart, "maximal_chain_count", refuse)
+    with pytest.raises(ResourceLimit, match=r"^poset has 1614 elements, "
+                       r"budget is 1613$"):
+        vecpart.check_budgets(4, 2, 1613, 5)
+    vecpart.check_budgets(4, 2, 1614)
+    vecpart.check_budgets(4, 2, None, None)
 
 
 def test_maximal_chain_count_formula(p3s1, p3s2):
