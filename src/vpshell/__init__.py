@@ -5,151 +5,34 @@ labelings, ordered by simultaneous refinement.  This package builds the
 poset, labels its cover relations, verifies that the labeling orders every
 interval the way a lexicographic shelling requires, and counts the spheres
 in the resulting wedge by five independent methods that must agree.
+
+The package namespace holds what the paper's claims and the CLI's exit
+codes need; every other name is imported from the module that defines it.
 """
-from .complexes import (
-    ShellingReport,
-    SimplicialComplex,
-    betti,
-    order_complex,
-    verify_shelling,
-)
-from .errors import (
-    BottomHasNoAtom,
-    CycleDetected,
-    DimensionMismatch,
-    DuplicateElement,
-    EqualWords,
-    IncompatibleData,
-    InvalidIndex,
-    InvalidPartition,
-    MalformedWord,
-    MissingLabels,
-    NotACover,
-    NotBounded,
-    NotDecreasing,
-    NotGraded,
-    NotSaturated,
-    OracleMismatch,
-    ResourceLimit,
-    SizeMismatch,
-    UnknownElement,
-    VpshellError,
-)
-from .labeling import (
-    ELReport,
-    SABOTAGES,
-    chain_label,
-    cover_label,
-    first_word_difference,
-    is_weakly_decreasing,
-    lex_shelling_order,
-    sabotaged_label_map,
-    sabotaged_shelling_order,
-    verify_el,
-    verify_label_structure,
-)
-from .poset import (
-    Poset,
-    mobius,
-    poset_to_dot,
-    poset_to_json,
-)
-from .spherecount import (
-    Decomposition,
-    count_by_recursion,
-    count_total,
-    decompose_chain,
-    decreasing_chains,
-    nonambiguous_tree_count,
-    recompose,
-    sphere_count_certificate,
-)
-from .vecpart import (
-    VectorPartition,
-    atom_lex_rank,
-    atom_word,
-    bottom_element,
-    canonicalize,
-    check_atom_word,
-    element_count,
-    enumerate_elements,
-    format_element,
-    is_cover,
-    is_leq,
-    maximal_chain_count,
-    merge_blocks,
-    perm_lex_rank,
-    set_partitions,
-    top_element,
-    vector_partition_poset,
-)
+from .complexes import order_complex, verify_shelling
+from .errors import OracleMismatch, ResourceLimit, VpshellError
+from .labeling import (SABOTAGES, chain_label, lex_shelling_order,
+                       sabotaged_label_map, sabotaged_shelling_order,
+                       verify_el, verify_label_structure)
+from .spherecount import (count_by_recursion, count_total, decompose_chain,
+                          decreasing_chains, nonambiguous_tree_count,
+                          recompose, sphere_count_certificate)
+from .vecpart import (bottom_element, canonicalize, top_element,
+                      vector_partition_poset)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BottomHasNoAtom",
-    "CycleDetected",
-    "Decomposition",
-    "DimensionMismatch",
-    "DuplicateElement",
-    "ELReport",
-    "EqualWords",
-    "IncompatibleData",
-    "InvalidIndex",
-    "InvalidPartition",
-    "MalformedWord",
-    "MissingLabels",
-    "NotACover",
-    "NotBounded",
-    "NotDecreasing",
-    "NotGraded",
-    "NotSaturated",
-    "OracleMismatch",
-    "Poset",
-    "ResourceLimit",
-    "SABOTAGES",
-    "ShellingReport",
-    "SimplicialComplex",
-    "SizeMismatch",
-    "UnknownElement",
-    "VectorPartition",
-    "VpshellError",
-    "atom_lex_rank",
-    "atom_word",
-    "betti",
-    "bottom_element",
-    "canonicalize",
-    "chain_label",
-    "check_atom_word",
-    "count_by_recursion",
-    "count_total",
-    "cover_label",
-    "decompose_chain",
-    "decreasing_chains",
-    "element_count",
-    "enumerate_elements",
-    "first_word_difference",
-    "format_element",
-    "is_cover",
-    "is_leq",
-    "is_weakly_decreasing",
-    "lex_shelling_order",
-    "maximal_chain_count",
-    "merge_blocks",
-    "mobius",
-    "nonambiguous_tree_count",
-    "order_complex",
-    "perm_lex_rank",
-    "poset_to_dot",
-    "poset_to_json",
+    # the poset and its elements
+    "vector_partition_poset", "canonicalize", "bottom_element", "top_element",
+    # claim 1: an EL-labeling, so a lexicographic shelling
+    "verify_el", "verify_label_structure", "chain_label", "order_complex",
+    "lex_shelling_order", "verify_shelling",
+    "SABOTAGES", "sabotaged_label_map", "sabotaged_shelling_order",
+    # claims 2 and 3: the sphere count, its recursion and the tree numbers
+    "sphere_count_certificate", "decreasing_chains", "count_total",
+    "count_by_recursion", "nonambiguous_tree_count", "decompose_chain",
     "recompose",
-    "sabotaged_label_map",
-    "sabotaged_shelling_order",
-    "set_partitions",
-    "sphere_count_certificate",
-    "top_element",
-    "vector_partition_poset",
-    "verify_el",
-    "verify_label_structure",
-    "verify_shelling",
+    # the errors whose exit codes the CLI documents
+    "VpshellError", "ResourceLimit", "OracleMismatch",
 ]

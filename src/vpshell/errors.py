@@ -70,7 +70,7 @@ class IncompatibleData(VpshellError):
 
 
 class InvalidIndex(VpshellError):
-    """A counting index outside the admissible range."""
+    """A counting index or block position outside the admissible range."""
 
 
 class ResourceLimit(VpshellError):

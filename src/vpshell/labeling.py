@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby, islice
 
-from .errors import MissingLabels, NotACover, NotSaturated
+from .errors import MissingLabels, NotACover, NotSaturated, VpshellError
 from .complexes import order_complex
 from .poset import Poset, _check_aligned
 from .vecpart import (VectorPartition, atom_lex_rank, atom_word,
@@ -323,6 +323,7 @@ def sabotaged_label_map(p: Poset, name: str) -> tuple:
     trade their bottom-edge labels.  min-merge-label: equal-atom-word
     covers use the min of the merged blocks instead of the max.
     drop-tie-break leaves the labels; see sabotaged_shelling_order.
+    Any other name is a VpshellError.
     """
     lab = list(_label_table(p, None))
     if name == "swap-bottom-labels":
@@ -341,7 +342,7 @@ def sabotaged_label_map(p: Poset, name: str) -> tuple:
                     bk for bk in els[hi].blocks if bk not in xb)[0], 0)
                     for hi, label in zip(his, lab[lo])])
     elif name != "drop-tie-break":  # drop-tie-break's defect is the order
-        raise ValueError(f"unknown sabotage {name!r}")
+        raise VpshellError(f"unknown sabotage {name!r}")
     return tuple(lab)
 
 

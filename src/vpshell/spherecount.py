@@ -26,7 +26,7 @@ from math import comb
 from .complexes import betti, order_complex
 from .errors import (DimensionMismatch, IncompatibleData, InvalidIndex,
                      NotDecreasing, NotSaturated, OracleMismatch,
-                     ResourceLimit)
+                     ResourceLimit, VpshellError)
 from .labeling import chain_label, is_weakly_decreasing
 from .poset import Poset, chain_f_vector, mobius
 from .vecpart import (VectorPartition, bottom_element, check_budgets,
@@ -399,10 +399,11 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     runs once before any work, charging every maximal chain to
     max_chains only for homology; then enumerate charges its decreasing
     chains.  Euler, like Mobius, walks comparable pairs and lists none.
+    An unknown method is a VpshellError.
     """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
-        raise ValueError(f"unknown method {unknown[0]!r}")
+        raise VpshellError(f"unknown method {unknown[0]!r}")
     needs_poset = any(m != "recursion" for m in methods)
     if needs_poset:
         check_budgets(n, s, max_elements,

@@ -64,12 +64,14 @@ def top_element(n: int, s: int) -> VectorPartition:
 def canonicalize(n: int, s: int, blocks, labels) -> VectorPartition:
     """Validating constructor from raw nested iterables.
 
-    labels[i] must align with blocks positionally.  Raises
-    InvalidPartition when an entry is not an int (a bool is not) or when
-    blocks or any labeling fail to partition {1..n}, SizeMismatch when a
-    label's cardinality differs from its block's.  Idempotent on
-    already-canonical data.
+    labels[i] must align with blocks positionally.  Raises InvalidIndex
+    unless n, s >= 1, InvalidPartition when an entry is not an int (a
+    bool is not) or when blocks or any labeling fail to partition
+    {1..n}, SizeMismatch when a label's cardinality differs from its
+    block's.  Idempotent on already-canonical data.
     """
+    if n < 1 or s < 1:
+        raise InvalidIndex("n and s must be at least 1")
     blk = _int_sets(blocks, "blocks")
     labs = [_int_sets(labels[i], f"labeling {i + 1}")
             for i in range(len(labels))]
@@ -180,12 +182,15 @@ def merge_blocks(v: VectorPartition, a: int, b: int) -> VectorPartition:
 
     Blocks are ordered by minimum, so the merged block takes the lower of
     the two positions and every other block keeps its order: the result
-    is a splice, already canonical.  a and b may come in either order.
+    is a splice, already canonical.  a and b may come in either order;
+    InvalidIndex unless they are two distinct positions in
+    0..v.num_blocks-1 (the bottom has no blocks, so none).
     """
-    if v.is_bottom or a == b:
-        raise ValueError("need two distinct blocks of a non-bottom element")
     if a > b:
         a, b = b, a
+    if not 0 <= a < b < v.num_blocks:
+        raise InvalidIndex(f"block positions {a}, {b} are not two distinct "
+                           f"positions in 0..{v.num_blocks - 1}")
     return VectorPartition(
         n=v.n, s=v.s, blocks=_merged(v.blocks, a, b),
         labels=tuple(_merged(lab, a, b) for lab in v.labels))

@@ -35,13 +35,14 @@ from math import comb
 
 import pytest
 
-from vpshell import (ELReport, ShellingReport, SimplicialComplex,
-                     UnknownElement, VectorPartition, atom_word, bottom_element,
-                     canonicalize, cover_label, enumerate_elements,
-                     first_word_difference, is_weakly_decreasing,
-                     set_partitions, top_element,
-                     vector_partition_poset)
+from vpshell.complexes import ShellingReport, SimplicialComplex
+from vpshell.errors import UnknownElement
+from vpshell.labeling import ELReport, cover_label, is_weakly_decreasing
 from vpshell.poset import build_indexed_poset
+from vpshell.vecpart import (VectorPartition, atom_word, bottom_element,
+                             canonicalize, enumerate_elements,
+                             first_word_difference, set_partitions,
+                             top_element, vector_partition_poset)
 
 
 def poset_from_pairs(elements, covers):

@@ -1,12 +1,64 @@
 """The package's public names."""
+import importlib
 import inspect
+import pkgutil
+from types import ModuleType
 
 import vpshell
+from vpshell import complexes, poset, spherecount, vecpart
 
 DELETED = ["parse_element", "element_to_json", "element_from_json",
            "word_to_atom", "poset_from_json", "MalformedDocument",
            "top_label_index_counts", "is_increasing", "reduced_betti_numbers",
            "NotComparable", "simplicial_complex", "maximal_chains"]
+
+# what the paper's claims and the CLI's exit codes use
+PUBLIC = sorted([
+    "vector_partition_poset", "canonicalize", "bottom_element", "top_element",
+    "verify_el", "verify_label_structure", "chain_label", "order_complex",
+    "lex_shelling_order", "verify_shelling", "SABOTAGES",
+    "sabotaged_label_map", "sabotaged_shelling_order",
+    "sphere_count_certificate", "decreasing_chains", "count_total",
+    "count_by_recursion", "nonambiguous_tree_count", "decompose_chain",
+    "recompose", "VpshellError", "ResourceLimit", "OracleMismatch"])
+
+# name -> the module that defines it, for every name the package
+# namespace once bound and binds no longer
+MODULE_ONLY = {
+    "ShellingReport": "complexes", "SimplicialComplex": "complexes",
+    "betti": "complexes",
+    **dict.fromkeys([
+        "BottomHasNoAtom", "CycleDetected", "DimensionMismatch",
+        "DuplicateElement", "EqualWords", "IncompatibleData", "InvalidIndex",
+        "InvalidPartition", "MalformedWord", "MissingLabels", "NotACover",
+        "NotBounded", "NotDecreasing", "NotGraded", "NotSaturated",
+        "SizeMismatch", "UnknownElement"], "errors"),
+    "ELReport": "labeling", "cover_label": "labeling",
+    "is_weakly_decreasing": "labeling",
+    "Poset": "poset", "mobius": "poset", "poset_to_dot": "poset",
+    "poset_to_json": "poset",
+    "Decomposition": "spherecount",
+    **dict.fromkeys([
+        "VectorPartition", "atom_lex_rank", "atom_word", "check_atom_word",
+        "element_count", "enumerate_elements", "first_word_difference",
+        "format_element", "is_cover", "is_leq", "maximal_chain_count",
+        "merge_blocks", "perm_lex_rank", "set_partitions"], "vecpart"),
+}
+
+
+def test_the_namespace_is_the_public_api():
+    assert sorted(vpshell.__all__) == PUBLIC
+    assert [name for name, value in vars(vpshell).items()
+            if not name.startswith("_") and name not in PUBLIC
+            and not isinstance(value, ModuleType)] == []
+
+
+def test_names_left_out_of_the_namespace_stay_in_their_modules():
+    assert len(MODULE_ONLY) == 42 and not set(MODULE_ONLY) & set(PUBLIC)
+    for name, module in MODULE_ONLY.items():
+        home = importlib.import_module(f"vpshell.{module}")
+        assert getattr(home, name).__module__ == home.__name__, name
+        assert not hasattr(vpshell, name), name
 
 
 def test_star_import_resolves_every_public_name():
@@ -18,17 +70,24 @@ def test_star_import_resolves_every_public_name():
 
 
 def test_deleted_names_are_gone():
-    for name in DELETED:
-        assert not hasattr(vpshell, name)
-    assert not hasattr(vpshell.Poset, "interval")
-    assert not hasattr(vpshell.Poset, "covers")
-    assert not hasattr(vpshell.SimplicialComplex, "faces")
-    assert not hasattr(vpshell.VectorPartition, "sort_key")
-    assert not hasattr(vpshell.VectorPartition, "rank")
+    # from the package and from every module, where a name could come
+    # back; vpshell.__main__, which binds sys and main, runs the CLI
+    # when imported
+    modules = [importlib.import_module(f"vpshell.{info.name}")
+               for info in pkgutil.iter_modules(vpshell.__path__)
+               if info.name != "__main__"]
+    for module in (vpshell, *modules):
+        for name in DELETED:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(poset.Poset, "interval")
+    assert not hasattr(poset.Poset, "covers")
+    assert not hasattr(complexes.SimplicialComplex, "faces")
+    assert not hasattr(vecpart.VectorPartition, "sort_key")
+    assert not hasattr(vecpart.VectorPartition, "rank")
 
 
 def test_betti_takes_the_complex_alone():
-    assert list(inspect.signature(vpshell.betti).parameters) == ["c"]
+    assert list(inspect.signature(complexes.betti).parameters) == ["c"]
 
 
 def test_the_structure_audit_takes_the_poset_alone():
@@ -38,9 +97,9 @@ def test_the_structure_audit_takes_the_poset_alone():
 
 def test_construction_takes_no_budget():
     # vecpart.check_budgets is the one budget check, run before any build
-    for build in (vpshell.enumerate_elements, vpshell.vector_partition_poset):
+    for build in (vecpart.enumerate_elements, vecpart.vector_partition_poset):
         assert list(inspect.signature(build).parameters) == ["n", "s"]
-    for module in (vpshell.vecpart, vpshell.spherecount):
+    for module in (vecpart, spherecount):
         for name in ("check_element_budget", "check_chain_budget"):
             assert not hasattr(module, name)
 
@@ -48,8 +107,7 @@ def test_construction_takes_no_budget():
 def test_cli_binds_no_private_name_of_the_poset_module():
     # the CLI streams the public writers, under any name it binds them to
     import vpshell.cli
-    import vpshell.poset
-    private = [value for name, value in vars(vpshell.poset).items()
+    private = [value for name, value in vars(poset).items()
                if name.startswith("_") and not name.startswith("__")]
     assert [name for name, value in vars(vpshell.cli).items()
             if any(value is obj for obj in private)] == []

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import vpshell
-from vpshell import count_by_recursion, count_total
 from vpshell.cli import main
+from vpshell.spherecount import count_by_recursion, count_total
 
 
 def run(capsys, *argv):

@@ -5,14 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpshell import (
-    betti,
-    count_total,
-    order_complex,
-    vector_partition_poset,
-    verify_shelling,
-)
+from vpshell.complexes import betti, order_complex, verify_shelling
 from vpshell.poset import chain_f_vector
+from vpshell.spherecount import count_total
+from vpshell.vecpart import vector_partition_poset
 from conftest import (f_vector, reduced_betti_numbers,
                       reduced_euler_characteristic, shelling_by_intersections,
                       simplicial_complex)

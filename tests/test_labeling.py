@@ -2,32 +2,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpshell import (
-    EqualWords,
-    MalformedWord,
-    MissingLabels,
-    NotACover,
-    NotSaturated,
-    SABOTAGES,
-    atom_word,
-    bottom_element,
-    canonicalize,
-    chain_label,
-    count_total,
-    cover_label,
-    first_word_difference,
-    is_weakly_decreasing,
-    lex_shelling_order,
-    order_complex,
-    sabotaged_label_map,
-    sabotaged_shelling_order,
-    top_element,
-    vector_partition_poset,
-    verify_el,
-    verify_label_structure,
-    verify_shelling,
-)
+from vpshell.complexes import order_complex, verify_shelling
+from vpshell.errors import (EqualWords, MalformedWord, MissingLabels,
+                            NotACover, NotSaturated, VpshellError)
+from vpshell.labeling import (SABOTAGES, chain_label, cover_label,
+                              is_weakly_decreasing, lex_shelling_order,
+                              sabotaged_label_map, sabotaged_shelling_order,
+                              verify_el, verify_label_structure)
 from vpshell.poset import build_indexed_poset
+from vpshell.spherecount import count_total
+from vpshell.vecpart import (atom_word, bottom_element, canonicalize,
+                             first_word_difference, top_element,
+                             vector_partition_poset)
 from conftest import (aligned_labels, build_poset, covers,
                       el_by_chain_enumeration,
                       first_difference_failures_by_chains, is_increasing,
@@ -311,7 +297,7 @@ def test_given_labels_read_as_the_labels_the_poset_carries(fixture, request):
 
 
 def test_default_labels_are_read_not_recomputed(monkeypatch):
-    from vpshell import labeling, vecpart, vector_partition_poset
+    from vpshell import labeling, vecpart
 
     def refuse(*args):
         raise AssertionError("a known cover was proved again")
@@ -537,5 +523,5 @@ def test_sabotage_drop_tie_break_loses_facets(p3s1):
 
 
 def test_unknown_sabotage_name(p3s1):
-    with pytest.raises(ValueError):
+    with pytest.raises(VpshellError):
         sabotaged_label_map(p3s1, "no-such-defect")

@@ -5,24 +5,12 @@ from dataclasses import fields
 
 import pytest
 
-from vpshell import (
-    CycleDetected,
-    DuplicateElement,
-    MissingLabels,
-    NotBounded,
-    NotGraded,
-    ShellingReport,
-    UnknownElement,
-    VpshellError,
-    is_leq,
-    lex_shelling_order,
-    mobius,
-    order_complex,
-    poset_to_dot,
-    poset_to_json,
-    vector_partition_poset,
-    verify_shelling,
-)
+from vpshell.complexes import ShellingReport, order_complex, verify_shelling
+from vpshell.errors import (CycleDetected, DuplicateElement, MissingLabels,
+                            NotBounded, NotGraded, UnknownElement, VpshellError)
+from vpshell.labeling import lex_shelling_order
+from vpshell.poset import mobius, poset_to_dot, poset_to_json
+from vpshell.vecpart import is_leq, vector_partition_poset
 from conftest import (aligned_labels, build_poset, chains_by_powerset,
                       covers, hall_mobius, interval_chains, interval_poset,
                       label_map, leq, poset_to_dot_by_edges,
@@ -239,7 +227,7 @@ def test_queries_leave_no_state_on_the_poset(make, mu, above_atom,
                                              below_coatom):
     # order queries, the writers and the EL scan walk the covers; none
     # of them may leave anything on the poset beyond its fields
-    from vpshell import verify_el
+    from vpshell.labeling import verify_el
     p = make()
     up_labels = p.up_labels or tuple((1,) * len(his) for his in p.up)
     atom = p.up[p.bottom][0]
@@ -397,7 +385,7 @@ def test_json_writes_int_labels_of_the_partition_lattice():
 def test_chains_are_freed_without_the_cyclic_collector(p3s2):
     # with the collector off, nothing the order complex's chain walk or
     # the EL scan leaves behind may sit in a reference cycle
-    from vpshell import verify_el
+    from vpshell.labeling import verify_el
     gc.collect()
     gc.disable()
     try:

@@ -1,26 +1,15 @@
 """Sphere counting: dual-route enumeration, recursion, decomposition."""
 import pytest
 
-from vpshell import (
-    IncompatibleData,
-    InvalidIndex,
-    NotDecreasing,
-    OracleMismatch,
-    ResourceLimit,
-    bottom_element,
-    canonicalize,
-    chain_label,
-    count_by_recursion,
-    count_total,
-    decompose_chain,
-    decreasing_chains,
-    is_weakly_decreasing,
-    nonambiguous_tree_count,
-    recompose,
-    sphere_count_certificate,
-    top_element,
-    vector_partition_poset,
-)
+from vpshell.errors import (IncompatibleData, InvalidIndex, NotDecreasing,
+                            OracleMismatch, ResourceLimit, VpshellError)
+from vpshell.labeling import chain_label, is_weakly_decreasing
+from vpshell.spherecount import (count_by_recursion, count_total,
+                                 decompose_chain, decreasing_chains,
+                                 nonambiguous_tree_count, recompose,
+                                 sphere_count_certificate)
+from vpshell.vecpart import (bottom_element, canonicalize, top_element,
+                             vector_partition_poset)
 from conftest import (decreasing_by_filter, decreasing_by_splitting,
                       indexed_counts_by_comb, poset_from_pairs,
                       top_label_index_counts)
@@ -214,6 +203,12 @@ def test_certificate_builds_poset_and_complex_once(monkeypatch):
     # Euler counts chains on the poset; only homology builds the complex
     assert sphere_count_certificate(3, 2, methods=("euler",))["match"]
     assert calls == {"vector_partition_poset": 2, "order_complex": 1}
+
+
+def test_certificate_refuses_an_unknown_method():
+    # a VpshellError, as every error the package raises, not a ValueError
+    with pytest.raises(VpshellError, match="unknown method 'bogus'"):
+        sphere_count_certificate(3, 1, methods=("recursion", "bogus"))
 
 
 def test_certificate_degenerate_case():

@@ -5,35 +5,19 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpshell import (
-    BottomHasNoAtom,
-    DimensionMismatch,
-    InvalidIndex,
-    InvalidPartition,
-    MalformedWord,
-    ResourceLimit,
-    SizeMismatch,
-    atom_lex_rank,
-    atom_word,
-    bottom_element,
-    canonicalize,
-    check_atom_word,
-    cover_label,
-    element_count,
-    enumerate_elements,
-    format_element,
-    is_cover,
-    is_leq,
-    maximal_chain_count,
-    merge_blocks,
-    mobius,
-    order_complex,
-    perm_lex_rank,
-    set_partitions,
-    top_element,
-    vecpart,
-    vector_partition_poset,
-)
+from vpshell import vecpart
+from vpshell.complexes import order_complex
+from vpshell.errors import (BottomHasNoAtom, DimensionMismatch, InvalidIndex,
+                            InvalidPartition, MalformedWord, ResourceLimit,
+                            SizeMismatch)
+from vpshell.labeling import cover_label
+from vpshell.poset import mobius
+from vpshell.vecpart import (atom_lex_rank, atom_word, bottom_element,
+                             canonicalize, check_atom_word, element_count,
+                             enumerate_elements, format_element, is_cover,
+                             is_leq, maximal_chain_count, merge_blocks,
+                             perm_lex_rank, set_partitions, top_element,
+                             vector_partition_poset)
 from conftest import (covers, format_element_by_joins, leq,
                       merge_blocks_by_sorting, poset_from_element_covers,
                       set_partition_lattice, sorted_word_rank, up_set)
@@ -142,6 +126,21 @@ def test_is_cover_and_upper_covers():
     assert not is_cover(x, top_element(3, 1))
 
 
+ATOM_3_1 = canonicalize(3, 1, [(1,), (2,), (3,)], [[(1,), (2,), (3,)]])
+
+
+@pytest.mark.parametrize("v,a,b", [
+    (ATOM_3_1, -1, 0), (ATOM_3_1, 0, 5), (ATOM_3_1, 1, 1),
+    (bottom_element(3, 1), 0, 1),
+], ids=["below-0", "past-last", "equal", "bottom"])
+def test_merge_blocks_refuses_positions_that_are_not_two_blocks(v, a, b):
+    # (-1, 0) once merged the last block into the first, leaving five
+    # blocks; (0, 5) raised a bare IndexError
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(InvalidIndex):
+            merge_blocks(v, x, y)
+
+
 @pytest.mark.parametrize("n,s", ORACLE_SIZES)
 def test_merge_blocks_splice_matches_sorting_oracle(n, s):
     for v in enumerate_elements(n, s)[1:]:
@@ -239,9 +238,13 @@ def test_single_ground_element_gives_two_chain():
 @pytest.mark.parametrize("n, s", [(3, 0), (1, 0), (0, 1), (2, -1)])
 def test_sizes_below_1_are_refused(n, s):
     # s = 0 once failed inside construction with a bare ValueError or
-    # IndexError, and n = 0 gave a poset whose top has no blocks
+    # IndexError, and n = 0 gave a poset whose top has no blocks;
+    # canonicalize once made an element with s = 0 and no atom word, or
+    # at n = 0 a non-bottom element with no blocks
+    singletons = [(k,) for k in range(1, n + 1)]
     for make in (enumerate_elements, element_count, vector_partition_poset,
-                 lambda n, s: vecpart.check_budgets(n, s, None)):
+                 lambda n, s: vecpart.check_budgets(n, s, None),
+                 lambda n, s: canonicalize(n, s, singletons, [singletons] * s)):
         with pytest.raises(InvalidIndex, match="n and s must be at least 1"):
             make(n, s)
 
@@ -297,7 +300,7 @@ def test_maximal_chain_count_formula(p3s1, p3s2):
 def test_maximal_chain_count_refuses_sizes_below_one(n, s):
     # (0, 1) once raised factorial's bare ValueError and (3, 0) gave 3;
     # the chain budget reads it before any poset is built
-    from vpshell import sphere_count_certificate
+    from vpshell.spherecount import sphere_count_certificate
     with pytest.raises(InvalidIndex):
         maximal_chain_count(n, s)
     with pytest.raises(InvalidIndex):
