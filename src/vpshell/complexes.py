@@ -125,7 +125,11 @@ def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
     known = set(c.facets)
     seen: set = set()
     for i, f in enumerate(facets):
-        if not isinstance(f, tuple) or f not in known:
+        try:  # hashing a tuple that holds an unhashable value raises
+            stranger = not isinstance(f, tuple) or f not in known
+        except TypeError:
+            stranger = True
+        if stranger:
             return ShellingReport(False, i, (),
                                   f"entry {i} is not a facet of the complex")
         if f in seen:

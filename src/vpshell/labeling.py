@@ -121,19 +121,21 @@ def verify_el(p: Poset, labels: tuple | None = None) -> ELReport:
     checked exactly).  One pass per lower endpoint x walks the up-set of
     x rank by rank, pushing along the covers z <. y from each z of the
     rank just done, with their labels in p.up's order, and gives each y
-    three values, all read off y's lower covers z above x:
+    two values, both read off y's lower covers z above x:
       * the least label word of [x, y], the least of least(z) + (label
         of z <. y,).  p is graded, so the words of [x, y] share one
         length and the least word extends a lower cover's least word;
-      * whether that word strictly increases;
-      * the number of strictly increasing chains of [x, y] per last
-        label: the cover from z = x adds 1, any other z adds its
-        increasing chains whose last label is below that of z <. y.
-    [x, y] fails when it has k != 1 increasing chains, or when its one
-    increasing chain does not carry the least word (a second chain with
-    the least word would be a second increasing chain).  The cost is the
-    sum, over comparable pairs z < y, of the upper covers of z; a pass
-    keeps one word per element of the up-set of x.
+      * the number of z that are x or whose least word ends below the
+        label of z <. y.
+    The index order is a linear extension, so y's verdict matters only
+    while every [x, z] with x < z < y is EL, with one increasing chain,
+    its least word.  Then the count is the number of increasing chains
+    of [x, y], and the least word increases exactly when its last step
+    rises.  [x, y] fails when it has k != 1 increasing chains, or when
+    its one increasing chain does not carry the least word (a second
+    chain with the least word would be a second increasing chain).  The
+    cost is the sum, over comparable pairs z < y, of the upper covers of
+    z; a pass keeps one word per element of one rank.
     """
     lab = _label_table(p, labels)
     for x in range(len(p.elements)):
@@ -146,44 +148,27 @@ def verify_el(p: Poset, labels: tuple | None = None) -> ELReport:
 def _first_el_failure(p: Poset, lab: tuple, x: int) -> tuple | None:
     """(y, diagnosis) for the least index y whose [x, y] is not EL, under
     the labels lab, aligned with p.up."""
-    up = p.up
-    # least[y]: the least label word of [x, y]; rises[y]: whether it
-    # strictly increases; rising[y]: last label -> number of strictly
-    # increasing chains of [x, y] ending in it
-    least: dict[int, tuple] = {x: ()}
-    rises = {x: True}
-    rising: dict[int, dict] = {}
     failure = None
-    level = [x]
-    while level:
+    least = {x: ()}  # least label word of [x, z], z in the level just done
+    while least:
         # p is graded, so the lower covers above x of every element of
         # the next level lie in the level just done.  first[y] is the
-        # least (least[z], label of z <. y, z) pushed to y so far; ties
-        # share their word, so which z comes first does not matter
+        # least (least[z], label of z <. y) pushed to y, and counts[y]
+        # the pushes from x or above the last label of least[z]
         first: dict[int, tuple] = {}
-        counts: dict[int, dict] = {}
-        for z in level:
-            w, rz = least[z], rising.get(z)
-            for y, label in zip(up[z], lab[z]):
+        counts: dict[int, int] = {}
+        for z, w in least.items():
+            for y, label in zip(p.up[z], lab[z]):
                 at = first.get(y)
-                if at is None or (w, label) < at[:2]:
-                    first[y] = (w, label, z)
-                c = counts.setdefault(y, {})
-                if z == x:
-                    c[label] = 1
-                    continue
-                k = sum(n for l, n in rz.items() if l < label)
-                if k:
-                    c[label] = c.get(label, 0) + k
-        level = first
-        for y, (word, last, via) in first.items():
-            least[y] = word + (last,)
-            rises[y] = rises[via] and (not word or word[-1] < last)
-            rising[y] = counts[y]
-            k = sum(counts[y].values())
-            if k != 1:
-                why = f"{k} increasing chains"
-            elif not rises[y]:
+                if at is None or (w, label) < at:
+                    first[y] = (w, label)
+                counts[y] = counts.get(y, 0) + (not w or w[-1] < label)
+        least = {}
+        for y, (w, label) in first.items():
+            least[y] = w + (label,)
+            if counts[y] != 1:
+                why = f"{counts[y]} increasing chains"
+            elif w and not w[-1] < label:
                 why = "increasing chain is not lexicographically first"
             else:
                 continue

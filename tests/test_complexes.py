@@ -158,8 +158,9 @@ def test_verify_shelling_hollow_triangle():
     # the last edge closes the cycle: boundary fully covered
     assert rep.homology_facets == (2,)
     # a face is an ascending tuple: an unsorted tuple or a set of a
-    # facet's vertices is not a facet
-    for stranger in ((3, 2), frozenset((1, 3))):
+    # facet's vertices is not a facet, nor is a tuple holding a list,
+    # which no set lookup can hash
+    for stranger in ((3, 2), frozenset((1, 3)), (1, [3])):
         rep = verify_shelling(c, [(1, 2), stranger, (1, 3)])
         assert (rep.valid, rep.failing_index) == (False, 1)
         assert rep.problem == "entry 1 is not a facet of the complex"

@@ -179,6 +179,20 @@ def test_verify_el_reports_the_least_failing_index():
     assert rep.counterexample == (0, i["h"], "0 increasing chains")
     assert rep == el_by_chain_enumeration(p, labels)
 
+    # [0, t] has two increasing words, (1, 2) and (1, 3), and [0, y] has
+    # two as well, (1, 2, 4) and (1, 3, 4).  Trusting [0, t] to have one
+    # increasing chain, its least word, counts one at y; t lies below y,
+    # so t has the smaller index and is reported, and y's count is moot
+    p = build_poset("0abty1", [("0", "a"), ("0", "b"), ("a", "t"),
+                               ("b", "t"), ("t", "y"), ("y", "1")])
+    i = {k: t for t, k in enumerate(p.elements)}
+    labels = {(i[lo], i[hi]): label for lo, hi, label in [
+        ("0", "a", 1), ("a", "t", 2), ("0", "b", 1), ("b", "t", 3),
+        ("t", "y", 4), ("y", "1", 5)]}
+    rep = verify_el(p, aligned_labels(p, labels))
+    assert rep.counterexample == (0, i["t"], "2 increasing chains")
+    assert rep == el_by_chain_enumeration(p, labels)
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
