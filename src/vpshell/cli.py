@@ -9,12 +9,12 @@ Usage:
 Exit codes: 0 success, 1 verification failure, 2 oracle mismatch, 3
 budget exceeded or out of memory, 4 bad input (a negative budget too) or
 an -o path or stdout that cannot be written (a closed pipe, a full
-disk).  build, verify-el and count refuse over 10^6 elements
-(--max-elements or VPSHELL_MAX_ELEMENTS), checked first; then a route
-listing chains refuses over 10^7 (--max-chains or VPSHELL_MAX_CHAINS)
-before any walk: verify-el --sabotage and count --method homology list
-every maximal chain, count --method enumerate the decreasing ones;
-euler, mobius and recursion list none.  sequence has no budget.
+disk).  build, verify-el and count refuse over --max-elements
+(default 10^6) elements, checked first; then a route listing chains
+refuses over --max-chains (default 10^7) before any walk: verify-el
+--sabotage and count --method homology list every maximal chain, count
+--method enumerate the decreasing ones; euler, mobius and recursion
+list none.  sequence has no budget.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
@@ -49,45 +49,35 @@ class _Parser(argparse.ArgumentParser):
         _emit(self.format_help(), None)
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise VpshellError(f"{name} must be an integer, got {raw!r}")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vpshell", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *budgets, with_n=True):
+    def common(sp, with_n=True, **budgets):
         if with_n:
             sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--s", type=int, required=True,
                         help="number of labelings (at least 1)")
         sp.add_argument("-o", "--out", default=None,
                         help="write output here instead of stdout")
-        for name in budgets:
-            sp.add_argument(f"--max-{name}", type=int, default=None)
+        for name, default in budgets.items():
+            sp.add_argument(f"--max-{name}", type=int, default=default)
 
     b = sub.add_parser("build", help="emit the validated poset")
-    common(b, "elements")
+    common(b, elements=DEFAULT_MAX_ELEMENTS)
     b.add_argument("--labels", action="store_true",
                    help="attach edge labels to covers")
     b.add_argument("--format", dest="fmt", choices=("json", "dot"),
                    default="json")
 
     v = sub.add_parser("verify-el", help="check the EL property")
-    common(v, "elements", "chains")
+    common(v, elements=DEFAULT_MAX_ELEMENTS, chains=DEFAULT_MAX_CHAINS)
     v.add_argument("--sabotage", choices=labeling.SABOTAGES, default=None,
                    help="inject a deliberate defect first")
 
     c = sub.add_parser("count", help="count spheres in the wedge")
-    common(c, "elements", "chains")
+    common(c, elements=DEFAULT_MAX_ELEMENTS, chains=DEFAULT_MAX_CHAINS)
     c.add_argument("--method", choices=spherecount.METHODS + ("all",),
                    default="all")
 
@@ -98,17 +88,11 @@ def _build_parser() -> _Parser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parsed arguments, sizes checked and each budget the command takes
-    resolved: the flag, else its environment variable, else the default."""
+    """Parsed arguments, sizes and budgets checked."""
     args = _build_parser().parse_args(argv)
     if args.s < 1 or getattr(args, "n", 1) < 1 \
             or getattr(args, "max_n", 1) < 1:
         raise VpshellError("n, s, and max-n must be positive")
-    if "max_elements" in args and args.max_elements is None:
-        args.max_elements = _env_int("VPSHELL_MAX_ELEMENTS",
-                                     DEFAULT_MAX_ELEMENTS)
-    if "max_chains" in args and args.max_chains is None:
-        args.max_chains = _env_int("VPSHELL_MAX_CHAINS", DEFAULT_MAX_CHAINS)
     if min(getattr(args, "max_elements", 0),
            getattr(args, "max_chains", 0)) < 0:
         raise VpshellError("a budget must not be negative")

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby, islice
 
-from .errors import MissingLabels, NotACover, NotSaturated, VpshellError
+from .errors import VpshellError
 from .complexes import order_complex
 from .poset import Poset, _check_aligned
 from .vecpart import (VectorPartition, atom_lex_rank, atom_word,
@@ -33,14 +33,14 @@ _REPORTED = 5  # counterexamples kept per condition by verify_label_structure
 
 
 def cover_label(x: VectorPartition, y: VectorPartition) -> EdgeLabel:
-    """The (k, i, j) label of the cover x <. y; raises NotACover else.
+    """The (k, i, j) label of the cover x <. y; raises VpshellError else.
 
     This is the definition.  vector_partition_poset labels every cover
     the same way as it generates it and stores the labels on the poset,
     so the verifiers read them instead of calling this per cover.
     """
     if not is_cover(x, y):
-        raise NotACover(f"{x} <. {y} fails")
+        raise VpshellError(f"{x} <. {y} fails")
     n, s = y.n, y.s
     if x.is_bottom:
         return (n - 1, s + atom_lex_rank(atom_word(y), n, s), 0)
@@ -55,15 +55,9 @@ def cover_label(x: VectorPartition, y: VectorPartition) -> EdgeLabel:
 def chain_label(chain) -> tuple:
     """Label word of a saturated chain, bottom to top.
 
-    Raises NotSaturated when some step is not a cover.
+    Raises VpshellError when some step is not a cover.
     """
-    word = []
-    for lo, hi in zip(chain, chain[1:]):
-        try:
-            word.append(cover_label(lo, hi))
-        except NotACover as exc:
-            raise NotSaturated(str(exc)) from exc
-    return tuple(word)
+    return tuple([cover_label(lo, hi) for lo, hi in zip(chain, chain[1:])])
 
 
 def is_weakly_decreasing(word) -> bool:
@@ -88,11 +82,11 @@ class ELReport:
 
 def _label_table(p: Poset, labels: tuple | None) -> tuple:
     """labels, aligned with p.up as Poset.up_labels is, else p.up_labels.
-    MissingLabels when neither exists or labels misses a cover."""
+    VpshellError when neither exists or labels misses a cover."""
     labels = p.up_labels if labels is None else labels
     if labels is None:
-        raise MissingLabels("the poset carries no edge labels and none "
-                            "were given")
+        raise VpshellError("the poset carries no edge labels and none "
+                           "were given")
     _check_aligned(p.up, labels)
     return labels
 
@@ -110,7 +104,7 @@ def verify_el(p: Poset, labels: tuple | None = None) -> ELReport:
     """Check the EL property on every interval of p.
 
     labels[lo][k] labels the cover (lo, p.up[lo][k]), as in up_labels;
-    None reads the labels the poset carries, p.up_labels.  MissingLabels
+    None reads the labels the poset carries, p.up_labels.  VpshellError
     is raised when there is neither, or when labels misses a cover.  For
     each x < y: among the maximal chains of [x, y] exactly one may have
     a strictly increasing label word, and that word must strictly precede
@@ -196,7 +190,7 @@ def verify_label_structure(p: Poset) -> dict[int, list]:
     all pairs exactly when it holds on every cover.
 
     p must be a vector-partition poset, and its p.up_labels are audited
-    (MissingLabels when it carries none).  Returns {condition: [text]},
+    (VpshellError when it carries none).  Returns {condition: [text]},
     every list empty exactly when the condition holds; each list is
     capped at five.
     """
@@ -308,7 +302,10 @@ def sabotaged_label_map(p: Poset, name: str) -> tuple:
     trade their bottom-edge labels.  min-merge-label: equal-atom-word
     covers use the min of the merged blocks instead of the max.
     drop-tie-break leaves the labels; see sabotaged_shelling_order.
-    Any other name is a VpshellError.
+    Any other name is a VpshellError.  verify-el catches all three at
+    (3,1), (3,2) and (3,4); at n = 2 only swap-bottom-labels, as the
+    min-merge labels are still EL and no two facets share a label word;
+    at n = 1 none.
     """
     lab = list(_label_table(p, None))
     if name == "swap-bottom-labels":

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import (CycleDetected, DuplicateElement, MissingLabels,
-                     NotBounded, NotGraded, UnknownElement)
+from .errors import VpshellError
 
 
 @dataclass(frozen=True)
@@ -63,32 +62,31 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
     up:        up[i] holds the indices covering elements[i], ascending.
     up_labels: optional; up_labels[i][k] labels the cover (i, up[i][k]).
 
-    Raises DuplicateElement for duplicate keys, UnknownElement unless up
-    has one strictly ascending entry of indices per element, and
-    CycleDetected for a cover (i, j) with j <= i, then NotBounded or
-    NotGraded when the data is no bounded graded poset; MissingLabels
-    when up_labels does not line up with up.  Ranks are longest-path
+    Raises VpshellError, checked in this order: for duplicate keys;
+    unless up has one strictly ascending entry of indices per element;
+    for a cover (i, j) with j <= i; when the data is no bounded graded
+    poset; when up_labels does not line up with up.  Ranks are longest-path
     distances from the bottom; a cover whose endpoints differ by more
-    than one rank (a transitive edge in disguise) trips NotGraded.
+    than one rank (a transitive edge in disguise) is not graded.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
-        raise DuplicateElement("duplicate element keys")
+        raise VpshellError("duplicate element keys")
     n = len(elements)
     if n == 0:
-        raise NotBounded("empty poset")
+        raise VpshellError("empty poset")
     up = tuple(map(tuple, up))
     if len(up) != n:
-        raise UnknownElement(f"{len(up)} upper-cover lists for {n} elements")
+        raise VpshellError(f"{len(up)} upper-cover lists for {n} elements")
 
     ranks = [0] * n  # final at i, whose lower covers all come before it
     for i, js in enumerate(up):
         for prev, j in zip((-1,) + js, js):
             if not prev < j < n:
-                raise UnknownElement(
+                raise VpshellError(
                     f"up[{i}] does not ascend strictly in 0..{n - 1}")
             if j <= i:
-                raise CycleDetected(
+                raise VpshellError(
                     f"cover ({i}, {j}) does not rise in index order")
             if ranks[j] <= ranks[i]:
                 ranks[j] = ranks[i] + 1
@@ -96,12 +94,12 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
     # rank 0 means no lower cover: one source and one sink are 0, n - 1
     sources, sinks = ranks.count(0), sum(not js for js in up)
     if sources != 1 or sinks != 1:
-        raise NotBounded(f"{sources} minimal and {sinks} maximal elements")
+        raise VpshellError(f"{sources} minimal and {sinks} maximal elements")
 
     for i, js in enumerate(up):
         for j in js:
             if ranks[j] != ranks[i] + 1:
-                raise NotGraded(
+                raise VpshellError(
                     f"cover ({i}, {j}) spans ranks {ranks[i]} -> {ranks[j]}")
 
     if up_labels is not None:
@@ -112,14 +110,14 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
 
 
 def _check_aligned(up: tuple, up_labels) -> None:
-    """MissingLabels unless up_labels[i] has one label per cover in up[i],
+    """VpshellError unless up_labels[i] has one label per cover in up[i],
     naming the least unlabelled cover when there is one."""
     if len(up_labels) != len(up):
-        raise MissingLabels(f"{len(up_labels)} label lists, {len(up)} "
-                            "elements")
+        raise VpshellError(f"{len(up_labels)} label lists, {len(up)} "
+                           "elements")
     for lo, (his, labs) in enumerate(zip(up, up_labels)):
         if len(labs) != len(his):
-            raise MissingLabels(
+            raise VpshellError(
                 f"cover ({lo}, {his[len(labs)]}) has no edge label"
                 if len(labs) < len(his) else f"extra labels at {lo}")
 
@@ -168,7 +166,7 @@ def poset_to_json(p: Poset, up_labels: tuple | None = None):
 
     With up_labels, aligned with p.up as Poset.up_labels is, covers
     become objects carrying a "label" field, written as json.dumps writes
-    the label; MissingLabels, naming a cover with none, comes before the
+    the label; a VpshellError, naming a cover with none, comes before the
     head.  The joined text is the one json.dumps(doc, sort_keys=True)
     gives, written directly: keys sorted, ", " and ": " separators.
     """
@@ -209,7 +207,7 @@ def poset_to_dot(p: Poset, up_labels: tuple | None = None):
 
 
 def _label_texts(p: Poset, up_labels, render):
-    """None without up_labels.  Else, after MissingLabels for the least
+    """None without up_labels.  Else, after a VpshellError for the least
     cover up_labels misses, a function of lo giving render(label) for
     each label of up_labels[lo].  A label object met again reuses its
     text, so labels that share one object per distinct label render

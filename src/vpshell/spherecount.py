@@ -24,9 +24,7 @@ from itertools import combinations, product
 from math import comb
 
 from .complexes import betti, order_complex
-from .errors import (DimensionMismatch, IncompatibleData, InvalidIndex,
-                     NotDecreasing, NotSaturated, OracleMismatch,
-                     ResourceLimit, VpshellError)
+from .errors import OracleMismatch, ResourceLimit, VpshellError
 from .labeling import chain_label, is_weakly_decreasing
 from .poset import Poset, chain_f_vector, mobius
 from .vecpart import (VectorPartition, bottom_element, check_budgets,
@@ -167,9 +165,9 @@ def count_by_recursion(n: int, s: int, i: int) -> int:
     C(n-1,a-1)^i * C(n-1,a) * C(n,a)^(s-i).  Defined for n >= 2.
     """
     if not 1 <= i <= s:
-        raise InvalidIndex(f"index {i} outside 1..{s}")
+        raise VpshellError(f"index {i} outside 1..{s}")
     if n < 2:
-        raise InvalidIndex("indexed counts need n >= 2")
+        raise VpshellError("indexed counts need n >= 2")
     lower, upper = _binomial_row(n - 1), _binomial_row(n)
     total = 0
     for a in range(1, n):
@@ -203,7 +201,7 @@ def _suffix_counts(a: int, s: int) -> tuple:
 def count_total(n: int, s: int) -> int:
     """All decreasing chains: 1 for n = 1, else the sum over top indices."""
     if n < 1 or s < 1:
-        raise InvalidIndex("n and s must be at least 1")
+        raise VpshellError("n and s must be at least 1")
     if n == 1:
         return 1
     for m in range(2, n):  # bottom-up, so a cold call does not nest n deep
@@ -216,7 +214,7 @@ def nonambiguous_tree_count(m: int) -> int:
     """Non-ambiguous binary trees on m nodes: b_0 = 1 and
     b_(m+1) = sum over i+j=m of C(m+1,i) C(m+1,j) b_i b_j."""
     if m < 0:
-        raise InvalidIndex("m must be non-negative")
+        raise VpshellError("m must be non-negative")
     if m == 0:
         return 1
     for k in range(1, m):  # bottom-up, so a cold call does not nest m deep
@@ -251,12 +249,12 @@ class Decomposition:
 
     @property
     def top_index(self) -> int:
-        """First labeling index whose left split misses 1; IncompatibleData
+        """First labeling index whose left split misses 1; VpshellError
         when every labeling keeps 1 on the left."""
         for h in range(1, len(self.splits)):
             if 1 not in self.splits[h][0]:
                 return h
-        raise IncompatibleData("every labeling keeps 1 on the left")
+        raise VpshellError("every labeling keeps 1 on the left")
 
 
 def _restriction(chain: Chain, side: tuple, maps: tuple) -> Chain:
@@ -287,19 +285,16 @@ def decompose_chain(chain: Chain) -> Decomposition:
     """Split a decreasing maximal chain at its top cover.
 
     The second-from-top element has exactly two blocks; everything below
-    restricts to the two sides independently.  Raises NotDecreasing when
+    restricts to the two sides independently.  Raises VpshellError when
     the chain is not a decreasing maximal chain with n >= 2, elements of
     one (n, s) throughout.
     """
     n = chain[-1].n if chain else 0
-    try:
-        word = chain_label(chain)
-    except (NotSaturated, DimensionMismatch) as exc:
-        raise NotDecreasing(str(exc)) from exc
+    word = chain_label(chain)
     if (n < 2 or len(chain) != n + 1 or not chain[0].is_bottom
             or chain[-1] != top_element(n, chain[-1].s)
             or not is_weakly_decreasing(word)):
-        raise NotDecreasing("need a decreasing maximal chain with n >= 2")
+        raise VpshellError("need a decreasing maximal chain with n >= 2")
     penult = chain[-2]
     s = penult.s
     splits = tuple(
@@ -319,22 +314,22 @@ def recompose(d: Decomposition) -> Chain:
     side chain, pulled back through the inverse renumbering.  Walking
     down from the join of the two side tops, the side that holds the
     leftmost non-singleton block takes the next step.  Raises
-    IncompatibleData unless the result is a decreasing chain that
+    VpshellError unless the result is a decreasing chain that
     decompose_chain maps back to d.
     """
     splits = d.splits
     if len(splits) < 2 or not all(type(sp) is tuple and len(sp) == 2 and
                                   type(sp[0]) is type(sp[1]) is tuple
                                   for sp in splits):
-        raise IncompatibleData("need two or more splits, pairs of tuples")
+        raise VpshellError("need two or more splits, pairs of tuples")
     s = len(splits) - 1
     alpha = d.alpha
     n = len(splits[0][0]) + len(splits[0][1])
     for h, (le, ri) in enumerate(splits):
         if len(le) != alpha or set(le) | set(ri) != set(range(1, n + 1)) \
                 or set(le) & set(ri):
-            raise IncompatibleData(f"split {h} is not an {alpha}/{n - alpha} "
-                                   f"bipartition of 1..{n}")
+            raise VpshellError(f"split {h} is not an {alpha}/{n - alpha} "
+                               f"bipartition of 1..{n}")
     # the walk below indexes the sides by position and stops at an atom
     _check_side(d.left, alpha, s, "left")
     _check_side(d.right, n - alpha, s, "right")
@@ -363,10 +358,10 @@ def recompose(d: Decomposition) -> Chain:
     chain = (bottom_element(n, s),) + tuple(reversed(chain_desc))
     try:
         back = decompose_chain(chain)
-    except NotDecreasing as exc:
-        raise IncompatibleData(f"reassembled chain: {exc}") from exc
+    except VpshellError as exc:
+        raise VpshellError(f"reassembled chain: {exc}") from exc
     if back != d:
-        raise IncompatibleData("reassembled chain decomposes to other data")
+        raise VpshellError("reassembled chain decomposes to other data")
     return chain
 
 
@@ -374,9 +369,9 @@ def _check_side(chain: Chain, m: int, s: int, name: str) -> None:
     if (len(chain) != m + 1 or not chain[0].is_bottom
             or chain[-1] != top_element(m, s)
             or any(v.n != m or v.s != s for v in chain[1:])):
-        raise IncompatibleData(f"{name} chain is not maximal over 1..{m}")
+        raise VpshellError(f"{name} chain is not maximal over 1..{m}")
     if not all(is_cover(a, b) for a, b in zip(chain, chain[1:])):
-        raise IncompatibleData(f"{name} chain is not saturated")
+        raise VpshellError(f"{name} chain is not saturated")
 
 
 # ── the five-way certificate ─────────────────────────────────────────────
@@ -399,8 +394,12 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     runs once before any work, charging every maximal chain to
     max_chains only for homology; then enumerate charges its decreasing
     chains.  Euler, like Mobius, walks comparable pairs and lists none.
-    An unknown method is a VpshellError.
+    An unknown method, or one str in place of a sequence of method
+    names, is a VpshellError.
     """
+    if isinstance(methods, str):
+        raise VpshellError("methods: expected a sequence of method names, "
+                           f"got the str {methods!r}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise VpshellError(f"unknown method {unknown[0]!r}")

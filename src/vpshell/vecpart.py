@@ -17,9 +17,7 @@ from itertools import combinations, groupby, islice, product
 from math import comb, factorial
 from operator import itemgetter
 
-from .errors import (BottomHasNoAtom, DimensionMismatch, EqualWords,
-                     InvalidIndex, InvalidPartition, MalformedWord,
-                     ResourceLimit, SizeMismatch)
+from .errors import ResourceLimit, VpshellError
 from .poset import Poset, build_indexed_poset
 
 
@@ -64,27 +62,27 @@ def top_element(n: int, s: int) -> VectorPartition:
 def canonicalize(n: int, s: int, blocks, labels) -> VectorPartition:
     """Validating constructor from raw nested iterables.
 
-    labels[i] must align with blocks positionally.  Raises InvalidIndex
-    unless n, s >= 1, InvalidPartition when an entry is not an int (a
-    bool is not) or when blocks or any labeling fail to partition
-    {1..n}, SizeMismatch when a label's cardinality differs from its
-    block's.  Idempotent on already-canonical data.
+    labels[i] must align with blocks positionally.  Raises VpshellError
+    unless n, s >= 1, when an entry is not an int (a bool is not), when
+    blocks or any labeling fail to partition {1..n}, and when a label's
+    cardinality differs from its block's.  Idempotent on
+    already-canonical data.
     """
     if n < 1 or s < 1:
-        raise InvalidIndex("n and s must be at least 1")
+        raise VpshellError("n and s must be at least 1")
     blk = _int_sets(blocks, "blocks")
     labs = [_int_sets(labels[i], f"labeling {i + 1}")
             for i in range(len(labels))]
     if len(labs) != s:
-        raise SizeMismatch(f"expected {s} labelings, got {len(labs)}")
+        raise VpshellError(f"expected {s} labelings, got {len(labs)}")
     _check_partition(n, blk, "blocks")
     for i, lab in enumerate(labs):
         if len(lab) != len(blk):
-            raise SizeMismatch(
+            raise VpshellError(
                 f"labeling {i + 1} has {len(lab)} sets for {len(blk)} blocks")
         for b, l in zip(blk, lab):
             if len(l) != len(b):
-                raise SizeMismatch(
+                raise VpshellError(
                     f"label {l} has size {len(l)}, block {b} has size {len(b)}")
         _check_partition(n, lab, f"labeling {i + 1}")
     order = sorted(range(len(blk)), key=lambda t: blk[t][0])
@@ -101,7 +99,7 @@ def _int_sets(sets, what: str) -> list[tuple]:
         b = tuple(b)
         for x in b:
             if type(x) is not int:
-                raise InvalidPartition(f"{what}: entry {x!r} is not an int")
+                raise VpshellError(f"{what}: entry {x!r} is not an int")
         out.append(tuple(sorted(b)))
     return out
 
@@ -111,11 +109,11 @@ def _check_partition(n: int, sets, what: str) -> None:
     total = 0
     for b in sets:
         if not b:
-            raise InvalidPartition(f"{what}: empty set")
+            raise VpshellError(f"{what}: empty set")
         total += len(b)
         seen.update(b)
     if total != n or seen != set(range(1, n + 1)):
-        raise InvalidPartition(f"{what} do not partition 1..{n}")
+        raise VpshellError(f"{what} do not partition 1..{n}")
 
 
 # ── serialization ────────────────────────────────────────────────────────
@@ -138,7 +136,7 @@ def format_element(v: VectorPartition) -> str:
 
 def _check_dims(x: VectorPartition, y: VectorPartition) -> None:
     if (x.n, x.s) != (y.n, y.s):
-        raise DimensionMismatch(
+        raise VpshellError(
             f"({x.n}, {x.s}) vs ({y.n}, {y.s})")
 
 
@@ -183,13 +181,13 @@ def merge_blocks(v: VectorPartition, a: int, b: int) -> VectorPartition:
     Blocks are ordered by minimum, so the merged block takes the lower of
     the two positions and every other block keeps its order: the result
     is a splice, already canonical.  a and b may come in either order;
-    InvalidIndex unless they are two distinct positions in
+    VpshellError unless they are two distinct positions in
     0..v.num_blocks-1 (the bottom has no blocks, so none).
     """
     if a > b:
         a, b = b, a
     if not 0 <= a < b < v.num_blocks:
-        raise InvalidIndex(f"block positions {a}, {b} are not two distinct "
+        raise VpshellError(f"block positions {a}, {b} are not two distinct "
                            f"positions in 0..{v.num_blocks - 1}")
     return VectorPartition(
         n=v.n, s=v.s, blocks=_merged(v.blocks, a, b),
@@ -230,7 +228,7 @@ def _element_counts(n: int, s: int):
     ways, each of its s labels in C(m, j) ways, and the rest is an
     element over the m - j entries left.  E_m never falls as m rises."""
     if n < 1 or s < 1:
-        raise InvalidIndex("n and s must be at least 1")
+        raise VpshellError("n and s must be at least 1")
     e = [1]
     yield 1
     for m in range(1, n + 1):
@@ -242,9 +240,9 @@ def _element_counts(n: int, s: int):
 def maximal_chain_count(n: int, s: int) -> int:
     """Number of bottom-to-top maximal chains, computed arithmetically:
     (n!)^s atoms, each with n!(n-1)!/2^(n-1) chains above it.  Raises
-    InvalidIndex unless n, s >= 1."""
+    VpshellError unless n, s >= 1."""
     if n < 1 or s < 1:
-        raise InvalidIndex("n and s must be at least 1")
+        raise VpshellError("n and s must be at least 1")
     return factorial(n) ** s * (factorial(n) * factorial(n - 1)) // 2 ** (n - 1)
 
 
@@ -263,7 +261,7 @@ def _label_assignments(sizes: tuple, universe: tuple):
 
 def check_budgets(n: int, s: int, max_elements: int | None,
                   max_chains: int | None = None) -> None:
-    """InvalidIndex unless n, s >= 1; ResourceLimit, before any element
+    """VpshellError unless n, s >= 1; ResourceLimit, before any element
     is made, at the first m <= n whose 1 + E_m (see _element_counts)
     exceeds max_elements, so a refusal costs E_0..E_m however large n is;
     then, only if max_chains is given, when maximal_chain_count exceeds it."""
@@ -283,9 +281,9 @@ def enumerate_elements(n: int, s: int) -> list[VectorPartition]:
     by (rank, blocks, labels), and generated in that order: the
     partitions come in (rank, blocks) order, and the product of
     lex-ordered label assignments, one list per block sizes, is lex
-    ordered.  InvalidIndex unless n, s >= 1; callers check_budgets first."""
+    ordered.  VpshellError unless n, s >= 1; callers check_budgets first."""
     if n < 1 or s < 1:
-        raise InvalidIndex("n and s must be at least 1")
+        raise VpshellError("n and s must be at least 1")
     out = [bottom_element(n, s)]
     full = tuple(range(1, n + 1))
     by_sizes: dict = {}  # block sizes -> label tuples, lex order
@@ -414,7 +412,7 @@ def atom_word(v: VectorPartition) -> tuple:
     ascending block entries pair with ascending label entries.  Length n*s.
     """
     if v.is_bottom:
-        raise BottomHasNoAtom("the formal bottom has no atom below it")
+        raise VpshellError("the formal bottom has no atom below it")
     w = [0] * (v.n * v.s)
     for bi, block in enumerate(v.blocks):
         for i in range(v.s):
@@ -429,25 +427,26 @@ def first_word_difference(a, b, n: int, s: int) -> tuple:
     Scans (k, i) pairs with k major and i minor, i.e. position k of the
     first labeling, then position k of the second, before moving to
     position k+1.  j is b's entry at the first differing pair.  Raises
-    EqualWords when a == b, MalformedWord when a length is not n*s.
+    VpshellError when a == b or when a length is not n*s.
     """
     if len(a) != n * s or len(b) != n * s:
-        raise MalformedWord(f"lengths {len(a)} and {len(b)}, expected {n * s}")
+        raise VpshellError(f"lengths {len(a)} and {len(b)}, expected {n * s}")
     for k in range(1, n + 1):
         for i in range(1, s + 1):
             pos = (i - 1) * n + (k - 1)
             if a[pos] != b[pos]:
                 return (k, i, b[pos])
-    raise EqualWords("atom words are identical")
+    raise VpshellError("atom words are identical")
 
 
 def check_atom_word(word, n: int, s: int) -> None:
     if len(word) != n * s:
-        raise MalformedWord(f"length {len(word)}, expected {n * s}")
+        raise VpshellError(f"length {len(word)}, expected {n * s}")
     for i in range(s):
         chunk = word[i * n:(i + 1) * n]
         if sorted(chunk) != list(range(1, n + 1)):
-            raise MalformedWord(f"segment {i + 1} is not a permutation of 1..{n}")
+            raise VpshellError(
+                f"segment {i + 1} is not a permutation of 1..{n}")
 
 
 def perm_lex_rank(perm) -> int:

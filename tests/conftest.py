@@ -36,7 +36,7 @@ from math import comb
 import pytest
 
 from vpshell.complexes import ShellingReport, SimplicialComplex
-from vpshell.errors import UnknownElement
+from vpshell.errors import VpshellError
 from vpshell.labeling import ELReport, cover_label, is_weakly_decreasing
 from vpshell.poset import build_indexed_poset
 from vpshell.vecpart import (VectorPartition, atom_word, bottom_element,
@@ -61,7 +61,7 @@ def poset_from_pairs(elements, covers):
 
 
 def build_poset(elements, covers):
-    """A poset from (lo_key, hi_key) cover pairs: UnknownElement for a
+    """A poset from (lo_key, hi_key) cover pairs: VpshellError for a
     key that is not an element, else validated as build_indexed_poset
     validates."""
     elements = tuple(elements)
@@ -69,7 +69,7 @@ def build_poset(elements, covers):
     try:
         pairs = [(index[lo], index[hi]) for lo, hi in covers]
     except KeyError as exc:
-        raise UnknownElement(
+        raise VpshellError(
             f"cover names {exc.args[0]!r}, not an element") from None
     return poset_from_pairs(elements, pairs)
 

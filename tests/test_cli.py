@@ -98,26 +98,16 @@ def test_only_the_walks_that_use_a_budget_take_it(capsys):
     assert code == 0 and json.loads(out)["methods"] == {"euler": 1899}
 
 
-def test_count_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("VPSHELL_MAX_CHAINS", "5")
-    code, _, _ = run(capsys, "count", "--n", "3", "--s", "1")
-    assert code == 3
-    monkeypatch.setenv("VPSHELL_MAX_CHAINS", "not-a-number")
-    code, _, err = run(capsys, "count", "--n", "3", "--s", "1")
-    assert code == 4
-    assert "VPSHELL_MAX_CHAINS" in err
-
-
-def test_negative_budgets_exit_4(capsys, monkeypatch):
+def test_negative_budgets_exit_4(capsys):
     code, out, err = run(capsys, "count", "--n", "3", "--s", "1",
                          "--max-chains", "-1")
     assert (code, out) == (4, "") and "negative" in err
-    monkeypatch.setenv("VPSHELL_MAX_ELEMENTS", "-3")
-    code, out, err = run(capsys, "build", "--n", "2", "--s", "1")
+    code, out, err = run(capsys, "build", "--n", "2", "--s", "1",
+                         "--max-elements", "-3")
     assert (code, out) == (4, "") and "negative" in err
     # 0 is a budget, one that refuses every poset
-    monkeypatch.setenv("VPSHELL_MAX_ELEMENTS", "0")
-    assert run(capsys, "build", "--n", "2", "--s", "1")[0] == 3
+    assert run(capsys, "build", "--n", "2", "--s", "1",
+               "--max-elements", "0")[0] == 3
     assert run(capsys, "count", "--n", "3", "--s", "1",
                "--max-chains", "0")[0] == 3
 
@@ -151,6 +141,25 @@ def test_verify_el_failure_exits_1(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert out == ("EL verification FAILED on interval (0, 5): "
                    "2 increasing chains\n")
+
+
+@pytest.mark.parametrize("n, s, name, want", [
+    # at n = 2 the min-merge labels are still an EL-labeling, and no two
+    # facets share a label word, so neither defect shows
+    ("2", "1", "swap-bottom-labels", 1), ("2", "1", "min-merge-label", 0),
+    ("2", "1", "drop-tie-break", 0),
+    ("2", "2", "swap-bottom-labels", 1), ("2", "2", "min-merge-label", 0),
+    ("2", "2", "drop-tie-break", 0),
+    ("3", "1", "swap-bottom-labels", 1), ("3", "1", "min-merge-label", 1),
+    ("3", "1", "drop-tie-break", 1),
+    ("3", "2", "swap-bottom-labels", 1), ("3", "2", "min-merge-label", 1),
+    ("3", "2", "drop-tie-break", 1),
+])
+def test_where_each_sabotage_is_caught(capsys, n, s, name, want):
+    code, out, err = run(capsys, "verify-el", "--n", n, "--s", s,
+                         "--sabotage", name)
+    assert (code, err) == (want, "")
+    assert ("FAILED" in out or "INVALID" in out) == bool(want)
 
 
 def test_sabotages_at_n_1_change_nothing(capsys):

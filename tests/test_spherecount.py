@@ -1,8 +1,9 @@
 """Sphere counting: dual-route enumeration, recursion, decomposition."""
+import re
+
 import pytest
 
-from vpshell.errors import (IncompatibleData, InvalidIndex, NotDecreasing,
-                            OracleMismatch, ResourceLimit, VpshellError)
+from vpshell.errors import OracleMismatch, ResourceLimit, VpshellError
 from vpshell.labeling import chain_label, is_weakly_decreasing
 from vpshell.spherecount import (count_by_recursion, count_total,
                                  decompose_chain, decreasing_chains,
@@ -138,19 +139,19 @@ def test_recursion_matches_comb_oracle(s):
 def test_recursion_base_and_guards():
     assert count_total(1, 1) == 1
     assert count_total(1, 5) == 1
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(VpshellError, match=re.escape("index 0 outside 1..2")):
         count_by_recursion(3, 2, 0)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(VpshellError, match=re.escape("index 3 outside 1..2")):
         count_by_recursion(3, 2, 3)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(VpshellError, match="^indexed counts need n >= 2$"):
         count_by_recursion(1, 2, 1)
     for n, s in [(0, 1), (0, 3), (3, 0), (1, 0)]:
-        with pytest.raises(InvalidIndex, match="n and s must be at least 1"):
+        with pytest.raises(VpshellError, match="n and s must be at least 1"):
             count_total(n, s)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(VpshellError, match="^m must be non-negative$"):
         nonambiguous_tree_count(-1)
     # at s = 0 the certificate once agreed on 0 spheres by every method
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(VpshellError, match="^n and s must be at least 1$"):
         sphere_count_certificate(3, 0)
 
 
@@ -209,6 +210,15 @@ def test_certificate_refuses_an_unknown_method():
     # a VpshellError, as every error the package raises, not a ValueError
     with pytest.raises(VpshellError, match="unknown method 'bogus'"):
         sphere_count_certificate(3, 1, methods=("recursion", "bogus"))
+
+
+def test_certificate_refuses_one_method_name_as_a_string():
+    # iterated, "mobius" was the methods "m", "o", ... and the first was
+    # reported as unknown
+    with pytest.raises(VpshellError,
+                       match="expected a sequence of method names"):
+        sphere_count_certificate(2, 1, methods="mobius")
+    assert sphere_count_certificate(2, 1, methods=("mobius",))["match"]
 
 
 def test_certificate_degenerate_case():
@@ -282,23 +292,23 @@ def test_decompose_rejects_non_decreasing():
         canonicalize(n, s, [(1, 2), (3,)], [[(1, 2), (3,)]]),
         top_element(n, s),
     )
-    with pytest.raises(NotDecreasing):
+    with pytest.raises(VpshellError, match="^need a decreasing maximal chain"):
         decompose_chain(rising)
 
 
 def test_decompose_rejects_short_chain():
-    with pytest.raises(NotDecreasing):
+    with pytest.raises(VpshellError, match="^need a decreasing maximal chain"):
         decompose_chain((bottom_element(1, 1), top_element(1, 1)))
-    with pytest.raises(NotDecreasing):
+    with pytest.raises(VpshellError, match="^need a decreasing maximal chain"):
         decompose_chain(())
 
 
 def test_decompose_rejects_a_chain_of_two_dimensions():
     # a (3,1) chain whose top is the (3,2) top: not a decreasing chain
     chain = decreasing_chains(3, 1)[0]
-    with pytest.raises(NotDecreasing):
+    with pytest.raises(VpshellError, match=re.escape("(3, 1) vs (3, 2)")):
         decompose_chain(chain[:-1] + (top_element(3, 2),))
-    with pytest.raises(NotDecreasing):
+    with pytest.raises(VpshellError, match=re.escape("(3, 2) vs (3, 1)")):
         decompose_chain((bottom_element(3, 2),) + chain[1:])
 
 
@@ -307,7 +317,8 @@ def test_recompose_rejects_mismatched_sides():
     from dataclasses import replace
     wrong = replace(good, right=decompose_chain(
         decreasing_chains(3, 2)[0]).right)
-    with pytest.raises(IncompatibleData):
+    with pytest.raises(VpshellError, match=re.escape(
+            "right chain is not maximal over 1..2")):
         recompose(wrong)
 
 
@@ -318,7 +329,7 @@ def test_recompose_rejects_an_unsaturated_side():
     good = next(d for d in map(decompose_chain, decreasing_chains(3, 1))
                 if d.alpha == 2)
     bottom, _, top = good.left
-    with pytest.raises(IncompatibleData, match="left chain is not saturated"):
+    with pytest.raises(VpshellError, match="left chain is not saturated"):
         recompose(replace(good, left=(bottom, top, top)))
 
 
@@ -327,8 +338,12 @@ def test_recompose_rejects_bad_splits():
     from dataclasses import replace
     overlap = tuple(((1, 2), (2, 3)) for _ in good.splits)
     flat = ((1,), (2, 3))  # the sides of one split, not two splits
-    for splits in (overlap, (), flat, ((1, 2, 3),) * 2, (((1,), 2),) * 2):
-        with pytest.raises(IncompatibleData):
+    with pytest.raises(VpshellError, match=re.escape(
+            "split 0 is not an 1/3 bipartition of 1..4")):
+        recompose(replace(good, splits=overlap))
+    for splits in ((), flat, ((1, 2, 3),) * 2, (((1,), 2),) * 2):
+        with pytest.raises(VpshellError,
+                           match="^need two or more splits, pairs of tuples$"):
             recompose(replace(good, splits=splits))
 
 
@@ -336,14 +351,21 @@ def test_top_index_needs_a_labeling_that_moves_1():
     good = decompose_chain(decreasing_chains(3, 1)[0])
     from dataclasses import replace
     stuck = replace(good, splits=(good.splits[0], good.splits[0]))
-    with pytest.raises(IncompatibleData):
+    with pytest.raises(VpshellError,
+                       match="^every labeling keeps 1 on the left$"):
         stuck.top_index
+
+
+RECOMPOSE_REFUSALS = (r"^(split \d+ is not an \d+/\d+ bipartition"
+                      r"|(left|right) chain is not (maximal|saturated)"
+                      r"|reassembled chain)")
 
 
 @pytest.mark.parametrize("n, s", [(3, 1), (3, 2)])
 def test_recompose_rejects_malformed_decompositions(n, s):
-    # data that no decreasing chain decomposes to raise IncompatibleData
-    # and nothing else; data that one does recompose to that chain
+    # data that no decreasing chain decomposes to is refused by one of
+    # recompose's own checks and nothing else; data that one does
+    # recompose to that chain
     from dataclasses import replace
     chains = decreasing_chains(n, s)
     valid = {decompose_chain(c): c for c in chains}
@@ -366,7 +388,7 @@ def test_recompose_rejects_malformed_decompositions(n, s):
                 assert recompose(datum) == valid[datum]
             else:
                 tried += 1
-                with pytest.raises(IncompatibleData):
+                with pytest.raises(VpshellError, match=RECOMPOSE_REFUSALS):
                     recompose(datum)
     assert tried > 2 * len(valid)
 

@@ -1,4 +1,5 @@
 """Labeled partitions: construction, order, enumeration, atom words."""
+import re
 from itertools import permutations
 from math import factorial
 
@@ -7,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vpshell import vecpart
 from vpshell.complexes import order_complex
-from vpshell.errors import (BottomHasNoAtom, DimensionMismatch, InvalidIndex,
-                            InvalidPartition, MalformedWord, ResourceLimit,
-                            SizeMismatch)
+from vpshell.errors import ResourceLimit, VpshellError
 from vpshell.labeling import cover_label
 from vpshell.poset import mobius
 from vpshell.vecpart import (atom_lex_rank, atom_word, bottom_element,
@@ -40,11 +39,14 @@ def test_canonicalize_is_idempotent():
 
 
 def test_canonicalize_rejects_bad_partition():
-    with pytest.raises(InvalidPartition):
+    with pytest.raises(VpshellError,
+                       match=re.escape("blocks do not partition 1..3")):
         canonicalize(3, 1, [(1, 2)], [[(1, 2)]])          # 3 missing
-    with pytest.raises(InvalidPartition):
+    with pytest.raises(VpshellError,
+                       match=re.escape("blocks do not partition 1..3")):
         canonicalize(3, 1, [(1, 2), (2, 3)], [[(1, 2), (2, 3)]])
-    with pytest.raises(InvalidPartition):
+    with pytest.raises(VpshellError,
+                       match=re.escape("labeling 1 do not partition 1..3")):
         canonicalize(3, 1, [(1, 2, 3)], [[(1, 2, 4)]])    # label not in {1..3}
 
 
@@ -55,14 +57,15 @@ def test_canonicalize_rejects_bad_partition():
     ([[None]], [[[1]]]),
 ])
 def test_canonicalize_rejects_entries_that_are_not_ints(blocks, labels):
-    with pytest.raises(InvalidPartition):
+    with pytest.raises(VpshellError, match="is not an int$"):
         canonicalize(1, 1, blocks, labels)
 
 
 def test_canonicalize_rejects_size_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(VpshellError, match=re.escape(
+            "label (1,) has size 1, block (1, 2) has size 2")):
         canonicalize(3, 1, [(1, 2), (3,)], [[(1,), (2, 3)]])
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(VpshellError, match="^expected 2 labelings, got 1$"):
         canonicalize(3, 2, [(1, 2, 3)], [[(1, 2, 3)]])    # one labeling short
 
 
@@ -112,7 +115,7 @@ def test_is_leq_refinement():
     assert is_leq(bottom_element(3, 1), x)
     assert is_leq(x, x)
     assert not is_leq(y, x)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(VpshellError, match=re.escape("(3, 1) vs (3, 2)")):
         is_leq(x, bottom_element(3, 2))
 
 
@@ -137,7 +140,8 @@ def test_merge_blocks_refuses_positions_that_are_not_two_blocks(v, a, b):
     # (-1, 0) once merged the last block into the first, leaving five
     # blocks; (0, 5) raised a bare IndexError
     for x, y in ((a, b), (b, a)):
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(VpshellError,
+                           match="are not two distinct positions in"):
             merge_blocks(v, x, y)
 
 
@@ -245,7 +249,7 @@ def test_sizes_below_1_are_refused(n, s):
     for make in (enumerate_elements, element_count, vector_partition_poset,
                  lambda n, s: vecpart.check_budgets(n, s, None),
                  lambda n, s: canonicalize(n, s, singletons, [singletons] * s)):
-        with pytest.raises(InvalidIndex, match="n and s must be at least 1"):
+        with pytest.raises(VpshellError, match="n and s must be at least 1"):
             make(n, s)
 
 
@@ -301,9 +305,9 @@ def test_maximal_chain_count_refuses_sizes_below_one(n, s):
     # (0, 1) once raised factorial's bare ValueError and (3, 0) gave 3;
     # the chain budget reads it before any poset is built
     from vpshell.spherecount import sphere_count_certificate
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(VpshellError, match="^n and s must be at least 1$"):
         maximal_chain_count(n, s)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(VpshellError, match="^n and s must be at least 1$"):
         sphere_count_certificate(n, s, methods=("enumerate",))
 
 
@@ -319,7 +323,7 @@ def test_atom_word_anchor():
     v = canonicalize(8, 1, [(1, 4, 8), (2, 3, 7), (5, 6)],
                      [[(2, 3, 7), (1, 5, 6), (4, 8)]])
     assert atom_word(v) == (2, 1, 5, 3, 4, 8, 6, 7)
-    with pytest.raises(BottomHasNoAtom):
+    with pytest.raises(VpshellError, match="^the formal bottom has no atom"):
         atom_word(bottom_element(3, 1))
 
 
@@ -356,9 +360,10 @@ def test_identity_word_ranks_first():
 
 
 def test_check_atom_word_rejects_junk():
-    with pytest.raises(MalformedWord):
+    with pytest.raises(VpshellError, match=re.escape(
+            "segment 1 is not a permutation of 1..3")):
         check_atom_word((1, 2, 2), 3, 1)
-    with pytest.raises(MalformedWord):
+    with pytest.raises(VpshellError, match="^length 4, expected 3$"):
         check_atom_word((1, 2, 3, 1), 3, 1)
 
 
