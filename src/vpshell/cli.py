@@ -124,7 +124,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     vecpart.check_budgets(args.n, args.s, args.max_elements)
     p = vecpart.vector_partition_poset(args.n, args.s)
     write = poset_to_dot if args.fmt == "dot" else poset_to_json
-    _emit(write(p, p.up_labels if args.labels else None), args.out)
+    _emit(write(p, p.up_labels if args.labels else None,
+                vecpart.element_texts(p.elements)), args.out)
     return EXIT_OK
 
 

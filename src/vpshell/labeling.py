@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import islice
 
 from .errors import VpshellError
 from .complexes import order_complex
 from .poset import Poset, _check_aligned
-from .vecpart import (VectorPartition, atom_lex_rank, atom_word,
+from .vecpart import (VectorPartition, atom_lex_rank, atom_word, decode,
                       first_word_difference, is_cover, merge_blocks)
 
 EdgeLabel = tuple  # (k, i, j) int triples for vector partitions
@@ -53,10 +53,8 @@ def cover_label(x: VectorPartition, y: VectorPartition) -> EdgeLabel:
 
 
 def chain_label(chain) -> tuple:
-    """Label word of a saturated chain, bottom to top.
-
-    Raises VpshellError when some step is not a cover.
-    """
+    """Label word of a saturated chain, bottom to top; VpshellError when
+    some step is not a cover."""
     return tuple([cover_label(lo, hi) for lo, hi in zip(chain, chain[1:])])
 
 
@@ -189,15 +187,15 @@ def verify_label_structure(p: Poset) -> dict[int, list]:
     joined by a chain of covers and <=_lex is transitive, so it holds on
     all pairs exactly when it holds on every cover.
 
-    p must be a vector-partition poset, and its p.up_labels are audited
-    (VpshellError when it carries none).  Returns {condition: [text]},
-    every list empty exactly when the condition holds; each list is
-    capped at five.
+    p must be a vector-partition poset, its (blocks, labels) keys are
+    decoded, and its p.up_labels are audited (VpshellError when it
+    carries none).  Returns {condition: [text]}, every list empty
+    exactly when the condition holds; each list is capped at five.
     """
     bad: dict[int, list] = {c: [] for c in (1, 2, 3, 4, 5)}
     lab = _label_table(p, None)
-    els = p.elements
-    n, s = els[p.top].n, els[p.top].s
+    n, s = len(p.elements[p.top][0][0]), len(p.elements[p.top][1])
+    els = [decode(e, n, s) for e in p.elements]
     words = {t: atom_word(e) for t, e in enumerate(els) if not e.is_bottom}
 
     # DFS over increasing chains from the bottom only; extensions of a
@@ -255,7 +253,7 @@ def _first_difference_failures(p: Poset, lab: tuple, words: dict):
     by level as in _first_el_failure, gives each y the pairs (least
     label, times it occurs, capped at 2) over the maximal chains of
     [x, y], and the law holds exactly when they are only (first, 1)."""
-    n, s = p.elements[p.top].n, p.elements[p.top].s
+    n, s = len(p.elements[p.top][0][0]), len(p.elements[p.top][1])
     for x in words:
         least: dict[int, set] = {x: set()}  # for the level just done
         failures = []
@@ -315,13 +313,13 @@ def sabotaged_label_map(p: Poset, name: str) -> tuple:
             row[a], row[b] = row[b], row[a]
             lab[p.bottom] = tuple(row)
     elif name == "min-merge-label":
-        els = p.elements
+        els = p.elements  # (blocks, labels) records
         for lo, his in enumerate(p.up):
-            # j = 0 marks the bottom edges and the equal-atom-word covers
+            # j = 0 marks the bottom edges and the covers (n, max(I u J), 0)
             if lo != p.bottom:
-                xb = set(els[lo].blocks)
-                lab[lo] = tuple([label if label[2] else (els[hi].n, next(
-                    bk for bk in els[hi].blocks if bk not in xb)[0], 0)
+                xb = set(els[lo][0])
+                lab[lo] = tuple([label if label[2] else (label[0], next(
+                    bk for bk in els[hi][0] if bk not in xb)[0], 0)
                     for hi, label in zip(his, lab[lo])])
     elif name != "drop-tie-break":  # drop-tie-break's defect is the order
         raise VpshellError(f"unknown sabotage {name!r}")
@@ -336,6 +334,7 @@ def sabotaged_shelling_order(p: Poset, name: str) -> list:
     """
     if name != "drop-tie-break":
         return lex_shelling_order(p, sabotaged_label_map(p, name))
-    lab = _label_table(p, None)
-    return [next(tied) for _, tied in groupby(
-        lex_shelling_order(p), key=lambda f: _word(p, lab, f))]
+    lab, first = _label_table(p, None), {}
+    for f in order_complex(p).facets:
+        first.setdefault(_word(p, lab, f), f)
+    return [first[w] for w in sorted(first)]

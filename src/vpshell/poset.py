@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import VpshellError
 
@@ -21,6 +22,7 @@ class Poset:
 
     Use build_indexed_poset() to construct: it validates that covers
     rise in index order, the bottom 0, the top len - 1, and gradedness.
+    elements: the keys, (blocks, labels) records in vecpart's posets.
     up[i] holds the ascending indices covering i, the only record of the
     covers; nothing is cached, and up-sets are walked up it on demand.
     up_labels, if present, labels (i, up[i][k]) by up_labels[i][k], the
@@ -159,10 +161,11 @@ def chain_f_vector(p: Poset) -> tuple:
 
 # ── serialization ────────────────────────────────────────────────────────
 
-def poset_to_json(p: Poset, up_labels: tuple | None = None):
-    """JSON document with element keys (via str), covers, bottom and top,
-    in pieces, so that a writer holds one at a time: the head, the covers
-    of each element that has any, the keys 256 at a time, and the tail.
+def poset_to_json(p: Poset, up_labels: tuple | None = None, texts=None):
+    """JSON document with element texts, covers, bottom and top, in
+    pieces, so that a writer holds one at a time: the head, the covers
+    of each element that has any, texts (one str per element, in index
+    order, map(str, p.elements) by default) 256 at a time, and the tail.
 
     With up_labels, aligned with p.up as Poset.up_labels is, covers
     become objects carrying a "label" field, written as json.dumps writes
@@ -170,39 +173,40 @@ def poset_to_json(p: Poset, up_labels: tuple | None = None):
     head.  The joined text is the one json.dumps(doc, sort_keys=True)
     gives, written directly: keys sorted, ", " and ": " separators.
     """
-    texts = _label_texts(p, up_labels, json.dumps)
+    labels = _label_texts(p, up_labels, json.dumps)
+    texts = iter(map(str, p.elements) if texts is None else texts)
     yield f'{{"bottom": {p.bottom}, "covers": ['
     sep = ""
     for lo, his in enumerate(p.up):
         if his:
             yield sep + ", ".join(
-                [f"[{lo}, {hi}]" for hi in his] if texts is None else
+                [f"[{lo}, {hi}]" for hi in his] if labels is None else
                 [f'{{"hi": {hi}, "label": {text}, "lo": {lo}}}'
-                 for hi, text in zip(his, texts(lo))])
+                 for hi, text in zip(his, labels(lo))])
             sep = ", "
     yield '], "elements": ['
     for i in range(0, len(p.elements), 256):  # one json.dumps per chunk
         yield (", " if i else "") + json.dumps(
-            [str(k) for k in p.elements[i:i + 256]])[1:-1]
+            list(islice(texts, 256)))[1:-1]
     yield f'], "top": {p.top}}}'
 
 
-def poset_to_dot(p: Poset, up_labels: tuple | None = None):
+def poset_to_dot(p: Poset, up_labels: tuple | None = None, texts=None):
     """GraphViz DOT text for the Hasse diagram, bottom drawn lowest, in
-    pieces as poset_to_json yields JSON's: the head, each element's line,
-    the cover lines of each element, and the tail."""
+    pieces and with texts as poset_to_json: the head, each element's
+    line, the cover lines of each element, and the tail."""
     def esc(s) -> str:
         return str(s).replace("\\", "\\\\").replace('"', '\\"')
 
-    texts = _label_texts(p, up_labels, esc)
+    labels = _label_texts(p, up_labels, esc)
     yield "digraph poset {\n  rankdir=BT;\n"
-    for i, k in enumerate(p.elements):
-        yield f'  n{i} [label="{esc(k)}"];\n'
+    for i, text in enumerate(p.elements if texts is None else texts):
+        yield f'  n{i} [label="{esc(text)}"];\n'
     for lo, his in enumerate(p.up):
         yield "".join(
-            [f"  n{lo} -> n{hi};\n" for hi in his] if texts is None else
+            [f"  n{lo} -> n{hi};\n" for hi in his] if labels is None else
             [f'  n{lo} -> n{hi} [label="{text}"];\n'
-             for hi, text in zip(his, texts(lo))])
+             for hi, text in zip(his, labels(lo))])
     yield "}\n"
 
 

@@ -27,8 +27,9 @@ from .complexes import betti, order_complex
 from .errors import OracleMismatch, ResourceLimit, VpshellError
 from .labeling import chain_label, is_weakly_decreasing
 from .poset import Poset, chain_f_vector, mobius
-from .vecpart import (VectorPartition, bottom_element, check_budgets,
-                      is_cover, top_element, vector_partition_poset)
+from .vecpart import (VectorPartition, _assemble, bottom_element,
+                      check_budgets, decode, is_cover, top_element,
+                      vector_partition_poset)
 
 Chain = tuple  # (bottom, C_1, ..., C_n), VectorPartition entries
 
@@ -111,35 +112,32 @@ def _generated_decreasing(n: int, s: int) -> list[tuple]:
     return out
 
 
-def _assemble(n: int, s: int, records) -> VectorPartition:
-    """The element with one (block, label sets per labeling) record per
-    block, the blocks ordered by their minima."""
-    records = sorted(records, key=lambda rec: rec[0][0])
-    return VectorPartition(
-        n=n, s=s,
-        blocks=tuple(rec[0] for rec in records),
-        labels=tuple(tuple(rec[1][h] for rec in records) for h in range(s)))
-
-
-def decreasing_chains(n: int, s: int,
-                      poset: Poset | None = None) -> list[Chain]:
+def decreasing_chains(n: int, s: int) -> list[Chain]:
     """All decreasing maximal chains, canonically sorted.
 
     Two independent routes must agree on index chains, else
-    OracleMismatch: walking the labelled covers of `poset`, which must be
-    vector_partition_poset(n, s) and is built when none is given, and
-    growing (blocks, labels) records without a poset, which one dict
-    maps to indices; a record that is no element is a mismatch too.
-    Elements are indexed in (rank, blocks, labels) order and the walk
-    steps in index order, so only the generated chains are sorted, and a
-    walk out of order is a mismatch.  sphere_count_certificate bounds the
-    walk by the decreasing chains, count_total(n, s), not check_budgets'
-    count of every maximal chain.
+    OracleMismatch: walking the labelled covers of
+    vector_partition_poset(n, s), and growing its (blocks, labels) keys
+    without a poset, which one dict maps to indices; a record that is no
+    key is a mismatch too.  Elements are indexed in (rank, blocks,
+    labels) order and the walk steps in index order, so only the
+    generated chains are sorted, and a walk out of order is a mismatch.
+    The index chains are decoded here, each index once;
+    sphere_count_certificate counts them and decodes none, and bounds
+    the walk by count_total(n, s), not by every maximal chain.
     """
-    if poset is None:
-        poset = vector_partition_poset(n, s)
+    poset = vector_partition_poset(n, s)
+    made: dict = {}  # index -> its element
+    return [tuple([made.get(t) or made.setdefault(
+        t, decode(poset.elements[t], n, s)) for t in c])
+        for c in _decreasing_indices(n, s, poset)]
+
+
+def _decreasing_indices(n: int, s: int, poset: Poset) -> list[tuple]:
+    """decreasing_chains as index chains, walked up poset, which must be
+    vector_partition_poset(n, s)."""
     walked = _walked_decreasing(poset)
-    index = {(v.blocks, v.labels): t for t, v in enumerate(poset.elements)}
+    index = {r: t for t, r in enumerate(poset.elements)}
     try:
         generated = sorted([tuple([index[r] for r in c])
                             for c in _generated_decreasing(n, s)])
@@ -150,7 +148,7 @@ def decreasing_chains(n: int, s: int,
         raise OracleMismatch(
             f"poset walk found {len(walked)} decreasing chains, "
             f"generation found {len(generated)}")
-    return [tuple([poset.elements[t] for t in c]) for c in walked]
+    return walked
 
 
 # ── exact recursion ──────────────────────────────────────────────────────
@@ -295,12 +293,8 @@ def decompose_chain(chain: Chain) -> Decomposition:
             or chain[-1] != top_element(n, chain[-1].s)
             or not is_weakly_decreasing(word)):
         raise VpshellError("need a decreasing maximal chain with n >= 2")
-    penult = chain[-2]
-    s = penult.s
-    splits = tuple(
-        (penult.blocks[0], penult.blocks[1]) if h == 0 else
-        (penult.labels[h - 1][0], penult.labels[h - 1][1])
-        for h in range(s + 1))
+    # the top covers the second-from-top element: it has two blocks
+    splits = (chain[-2].blocks, *chain[-2].labels)
     alpha = len(splits[0][0])
     left = _restriction(chain, splits[0][0], _side_maps(splits, 0))
     right = _restriction(chain, splits[0][1], _side_maps(splits, 1))
@@ -416,7 +410,7 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     values: dict[str, int | None] = {}
     info: dict = {}
     if "enumerate" in methods:
-        values["enumerate"] = len(decreasing_chains(n, s, poset=p))
+        values["enumerate"] = len(_decreasing_indices(n, s, p))
     if "recursion" in methods:
         values["recursion"] = count_total(n, s)
     if "mobius" in methods:

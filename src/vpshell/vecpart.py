@@ -12,6 +12,7 @@ an ascending tuple, labels aligned positionally with blocks.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from itertools import combinations, groupby, islice, product
 from math import comb, factorial
@@ -55,8 +56,7 @@ def bottom_element(n: int, s: int) -> VectorPartition:
 
 def top_element(n: int, s: int) -> VectorPartition:
     full = tuple(range(1, n + 1))
-    return VectorPartition(n=n, s=s, blocks=(full,),
-                           labels=tuple((full,) for _ in range(s)))
+    return decode(((full,), ((full,),) * s), n, s)
 
 
 def canonicalize(n: int, s: int, blocks, labels) -> VectorPartition:
@@ -85,11 +85,17 @@ def canonicalize(n: int, s: int, blocks, labels) -> VectorPartition:
                 raise VpshellError(
                     f"label {l} has size {len(l)}, block {b} has size {len(b)}")
         _check_partition(n, lab, f"labeling {i + 1}")
-    order = sorted(range(len(blk)), key=lambda t: blk[t][0])
+    return _assemble(n, s, zip(blk, zip(*labs)))
+
+
+def _assemble(n: int, s: int, records) -> VectorPartition:
+    """The element with one (block, label sets per labeling) record per
+    block, the blocks ordered by their minima."""
+    records = sorted(records, key=lambda rec: rec[0][0])
     return VectorPartition(
         n=n, s=s,
-        blocks=tuple(blk[t] for t in order),
-        labels=tuple(tuple(lab[t] for t in order) for lab in labs))
+        blocks=tuple(rec[0] for rec in records),
+        labels=tuple(tuple(rec[1][h] for rec in records) for h in range(s)))
 
 
 def _int_sets(sets, what: str) -> list[tuple]:
@@ -122,22 +128,31 @@ _SET_TEXT: dict = {}  # set tuple -> "{1,2,3}": one string per distinct set
 
 
 def format_element(v: VectorPartition) -> str:
-    """Canonical text form: blocks, then one labeling per '|' separator.
-    Each distinct set is rendered once and its text shared after that."""
-    if v.is_bottom:
-        return "BOTTOM"
-    text = _SET_TEXT
-    return "|".join(["".join([text.get(b) or text.setdefault(
-        b, "{" + ",".join(map(str, b)) + "}") for b in sets])
-        for sets in (v.blocks, *v.labels)])
+    """Canonical text form, as element_texts renders it."""
+    return next(element_texts([(v.blocks, v.labels)]))
+
+
+def element_texts(records):
+    """The text of each (blocks, labels) record's element, in order.  Each
+    distinct set, block tuple and label tuple is rendered once."""
+    sets, heads, tails = _SET_TEXT, {(): "BOTTOM"}, {}
+
+    def text(part: tuple) -> str:
+        return "".join([sets.get(b) or sets.setdefault(
+            b, "{" + ",".join(map(str, b)) + "}") for b in part])
+
+    for blocks, labels in records:  # the bottom's labels, (), read ""
+        yield ((heads.get(blocks) or heads.setdefault(blocks, text(blocks)))
+               + (tails.get(labels) or tails.setdefault(labels, "".join(
+                   ["|" + text(lab) for lab in labels]))))
 
 
 # ── order relation ───────────────────────────────────────────────────────
 
 def _check_dims(x: VectorPartition, y: VectorPartition) -> None:
     if (x.n, x.s) != (y.n, y.s):
-        raise VpshellError(
-            f"({x.n}, {x.s}) vs ({y.n}, {y.s})")
+        raise VpshellError(f"elements of (n, s) = ({x.n}, {x.s}) and "
+                           f"({y.n}, {y.s}) compared")
 
 
 def is_leq(x: VectorPartition, y: VectorPartition) -> bool:
@@ -146,9 +161,7 @@ def is_leq(x: VectorPartition, y: VectorPartition) -> bool:
     _check_dims(x, y)
     if x.is_bottom:
         return True
-    if y.is_bottom:
-        return False
-    if x.num_blocks < y.num_blocks:
+    if y.is_bottom or x.num_blocks < y.num_blocks:
         return False
     for bi, by in enumerate(y.blocks):
         target = set(by)
@@ -189,9 +202,8 @@ def merge_blocks(v: VectorPartition, a: int, b: int) -> VectorPartition:
     if not 0 <= a < b < v.num_blocks:
         raise VpshellError(f"block positions {a}, {b} are not two distinct "
                            f"positions in 0..{v.num_blocks - 1}")
-    return VectorPartition(
-        n=v.n, s=v.s, blocks=_merged(v.blocks, a, b),
-        labels=tuple(_merged(lab, a, b) for lab in v.labels))
+    return decode((_merged(v.blocks, a, b), tuple(
+        _merged(lab, a, b) for lab in v.labels)), v.n, v.s)
 
 
 def _merged(sets: tuple, a: int, b: int) -> tuple:
@@ -251,10 +263,8 @@ def _label_assignments(sizes: tuple, universe: tuple):
     if not sizes:
         yield ()
         return
-    first = sizes[0]
-    for c in combinations(universe, first):
-        chosen = set(c)
-        rest = tuple(x for x in universe if x not in chosen)
+    for c in combinations(universe, sizes[0]):
+        rest = tuple(x for x in universe if x not in c)
         for tail in _label_assignments(sizes[1:], rest):
             yield (c,) + tail
 
@@ -276,15 +286,16 @@ def check_budgets(n: int, s: int, max_elements: int | None,
             f"poset has {total} maximal chains, budget is {max_chains}")
 
 
-def enumerate_elements(n: int, s: int) -> list[VectorPartition]:
-    """Every element including the bottom and the top, canonically ordered
-    by (rank, blocks, labels), and generated in that order: the
-    partitions come in (rank, blocks) order, and the product of
-    lex-ordered label assignments, one list per block sizes, is lex
-    ordered.  VpshellError unless n, s >= 1; callers check_budgets first."""
+def enumerate_elements(n: int, s: int) -> list[tuple]:
+    """Every element including the bottom and the top, as its (blocks,
+    labels) record, the bottom's ((), ()), canonically ordered by (rank,
+    blocks, labels), and generated in that order: the partitions come in
+    (rank, blocks) order, and the product of lex-ordered label
+    assignments, one list per block sizes, is lex ordered.  VpshellError
+    unless n, s >= 1; callers check_budgets first."""
     if n < 1 or s < 1:
         raise VpshellError("n and s must be at least 1")
-    out = [bottom_element(n, s)]
+    out = [((), ())]
     full = tuple(range(1, n + 1))
     by_sizes: dict = {}  # block sizes -> label tuples, lex order
     for blocks in set_partitions(n):
@@ -293,16 +304,22 @@ def enumerate_elements(n: int, s: int) -> list[VectorPartition]:
         if labels is None:
             labels = by_sizes[sizes] = list(
                 product(_label_assignments(sizes, full), repeat=s))
-        out += [VectorPartition(n=n, s=s, blocks=blocks, labels=labs)
-                for labs in labels]
+        out += zip([blocks] * len(labels), labels)
     return out
+
+
+def decode(record: tuple, n: int, s: int) -> VectorPartition:
+    """The element of (n, s) whose (blocks, labels) record this is."""
+    return VectorPartition(n, s, *record, is_bottom=not record[0])
 
 
 def vector_partition_poset(n: int, s: int) -> Poset:
     """The bounded poset of all vector partitions, built and validated.
-    Like enumerate_elements it checks n, s >= 1 and no budget.
+    Like enumerate_elements it checks n, s >= 1 and no budget.  The
+    cyclic garbage collector is paused until it returns.
 
-    Keys are VectorPartition values; covers join each non-bottom element
+    Keys are the (blocks, labels) records of enumerate_elements, which
+    decode makes VectorPartitions; covers join each non-bottom element
     to its two-block merges, and the bottom to every atom.  Each cover is
     labelled where it is generated, from the atom words of its two ends
     (see labeling.cover_label, the definition these labels must equal),
@@ -325,6 +342,16 @@ def vector_partition_poset(n: int, s: int) -> Poset:
     and of the two labels alone; the least of the s labels is the
     cover's.  Equal labels are one shared tuple.
     """
+    enabled = gc.isenabled()
+    gc.disable()  # else it walks the growing rows again and again
+    try:
+        return _built(n, s)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _built(n: int, s: int) -> Poset:
     elements = enumerate_elements(n, s)
     ints = list(range(len(elements)))  # one int per index, for every row
     bits = {c: sum(1 << k for k in c) for r in range(1, n + 1)
@@ -332,12 +359,11 @@ def vector_partition_poset(n: int, s: int) -> Poset:
     runs = {}  # set partition -> (its run of indices, its block sizes)
     assigned = {}  # block sizes -> label assignments, as bitmasks, lex order
     for blocks, group in groupby(islice(ints, 1, None),
-                                 key=lambda t: elements[t].blocks):
+                                 key=lambda t: elements[t][0]):
         run, sizes = list(group), tuple(map(len, blocks))
         if sizes not in assigned:  # the first labeling steps through them
             assigned[sizes] = [tuple(map(bits.get, labs)) for labs in
-                               dict.fromkeys(elements[t].labels[0]
-                                             for t in run)]
+                               dict.fromkeys(elements[t][1][0] for t in run)]
         runs[blocks] = (run, sizes)
     rank_of = {t: r for labs in assigned.values() for r, t in enumerate(labs)}
     sets = {m: c for c, m in bits.items()}

@@ -5,7 +5,8 @@ deliberately unlike the library's: maximal chains by powerset filtering,
 the Mobius function by alternating chain counts, atom ranks by sorting
 the full list of words, shellings by intersecting every pair of facets,
 the shelling order by sorting (word, chain) pairs,
-merges by re-sorting the blocks, the whole poset from element keys, and
+merges by re-sorting the blocks, the whole poset from element keys, the
+element list by cutting permutations into label sets,
 the indexed sphere counts from math.comb, the EL property by
 enumerating the maximal chains of every interval, the JSON and DOT
 texts of a poset through a document of dicts or one escape per edge,
@@ -18,7 +19,9 @@ They are slow and only fit tiny inputs, which is the point.
 
 The fixtures build posets the package has no use for: from cover pairs,
 of element keys or of indices, the plain partition lattice, and an
-interval [x, y] of a poset as a poset of its own; simplicial_complex
+interval [x, y] of a poset as a poset of its own; record, decoded and
+decoded_elements turn a VectorPartition into its key and keys back
+into VectorPartitions; simplicial_complex
 builds a complex from any facet list, and faces lists a complex's
 faces of one dimension.  The order helpers
 leq, up_set and interval_chains walk the covers up from an element;
@@ -40,7 +43,7 @@ from vpshell.errors import VpshellError
 from vpshell.labeling import ELReport, cover_label, is_weakly_decreasing
 from vpshell.poset import build_indexed_poset
 from vpshell.vecpart import (VectorPartition, atom_word, bottom_element,
-                             canonicalize, enumerate_elements,
+                             canonicalize, decode, enumerate_elements,
                              first_word_difference, set_partitions,
                              top_element, vector_partition_poset)
 
@@ -378,7 +381,7 @@ def first_difference_failures_by_chains(p, up_labels):
     and report the interval once if a word does not carry the first
     difference exactly once or carries a label below it.  Capped at
     five, as verify_label_structure caps each condition."""
-    els, lab = p.elements, label_map(p, up_labels)
+    els, lab = decoded(p), label_map(p, up_labels)
     n, s = els[p.top].n, els[p.top].s
     bad = []
     for x in range(len(els)):
@@ -416,16 +419,54 @@ def merge_blocks_by_sorting(v, a, b):
 
 
 def poset_from_element_covers(n, s):
-    """vector_partition_poset through build_poset on element keys, with
-    every upper cover made by merge_blocks_by_sorting and no labels."""
-    elements = enumerate_elements(n, s)
+    """vector_partition_poset through build_poset on its (blocks, labels)
+    keys, with every upper cover made by merge_blocks_by_sorting and no
+    labels."""
+    elements = decoded_elements(n, s)
     covers = []
     for v in elements[1:]:
         if v.is_atom:
             covers.append((elements[0], v))
         covers += [(v, merge_blocks_by_sorting(v, a, b))
                    for a, b in combinations(range(v.num_blocks), 2)]
-    return build_poset(elements, covers)
+    return build_poset(map(record, elements),
+                       [(record(x), record(y)) for x, y in covers])
+
+
+def record(v):
+    """The (blocks, labels) record that keys v in vector_partition_poset;
+    the bottom's is ((), ())."""
+    return (v.blocks, v.labels)
+
+
+def decoded(p):
+    """The elements of a vector-partition poset, each key decoded, n and s
+    read off the top's record."""
+    (full,), labels = p.elements[p.top]
+    return [decode(k, len(full), len(labels)) for k in p.elements]
+
+
+def decoded_elements(n, s):
+    """enumerate_elements(n, s), each record decoded."""
+    return [decode(k, n, s) for k in enumerate_elements(n, s)]
+
+
+def elements_by_permutations(n, s):
+    """The elements of (n, s) in index order, bottom first: for each set
+    partition, each labeling cuts every permutation of 1..n into pieces
+    of the block sizes; canonicalize orders each element, repeats are
+    dropped, and the rest sorted by (rank, blocks, labels)."""
+    found = set()
+    for blocks in set_partitions(n):
+        sizes = [len(b) for b in blocks]
+        cuts = [sum(sizes[:t]) for t in range(len(sizes) + 1)]
+        assignments = {tuple(tuple(sorted(q[a:b]))
+                             for a, b in zip(cuts, cuts[1:]))
+                       for q in permutations(range(1, n + 1))}
+        for labels in product(assignments, repeat=s):
+            found.add(canonicalize(n, s, blocks, labels))
+    return [bottom_element(n, s)] + sorted(
+        found, key=lambda v: (-v.num_blocks, v.blocks, v.labels))
 
 
 def format_element_by_joins(v):

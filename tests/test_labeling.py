@@ -15,11 +15,12 @@ from vpshell.spherecount import count_total
 from vpshell.vecpart import (atom_word, bottom_element, canonicalize,
                              first_word_difference, top_element,
                              vector_partition_poset)
-from conftest import (aligned_labels, build_poset, covers,
+from conftest import (aligned_labels, build_poset, covers, decoded,
                       el_by_chain_enumeration,
                       first_difference_failures_by_chains, is_increasing,
-                      label_map, poset_from_pairs, set_partition_lattice,
-                      shelling_by_intersections, shelling_order_by_pairs)
+                      label_map, poset_from_pairs, record,
+                      set_partition_lattice, shelling_by_intersections,
+                      shelling_order_by_pairs)
 
 _EL_POSETS = {"(2,1)": vector_partition_poset(2, 1),
               "(3,1)": vector_partition_poset(3, 1),
@@ -338,10 +339,10 @@ def test_verify_label_structure_sees_defects(p3s1):
     # corrupt one atom-changing edge so j names the lower entry instead
     # of the upper one; conditions (3) and (5) must both object, and (5)
     # report what the chain-enumerating oracle reports
-    p = p3s1
+    p, els = p3s1, decoded(p3s1)
     lab = label_map(p)
     for (lo, hi), (k, i, j) in sorted(lab.items()):
-        x, y = p.elements[lo], p.elements[hi]
+        x, y = els[lo], els[hi]
         if lo != p.bottom and atom_word(x) != atom_word(y):
             pos = (i - 1) * x.n + (k - 1)
             lab[(lo, hi)] = (k, i, atom_word(x)[pos])
@@ -357,7 +358,7 @@ def test_verify_label_structure_sees_a_rising_atom_word():
     low = canonicalize(2, 1, [[1], [2]], [[[1], [2]]])
     high = canonicalize(2, 1, [[1], [2]], [[[2], [1]]])
     p = build_indexed_poset(
-        [bottom_element(2, 1), low, high, top_element(2, 1)],
+        map(record, [bottom_element(2, 1), low, high, top_element(2, 1)]),
         [(1,), (2,), (3,), ()], [((1, 2, 0),), ((1, 1, 2),), ((1, 1, 1),), ()])
     assert verify_label_structure(p)[1] == [f"{low} <. {high} but atom "
                                             "words rise"]
@@ -368,7 +369,7 @@ def test_verify_label_structure_sees_a_rising_chain_change_words(p3s1):
     # (n, i, j), above each bottom edge's (n - 1, s + m, 0), so that an
     # increasing chain leaves an atom by a cover that changes its word
     p = p3s1
-    words = [None if e.is_bottom else atom_word(e) for e in p.elements]
+    words = [None if e.is_bottom else atom_word(e) for e in decoded(p)]
     rows = tuple(tuple(
         (3,) + label[1:] if lo != p.bottom and words[lo] != words[hi]
         else label for hi, label in zip(his, labs))
@@ -390,7 +391,7 @@ def test_verify_label_structure_reports_labels_naming_no_block(change, p3s1):
     # that its label names no position or no pair of blocks is reported,
     # neither raised nor passed
     p = p3s1
-    words = [None if e.is_bottom else atom_word(e) for e in p.elements]
+    words = [None if e.is_bottom else atom_word(e) for e in decoded(p)]
     rows = tuple(tuple(
         change(*label) if lo != p.bottom and words[lo] != words[hi]
         else label for hi, label in zip(his, labs))
@@ -411,7 +412,7 @@ def test_first_difference_law_matches_chain_enumeration(n, s):
     assert verify_label_structure(p)[5] == [] == \
         first_difference_failures_by_chains(p, p.up_labels)
     if (n, s) in ((3, 1), (3, 2)):
-        words = [None if e.is_bottom else atom_word(e) for e in p.elements]
+        words = [None if e.is_bottom else atom_word(e) for e in decoded(p)]
         rows = tuple(tuple(
             (k, i, j - 1) if lo != p.bottom and j > 1
             and words[lo] != words[hi] else (k, i, j)
@@ -425,7 +426,7 @@ def test_first_difference_law_matches_chain_enumeration(n, s):
 
 def test_lex_shelling_order_words_are_sorted(p3s1):
     # words from cover_label on the element keys, not from the table
-    keys, ends = p3s1.elements, (p3s1.bottom, p3s1.top)
+    keys, ends = decoded(p3s1), (p3s1.bottom, p3s1.top)
     words = [chain_label([keys[t] for t in (ends[0], *f, ends[1])])
              for f in lex_shelling_order(p3s1)]
     assert words == sorted(words)
@@ -462,7 +463,7 @@ def test_lex_shelling_two_atom_case(p2s1):
     order = lex_shelling_order(p2s1)
     assert len(order) == 2
     (first,) = order[0]
-    assert atom_word(p2s1.elements[first]) == (1, 2)
+    assert atom_word(decoded(p2s1)[first]) == (1, 2)
 
 
 def test_chain_label_single_cover():
@@ -533,6 +534,27 @@ def test_sabotage_swap_bottom_changes_two_edges(p3s1):
     diff = {e for e in honest if honest[e] != swapped[e]}
     assert len(diff) == 2
     assert all(e[0] == p3s1.bottom for e in diff)
+
+
+@pytest.mark.parametrize("fixture", ["p3s1", "p3s2", "p4s2"])
+def test_sabotage_min_merge_matches_the_decoded_elements(fixture, request):
+    # the sabotage reads blocks off the keys; from the decoded elements,
+    # each cover that keeps the atom word merges two blocks of its lower
+    # end, and its label (n, max, 0) becomes (n, min, 0) of their union
+    p = request.getfixturevalue(fixture)
+    els = decoded(p)
+    n = els[p.top].n
+    want = {}
+    for (lo, hi), label in label_map(p).items():
+        x, y = els[lo], els[hi]
+        if not x.is_bottom and atom_word(x) == atom_word(y):
+            merged = [b for b in x.blocks if b not in y.blocks]
+            assert len(merged) == 2
+            assert label == (n, max(map(max, merged)), 0)
+            label = (n, min(map(min, merged)), 0)
+        want[(lo, hi)] = label
+    assert label_map(p, sabotaged_label_map(p, "min-merge-label")) == want
+    assert want != label_map(p)
 
 
 def test_sabotage_drop_tie_break_loses_facets(p3s1):

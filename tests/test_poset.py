@@ -2,7 +2,7 @@
 import gc
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,19 +10,19 @@ from vpshell.complexes import ShellingReport, order_complex, verify_shelling
 from vpshell.errors import VpshellError
 from vpshell.labeling import lex_shelling_order
 from vpshell.poset import mobius, poset_to_dot, poset_to_json
-from vpshell.vecpart import is_leq, vector_partition_poset
+from vpshell.vecpart import element_texts, is_leq, vector_partition_poset
 from conftest import (aligned_labels, build_poset, chains_by_powerset,
-                      covers, hall_mobius, interval_chains, interval_poset,
-                      label_map, leq, poset_to_dot_by_edges,
+                      covers, decoded, hall_mobius, interval_chains,
+                      interval_poset, label_map, leq, poset_to_dot_by_edges,
                       poset_to_json_by_dict, set_partition_lattice, up_set)
 
 
-def json_text(p, up_labels=None):
-    return "".join(poset_to_json(p, up_labels))
+def json_text(p, up_labels=None, texts=None):
+    return "".join(poset_to_json(p, up_labels, texts))
 
 
-def dot_text(p, up_labels=None):
-    return "".join(poset_to_dot(p, up_labels))
+def dot_text(p, up_labels=None, texts=None):
+    return "".join(poset_to_dot(p, up_labels, texts))
 
 
 def diamond():
@@ -303,7 +303,7 @@ def test_leq_matches_element_order(p3s1, p2s2, p3s2):
     # is_leq decides the order on the vector partitions themselves, so it
     # checks the cover walk behind leq and up_set independently
     for p in (p3s1, p2s2, p3s2):
-        els = p.elements
+        els = decoded(p)
         for a in range(len(p)):
             for b in range(len(p)):
                 assert leq(p, a, b) == is_leq(els[a], els[b])
@@ -343,10 +343,20 @@ def test_dot_output():
 
 @pytest.mark.parametrize("size", ["p3s2", "p4s2", "p5s1"])
 def test_writers_match_the_oracles(size, request):
+    # the keys by str, and the element texts given as build gives them,
+    # more than 256 of them at (4,2) and (5,1), against the oracles on a
+    # poset keyed by those texts
     p = request.getfixturevalue(size)
+    named = replace(p, elements=tuple(element_texts(p.elements)))
     for up_labels, labels in ((None, None), (p.up_labels, label_map(p))):
         assert json_text(p, up_labels) == poset_to_json_by_dict(p, labels)
         assert dot_text(p, up_labels) == poset_to_dot_by_edges(p, labels)
+        texts = element_texts(p.elements)
+        assert json_text(p, up_labels, texts) == \
+            poset_to_json_by_dict(named, labels)
+        texts = element_texts(p.elements)
+        assert dot_text(p, up_labels, texts) == \
+            poset_to_dot_by_edges(named, labels)
 
 
 def test_writers_escape_keys_and_labels_as_the_oracles_do():

@@ -9,9 +9,9 @@ from vpshell.spherecount import (count_by_recursion, count_total,
                                  decompose_chain, decreasing_chains,
                                  nonambiguous_tree_count, recompose,
                                  sphere_count_certificate)
-from vpshell.vecpart import (bottom_element, canonicalize, top_element,
-                             vector_partition_poset)
-from conftest import (decreasing_by_filter, decreasing_by_splitting,
+from vpshell.vecpart import (VectorPartition, bottom_element, canonicalize,
+                             top_element, vector_partition_poset)
+from conftest import (decoded, decreasing_by_filter, decreasing_by_splitting,
                       indexed_counts_by_comb, poset_from_pairs,
                       top_label_index_counts)
 
@@ -108,9 +108,9 @@ def test_filter_route_comes_out_in_canonical_order(p4s1, p3s2):
     # (rank, blocks, labels) order, the rank falling as blocks merge
     from vpshell.spherecount import _walked_decreasing
     for p in (p4s1, p3s2):
-        chains = _walked_decreasing(p)
+        chains, keys = _walked_decreasing(p), decoded(p)
         assert chains == sorted(chains)
-        els = [tuple(p.elements[t] for t in c) for c in chains]
+        els = [tuple(keys[t] for t in c) for c in chains]
         assert els == sorted(els, key=lambda c: tuple(
             (-len(v.blocks), v.blocks, v.labels) for v in c))
 
@@ -236,6 +236,23 @@ def test_decompose_recompose_roundtrip():
             assert recompose(d) == c
 
 
+@pytest.mark.parametrize("n, s", [(3, 2), (4, 2), (5, 1)])
+def test_decreasing_chains_decode_the_walked_indices_once(n, s):
+    # the poset's keys are records: the chains hold VectorPartitions,
+    # decoded along the walked index chains, one object per index, and
+    # round-trip through decompose_chain and recompose
+    from vpshell.spherecount import _walked_decreasing
+    p = vector_partition_poset(n, s)
+    chains, els = decreasing_chains(n, s), decoded(p)
+    walked = _walked_decreasing(p)
+    assert chains == [tuple(els[t] for t in c) for c in walked]
+    made = {}
+    for c, ts in zip(chains, walked):
+        assert all(type(v) is VectorPartition for v in c)
+        assert all(made.setdefault(t, v) is v for t, v in zip(ts, c))
+        assert recompose(decompose_chain(c)) == c
+
+
 def test_recompose_decompose_roundtrip():
     # the other composition order: every decomposition datum that arises
     # maps back to itself
@@ -306,9 +323,11 @@ def test_decompose_rejects_short_chain():
 def test_decompose_rejects_a_chain_of_two_dimensions():
     # a (3,1) chain whose top is the (3,2) top: not a decreasing chain
     chain = decreasing_chains(3, 1)[0]
-    with pytest.raises(VpshellError, match=re.escape("(3, 1) vs (3, 2)")):
+    with pytest.raises(VpshellError, match=re.escape(
+            "elements of (n, s) = (3, 1) and (3, 2) compared")):
         decompose_chain(chain[:-1] + (top_element(3, 2),))
-    with pytest.raises(VpshellError, match=re.escape("(3, 2) vs (3, 1)")):
+    with pytest.raises(VpshellError, match=re.escape(
+            "elements of (n, s) = (3, 2) and (3, 1) compared")):
         decompose_chain((bottom_element(3, 2),) + chain[1:])
 
 

@@ -1,4 +1,5 @@
 """Labeled partitions: construction, order, enumeration, atom words."""
+import gc
 import re
 from itertools import permutations
 from math import factorial
@@ -12,14 +13,16 @@ from vpshell.errors import ResourceLimit, VpshellError
 from vpshell.labeling import cover_label
 from vpshell.poset import mobius
 from vpshell.vecpart import (atom_lex_rank, atom_word, bottom_element,
-                             canonicalize, check_atom_word, element_count,
+                             canonicalize, check_atom_word, decode,
+                             element_count, element_texts,
                              enumerate_elements, format_element, is_cover,
                              is_leq, maximal_chain_count, merge_blocks,
                              perm_lex_rank, set_partitions, top_element,
                              vector_partition_poset)
-from conftest import (covers, format_element_by_joins, leq,
+from conftest import (covers, decoded, decoded_elements,
+                      elements_by_permutations, format_element_by_joins, leq,
                       merge_blocks_by_sorting, poset_from_element_covers,
-                      set_partition_lattice, sorted_word_rank, up_set)
+                      record, set_partition_lattice, sorted_word_rank, up_set)
 
 ORACLE_SIZES = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 1), (3, 3),
                 (4, 2)]
@@ -75,9 +78,10 @@ def test_rank_and_atoms(p3s1):
     assert not bottom_element(3, 1).is_atom
     # the poset's ranks: 0 at the bottom, n - #blocks + 1 above it
     assert p3s1.ranks[p3s1.bottom] == 0 and p3s1.height == 3
+    els = decoded(p3s1)
     assert all(p3s1.ranks[t] == 4 - v.num_blocks
-               for t, v in enumerate(p3s1.elements) if not v.is_bottom)
-    assert p3s1.ranks[p3s1.elements.index(atom)] == 1
+               for t, v in enumerate(els) if not v.is_bottom)
+    assert p3s1.ranks[els.index(atom)] == 1
 
 
 def test_format_element_pinned():
@@ -89,7 +93,7 @@ def test_format_element_pinned():
 
 def test_format_element_matches_the_joining_oracle():
     els = [v for n, s in ((3, 2), (4, 2), (5, 1))
-           for v in enumerate_elements(n, s)]
+           for v in decoded_elements(n, s)]
     ten = canonicalize(10, 2, [(1, 10), (2, 3, 4, 5, 6, 7, 8, 9)],
                        [[(9, 10), (1, 2, 3, 4, 5, 6, 7, 8)],
                         [(3, 7), (1, 2, 4, 5, 6, 8, 9, 10)]])
@@ -115,7 +119,8 @@ def test_is_leq_refinement():
     assert is_leq(bottom_element(3, 1), x)
     assert is_leq(x, x)
     assert not is_leq(y, x)
-    with pytest.raises(VpshellError, match=re.escape("(3, 1) vs (3, 2)")):
+    with pytest.raises(VpshellError, match=re.escape(
+            "elements of (n, s) = (3, 1) and (3, 2) compared")):
         is_leq(x, bottom_element(3, 2))
 
 
@@ -147,7 +152,7 @@ def test_merge_blocks_refuses_positions_that_are_not_two_blocks(v, a, b):
 
 @pytest.mark.parametrize("n,s", ORACLE_SIZES)
 def test_merge_blocks_splice_matches_sorting_oracle(n, s):
-    for v in enumerate_elements(n, s)[1:]:
+    for v in decoded_elements(n, s)[1:]:
         for a, b in permutations(range(v.num_blocks), 2):
             assert merge_blocks(v, a, b) == merge_blocks_by_sorting(v, a, b)
 
@@ -157,7 +162,7 @@ def test_labels_born_with_covers_match_cover_label(n, s):
     # up_labels[i][k] labels the cover (i, up[i][k]), as cover_label does
     p = vector_partition_poset(n, s)
     assert p == poset_from_element_covers(n, s)
-    keys = p.elements
+    keys = decoded(p)
     assert [len(labs) for labs in p.up_labels] == [len(his) for his in p.up]
     for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)):
         assert list(labs) == [cover_label(keys[lo], keys[hi]) for hi in his]
@@ -207,7 +212,7 @@ def test_set_partitions_counts():
 
 def test_enumerate_counts_match_formula():
     for n, s in [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)]:
-        els = enumerate_elements(n, s)
+        els = decoded_elements(n, s)
         assert len(els) == element_count(n, s)
         atoms = [e for e in els if e.is_atom]
         assert len(atoms) == factorial(n) ** s
@@ -216,10 +221,57 @@ def test_enumerate_counts_match_formula():
 @pytest.mark.parametrize("n,s", [(3, 2), (3, 4), (4, 2), (5, 1), (6, 1)])
 def test_elements_are_generated_in_canonical_order(n, s):
     els = enumerate_elements(n, s)
-    assert els[0].is_bottom
-    assert els[1:] == sorted(els[1:], key=lambda v: (-len(v.blocks),
-                                                      v.blocks, v.labels))
+    assert els[0] == ((), ()) and decode(els[0], n, s).is_bottom
+    assert els[1:] == sorted(els[1:], key=lambda r: (-len(r[0]), r[0], r[1]))
     assert len(set(els)) == len(els) == element_count(n, s)
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in (1, 2, 3)
+                                 for s in (1, 2, 3, 4)] + [(4, 2), (5, 1)])
+def test_poset_keys_are_records_of_the_elements_in_index_order(n, s):
+    # each key is the (blocks, labels) record of the element at its
+    # index, the bottom's ((), ()), as an oracle that never calls
+    # enumerate_elements lists them
+    p = vector_partition_poset(n, s)
+    want = elements_by_permutations(n, s)
+    assert p.elements[p.bottom] == ((), ())
+    assert list(p.elements) == [record(v) for v in want]
+    assert [decode(k, n, s) for k in p.elements] == want == decoded(p)
+
+
+@pytest.mark.parametrize("n,s", [(1, 3), (3, 2), (3, 4), (4, 2), (5, 1)])
+def test_element_texts_are_the_decoded_elements_formatted(n, s):
+    p = vector_partition_poset(n, s)
+    els = decoded(p)
+    texts = list(element_texts(p.elements))
+    assert texts[0] == "BOTTOM"
+    assert texts == [format_element(v) for v in els]
+    assert texts == [format_element_by_joins(v) for v in els]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_construction_leaves_the_collector_as_it_found_it(enabled,
+                                                          monkeypatch):
+    # construction runs with the cyclic collector paused, and gives the
+    # caller's state back, also when it raises
+    seen, honest = [], vecpart.build_indexed_poset
+
+    def build(*args):
+        seen.append(gc.isenabled())
+        return honest(*args)
+
+    monkeypatch.setattr(vecpart, "build_indexed_poset", build)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        vector_partition_poset(3, 2)
+        assert gc.isenabled() is enabled
+        with pytest.raises(VpshellError, match="n and s must be at least 1"):
+            vector_partition_poset(0, 1)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 def test_enumerate_known_sizes():
@@ -232,7 +284,7 @@ def test_enumerate_known_sizes():
 
 def test_single_ground_element_gives_two_chain():
     for s in (1, 2, 3):
-        els = enumerate_elements(1, s)
+        els = decoded_elements(1, s)
         assert len(els) == 2
         assert els[0].is_bottom and els[1] == top_element(1, s)
         p = vector_partition_poset(1, s)
@@ -338,7 +390,7 @@ def test_atom_word_is_lex_least_atom_below():
     # does sit below x.  Exhaustive over the whole small range.
     for n in (1, 2, 3, 4):
         for s in (1, 2):
-            els = enumerate_elements(n, s)
+            els = decoded_elements(n, s)
             atoms = {atom_word(a): a for a in els
                      if a.is_atom}
             for x in els:
@@ -384,7 +436,7 @@ def test_atom_lex_rank_anchors():
 
 def test_atom_lex_rank_against_sorting_oracle():
     for n, s in [(3, 1), (3, 2), (4, 1)]:
-        els = enumerate_elements(n, s)
+        els = decoded_elements(n, s)
         for e in els:
             if e.is_atom:
                 w = atom_word(e)
@@ -394,7 +446,7 @@ def test_atom_lex_rank_against_sorting_oracle():
 def test_atom_lex_rank_is_monotone_bijection():
     # ranks of all atoms, in word order, are exactly 1..(n!)^s
     n, s = 3, 2
-    words = sorted(atom_word(e) for e in enumerate_elements(n, s)
+    words = sorted(atom_word(e) for e in decoded_elements(n, s)
                    if e.is_atom)
     assert [atom_lex_rank(w, n, s) for w in words] == \
         list(range(1, factorial(n) ** s + 1))
@@ -417,11 +469,11 @@ def test_atom_rank_respects_lex_order(a, b):
 
 def test_atom_words_fall_going_up(p3s2):
     # comparable elements order their atom words the other way around
-    p = p3s2
+    p, els = p3s2, decoded(p3s2)
     for (lo, hi) in covers(p):
         if lo == p.bottom:
             continue
-        assert atom_word(p.elements[hi]) <= atom_word(p.elements[lo])
+        assert atom_word(els[hi]) <= atom_word(els[lo])
 
 
 def test_same_atom_interval_is_partition_lattice():
@@ -429,16 +481,15 @@ def test_same_atom_interval_is_partition_lattice():
     # compare zeta matrices under the canonical order isomorphism
     n, s = 3, 2
     p = vector_partition_poset(n, s)
-    lat = set_partition_lattice(n)
+    lat, els = set_partition_lattice(n), decoded(p)
     atom = next(t for t in p.up[p.bottom]
-                if atom_word(p.elements[t]) == tuple(range(1, n + 1)) * s)
+                if atom_word(els[t]) == tuple(range(1, n + 1)) * s)
     inside = sorted([t for t in up_set(p, atom) if leq(p, t, p.top)],
-                    key=lambda t: (p.ranks[t], p.elements[t].blocks,
-                                   p.elements[t].labels))
+                    key=lambda t: (p.ranks[t], els[t].blocks, els[t].labels))
     assert len(inside) == len(lat.elements)
 
     def blocks_of(t):
-        return p.elements[t].blocks
+        return els[t].blocks
 
     index = {k: t for t, k in enumerate(lat.elements)}
     match = {t: index[blocks_of(t)] for t in inside}
@@ -447,15 +498,16 @@ def test_same_atom_interval_is_partition_lattice():
             assert leq(p, a, b) == leq(lat, match[a], match[b])
 
 
-def _projection_matches(p, lat, x, y):
+def _projection_matches(p, els, lat, x, y):
     # dropping labels must map [x, y] order-isomorphically onto the
-    # partition-lattice interval between the underlying partitions
+    # partition-lattice interval between the underlying partitions; els
+    # holds p's elements decoded
     index = {k: t for t, k in enumerate(lat.elements)}
     inside = [t for t in up_set(p, x) if leq(p, t, y)]
-    image = [index[p.elements[t].blocks] for t in inside]
+    image = [index[els[t].blocks] for t in inside]
     assert len(set(image)) == len(inside)
-    lx = index[p.elements[x].blocks]
-    ly = index[p.elements[y].blocks]
+    lx = index[els[x].blocks]
+    ly = index[els[y].blocks]
     want = [t for t in up_set(lat, lx) if leq(lat, t, ly)]
     assert sorted(image) == want
     for a, qa in zip(inside, image):
@@ -466,23 +518,23 @@ def _projection_matches(p, lat, x, y):
 def test_every_interval_projects_onto_partition_lattice():
     for n, s in ((2, 1), (3, 1), (2, 2), (3, 2)):
         p = vector_partition_poset(n, s)
-        lat = set_partition_lattice(n)
+        lat, els = set_partition_lattice(n), decoded(p)
         for x in range(len(p.elements)):
             if x == p.bottom:
                 continue
             for y in range(len(p.elements)):
                 if leq(p, x, y):
-                    _projection_matches(p, lat, x, y)
+                    _projection_matches(p, els, lat, x, y)
 
 
 def test_top_intervals_project_onto_partition_lattice_n4():
     # checking up to the top pins down every sub-interval as well
     for n, s in ((4, 1), (4, 2)):
         p = vector_partition_poset(n, s)
-        lat = set_partition_lattice(n)
+        lat, els = set_partition_lattice(n), decoded(p)
         for x in range(len(p.elements)):
             if x != p.bottom:
-                _projection_matches(p, lat, x, p.top)
+                _projection_matches(p, els, lat, x, p.top)
 
 
 def test_top_and_bottom_shapes():
