@@ -146,8 +146,9 @@ def _cmd_verify_el(args: argparse.Namespace) -> int:
         report = labeling.verify_el(
             p, labeling.sabotaged_label_map(p, args.sabotage))
         lines.append(f"[sabotage {args.sabotage}] {report.text()}")
-        order = labeling.sabotaged_shelling_order(p, args.sabotage)
-        shell = complexes.verify_shelling(complexes.order_complex(p), order)
+        c = complexes.order_complex(p)
+        shell = complexes.verify_shelling(
+            c, labeling.sabotaged_shelling_order(p, c, args.sabotage))
         lines.append(
             f"[sabotage {args.sabotage}] shelling "
             + ("valid" if shell.valid else f"INVALID: {shell.problem}"))
@@ -160,9 +161,16 @@ def _cmd_verify_el(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     methods = (spherecount.METHODS if args.method == "all"
                else (args.method,))
-    cert = spherecount.sphere_count_certificate(
-        args.n, args.s, methods=methods,
-        max_elements=args.max_elements, max_chains=args.max_chains)
+    if methods != ("recursion",):
+        # homology lists every maximal chain, enumerate the decreasing ones
+        vecpart.check_budgets(args.n, args.s, args.max_elements,
+                              args.max_chains if "homology" in methods
+                              else None)
+        if "enumerate" in methods and (total := spherecount.count_total(
+                args.n, args.s)) > args.max_chains:
+            raise ResourceLimit(f"poset has {total} decreasing chains, "
+                                f"budget is {args.max_chains}")
+    cert = spherecount.sphere_count_certificate(args.n, args.s, methods)
     _emit(json.dumps(cert, sort_keys=True), args.out)
     return EXIT_OK if cert["match"] else EXIT_MISMATCH
 

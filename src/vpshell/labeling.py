@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import VpshellError
-from .complexes import order_complex
 from .poset import Poset, _check_aligned
 from .vecpart import (VectorPartition, atom_lex_rank, atom_word, decode,
                       first_word_difference, is_cover, merge_blocks)
@@ -275,16 +274,15 @@ def _first_difference_failures(p: Poset, lab: tuple, words: dict):
         yield from sorted(failures)
 
 
-def lex_shelling_order(p: Poset, labels: tuple | None = None) -> list:
-    """Facets of the proper-part complex in induced shelling order.
-
-    The facets of order_complex(p), in its lexicographic order, stably
-    sorted by the label word of their maximal chains (ties keep that
-    order).  labels, aligned with p.up, default to p.up_labels; a
+def lex_shelling_order(p: Poset, c, labels: tuple | None = None) -> list:
+    """Facets of the proper-part complex c, which must be order_complex(p),
+    in induced shelling order: its facets, in their lexicographic order,
+    stably sorted by the label word of their maximal chains (ties keep
+    that order).  labels, aligned with p.up, default to p.up_labels; a
     height-1 poset gives [] once they have been checked.
     """
     lab = _label_table(p, labels)
-    return sorted(order_complex(p).facets, key=lambda f: _word(p, lab, f))
+    return sorted(c.facets, key=lambda f: _word(p, lab, f))
 
 
 # ── deliberate defects, for exercising the verifiers ─────────────────────
@@ -326,15 +324,15 @@ def sabotaged_label_map(p: Poset, name: str) -> tuple:
     return tuple(lab)
 
 
-def sabotaged_shelling_order(p: Poset, name: str) -> list:
-    """Shelling order under the named defect.
+def sabotaged_shelling_order(p: Poset, c, name: str) -> list:
+    """Shelling order of c, order_complex(p), under the named defect.
 
     drop-tie-break keeps only the first facet of every label-word tie
     group of lex_shelling_order, so tied facets silently vanish from it.
     """
     if name != "drop-tie-break":
-        return lex_shelling_order(p, sabotaged_label_map(p, name))
+        return lex_shelling_order(p, c, sabotaged_label_map(p, name))
     lab, first = _label_table(p, None), {}
-    for f in order_complex(p).facets:
+    for f in c.facets:
         first.setdefault(_word(p, lab, f), f)
     return [first[w] for w in sorted(first)]

@@ -24,12 +24,11 @@ from itertools import combinations, product
 from math import comb
 
 from .complexes import betti, order_complex
-from .errors import OracleMismatch, ResourceLimit, VpshellError
+from .errors import OracleMismatch, VpshellError
 from .labeling import chain_label, is_weakly_decreasing
 from .poset import Poset, chain_f_vector, mobius
-from .vecpart import (VectorPartition, _assemble, bottom_element,
-                      check_budgets, decode, is_cover, top_element,
-                      vector_partition_poset)
+from .vecpart import (VectorPartition, _assemble, bottom_element, decode,
+                      is_cover, top_element, vector_partition_poset)
 
 Chain = tuple  # (bottom, C_1, ..., C_n), VectorPartition entries
 
@@ -373,9 +372,7 @@ def _check_side(chain: Chain, m: int, s: int, name: str) -> None:
 METHODS = ("enumerate", "recursion", "mobius", "homology", "euler")
 
 
-def sphere_count_certificate(n: int, s: int, methods=METHODS,
-                             max_elements: int | None = None,
-                             max_chains: int | None = None) -> dict:
+def sphere_count_certificate(n: int, s: int, methods=METHODS) -> dict:
     """Sphere counts by each requested method, with an agreement flag.
 
     Homology and Euler-characteristic entries are null when the proper
@@ -384,10 +381,8 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     signed value rides along under "signed_mobius".  Every method that
     needs the poset reads one build of it.  Euler counts the chains of
     the proper part by size (Philip Hall's theorem); only homology builds
-    the order complex.  When a method needs the poset, check_budgets
-    runs once before any work, charging every maximal chain to
-    max_chains only for homology; then enumerate charges its decreasing
-    chains.  Euler, like Mobius, walks comparable pairs and lists none.
+    the order complex.  No budget is checked here: a caller that wants
+    one calls vecpart.check_budgets first, as the count command does.
     An unknown method, or one str in place of a sequence of method
     names, is a VpshellError.
     """
@@ -397,16 +392,8 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS,
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise VpshellError(f"unknown method {unknown[0]!r}")
-    needs_poset = any(m != "recursion" for m in methods)
-    if needs_poset:
-        check_budgets(n, s, max_elements,
-                      max_chains if "homology" in methods else None)
-    if "enumerate" in methods:
-        total = count_total(n, s)
-        if max_chains is not None and total > max_chains:
-            raise ResourceLimit(f"poset has {total} decreasing chains, "
-                                f"budget is {max_chains}")
-    p = vector_partition_poset(n, s) if needs_poset else None
+    p = (vector_partition_poset(n, s)
+         if any(m != "recursion" for m in methods) else None)
     values: dict[str, int | None] = {}
     info: dict = {}
     if "enumerate" in methods:

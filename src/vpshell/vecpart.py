@@ -274,12 +274,19 @@ def check_budgets(n: int, s: int, max_elements: int | None,
     """VpshellError unless n, s >= 1; ResourceLimit, before any element
     is made, at the first m <= n whose 1 + E_m (see _element_counts)
     exceeds max_elements, so a refusal costs E_0..E_m however large n is;
-    then, only if max_chains is given, when maximal_chain_count exceeds it."""
+    then, only if max_chains is given, when maximal_chain_count exceeds it.
+    When s >= 4096 and 2^s > max_elements, 1 + E_2 = 2^s + 2 is refused
+    before it is made, named by that bound, so the text stays short."""
     for m, e in enumerate(_element_counts(n, s)):
-        if max_elements is not None and 1 + e > max_elements:
+        if max_elements is None:
+            break
+        if 1 + e > max_elements:
             raise ResourceLimit(  # and so is 1 + E_n >= 1 + E_m
                 f"poset has {'' if m == n else 'at least '}{1 + e} "
                 f"elements, budget is {max_elements}")
+        if m == 1 < n and s >= max(4096, max_elements.bit_length()):
+            raise ResourceLimit(f"poset has more than 2^{s} elements, "
+                                f"budget is {max_elements}")
     if (max_chains is not None
             and (total := maximal_chain_count(n, s)) > max_chains):
         raise ResourceLimit(

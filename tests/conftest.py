@@ -29,9 +29,11 @@ covers lists the cover pairs.  The
 helpers that close the file serve only tests: a strictly increasing
 word test, the count of chains per top label index, and every reduced
 Betti number of a complex, the dense oracle of betti, which gives the
-top one.
+top one.  count_calls counts a package function's calls under every
+name a vpshell module binds it to.
 """
 import json
+import sys
 from collections.abc import Mapping
 from itertools import combinations, permutations, product
 from math import comb
@@ -629,3 +631,24 @@ def p4s2():
 @pytest.fixture(scope="session")
 def p5s1():
     return vector_partition_poset(5, 1)
+
+
+def count_calls(monkeypatch, *functions):
+    """{name: calls} for each function, counted from here on wherever a
+    loaded vpshell module binds it, as perfbench/tracejob.py wraps its
+    spans, so a call through any import path counts."""
+    modules = [m for k, m in sys.modules.items()
+               if k == "vpshell" or k.startswith("vpshell.")]
+    calls = {}
+    for fn in functions:
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -140,7 +140,8 @@ def test_criterion_6_shelling_certificate():
     for (n, s), spheres in [((3, 1), 4), ((4, 1), 33)]:
         t0 = time.monotonic()
         p = vector_partition_poset(n, s)
-        report = verify_shelling(order_complex(p), lex_shelling_order(p))
+        c = order_complex(p)
+        report = verify_shelling(c, lex_shelling_order(p, c))
         dt = time.monotonic() - t0
         results[(n, s)] = len(report.homology_facets)
         ok = (ok and report.valid and
@@ -204,7 +205,8 @@ def test_criterion_8_sabotage_detection():
     caught = {}
     for name in SABOTAGES:
         el_ok = verify_el(p, sabotaged_label_map(p, name)).ok
-        shell_ok = verify_shelling(c, sabotaged_shelling_order(p, name)).valid
+        shell_ok = verify_shelling(
+            c, sabotaged_shelling_order(p, c, name)).valid
         caught[name] = not el_ok or not shell_ok
     ok = all(caught.values())
     verdict(8, ok, f"defects detected: {caught}")

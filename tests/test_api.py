@@ -5,7 +5,7 @@ import pkgutil
 from types import ModuleType
 
 import vpshell
-from vpshell import complexes, poset, spherecount, vecpart
+from vpshell import complexes, labeling, poset, spherecount, vecpart
 
 DELETED = ["parse_element", "element_to_json", "element_from_json",
            "word_to_atom", "poset_from_json", "MalformedDocument",
@@ -112,6 +112,27 @@ def test_construction_takes_no_budget():
     for module in (vecpart, spherecount):
         for name in ("check_element_budget", "check_chain_budget"):
             assert not hasattr(module, name)
+
+
+def test_the_certificate_takes_no_budget():
+    # the count command checks its budgets, as build and verify-el do
+    assert list(inspect.signature(spherecount.sphere_count_certificate)
+                .parameters) == ["n", "s", "methods"]
+
+
+def test_shelling_orders_take_the_complex():
+    # the caller builds the order complex once and passes it on
+    assert list(inspect.signature(labeling.lex_shelling_order)
+                .parameters) == ["p", "c", "labels"]
+    assert list(inspect.signature(labeling.sabotaged_shelling_order)
+                .parameters) == ["p", "c", "name"]
+
+
+def test_labeling_binds_no_name_of_the_complexes_module():
+    defined = [value for value in vars(complexes).values()
+               if getattr(value, "__module__", None) == complexes.__name__]
+    assert [name for name, value in vars(labeling).items()
+            if value is complexes or any(value is d for d in defined)] == []
 
 
 def test_cli_binds_no_private_name_of_the_poset_module():

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import vpshell
+from vpshell import complexes, vecpart
 from vpshell.cli import main
 from vpshell.spherecount import count_by_recursion, count_total
+from conftest import count_calls
 
 
 def run(capsys, *argv):
@@ -381,6 +383,33 @@ def test_element_budget_comes_before_the_chain_counts(capsys, argv):
     assert (code, out) == (3, "")
     assert err.startswith("budget exceeded: poset has at least ")
     assert err.endswith(" elements, budget is 1000000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "2", "--s", "10000000"),
+    ("verify-el", "--n", "3", "--s", "30000000"),
+], ids=["count", "verify-el"])
+def test_a_huge_s_is_refused_at_once_in_one_short_line(capsys, argv):
+    # 1 + E_2 = 2^s + 2 would take seconds to make and to print, and its
+    # text would run to millions of digits; 2^s bounds it
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (3, "")
+    assert err == (f"budget exceeded: poset has more than 2^{argv[4]} "
+                   "elements, budget is 1000000\n")
+    assert len(err) < 80
+
+
+@pytest.mark.parametrize("name", vpshell.SABOTAGES)
+def test_a_sabotage_run_builds_one_poset_and_one_complex(capsys,
+                                                         monkeypatch, name):
+    calls = count_calls(monkeypatch, vecpart.vector_partition_poset,
+                        complexes.order_complex)
+    code, out, _ = run(capsys, "verify-el", "--n", "3", "--s", "1",
+                       "--sabotage", name)
+    assert code == 1 and out.count(f"[sabotage {name}]") == 2
+    assert calls == {"vector_partition_poset": 1, "order_complex": 1}
 
 
 def test_element_budget_is_checked_before_the_chain_budget(capsys):

@@ -15,8 +15,8 @@ from vpshell.spherecount import count_total
 from vpshell.vecpart import (atom_word, bottom_element, canonicalize,
                              first_word_difference, top_element,
                              vector_partition_poset)
-from conftest import (aligned_labels, build_poset, covers, decoded,
-                      el_by_chain_enumeration,
+from conftest import (aligned_labels, build_poset, count_calls, covers,
+                      decoded, el_by_chain_enumeration,
                       first_difference_failures_by_chains, is_increasing,
                       label_map, poset_from_pairs, record,
                       set_partition_lattice, shelling_by_intersections,
@@ -27,6 +27,11 @@ _EL_POSETS = {"(2,1)": vector_partition_poset(2, 1),
               "(2,2)": vector_partition_poset(2, 2),
               "(3,2)": vector_partition_poset(3, 2),
               "lattice(4)": set_partition_lattice(4)}
+
+
+def lex_order(p, labels=None):
+    """lex_shelling_order on the order complex of p, built here."""
+    return lex_shelling_order(p, order_complex(p), labels)
 
 
 def golden_chain_s2():
@@ -256,17 +261,17 @@ def test_sabotage_counterexamples_are_pinned(n, s, swapped, merged):
 
 
 def test_verify_el_enumerates_no_chains(monkeypatch, p3s2):
-    from vpshell import labeling
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify_el enumerated chains")
-
-    monkeypatch.setattr(labeling, "order_complex", refuse)
+    # the order complex lists every maximal chain; verify_el builds none,
+    # under whatever name a vpshell module binds order_complex
+    calls = count_calls(monkeypatch, order_complex)
     assert verify_el(p3s2).ok
+    assert calls == {"order_complex": 0}
 
 
 @pytest.mark.parametrize("check", [verify_el, verify_label_structure,
-                                   lex_shelling_order])
+                                   lex_order],
+                         ids=["verify_el", "verify_label_structure",
+                              "lex_shelling_order"])
 def test_unlabeled_poset_without_labels_is_refused(check):
     p = build_poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     with pytest.raises(VpshellError,
@@ -274,7 +279,8 @@ def test_unlabeled_poset_without_labels_is_refused(check):
         check(p)
 
 
-@pytest.mark.parametrize("check", [verify_el, lex_shelling_order])
+@pytest.mark.parametrize("check", [verify_el, lex_order],
+                         ids=["verify_el", "lex_shelling_order"])
 def test_labels_missing_a_cover_are_refused(check, p3s1):
     # rows cut short before pairs[20] and before the last cover: the
     # least missing cover is named, whichever the check reads first
@@ -287,7 +293,8 @@ def test_labels_missing_a_cover_are_refused(check, p3s1):
         check(p3s1, tuple(rows))
 
 
-@pytest.mark.parametrize("check", [verify_el, lex_shelling_order])
+@pytest.mark.parametrize("check", [verify_el, lex_order],
+                         ids=["verify_el", "lex_shelling_order"])
 def test_short_table_is_refused_at_height_1(check):
     # n = 1 has no facet and no interval past its one cover, yet a table
     # of one row for its two elements is bad input
@@ -308,7 +315,7 @@ def test_given_labels_read_as_the_labels_the_poset_carries(fixture, request):
                    sabotaged_label_map(p, "min-merge-label"),
                    sabotaged_label_map(p, "swap-bottom-labels")):
         q = replace(p, up_labels=labels)
-        for check in (verify_el, lex_shelling_order):
+        for check in (verify_el, lex_order):
             assert check(q) == check(q, labels) == check(p, labels)
         assert verify_label_structure(q) == verify_label_structure(
             build_indexed_poset(p.elements, p.up, labels))
@@ -428,7 +435,7 @@ def test_lex_shelling_order_words_are_sorted(p3s1):
     # words from cover_label on the element keys, not from the table
     keys, ends = decoded(p3s1), (p3s1.bottom, p3s1.top)
     words = [chain_label([keys[t] for t in (ends[0], *f, ends[1])])
-             for f in lex_shelling_order(p3s1)]
+             for f in lex_order(p3s1)]
     assert words == sorted(words)
     assert len(words) == 18
 
@@ -439,28 +446,30 @@ def test_lex_shelling_order_matches_pair_sort(fixture, request):
     # order, as sorting (word, chain) pairs does, under the honest labels
     # and under each label sabotage
     p = request.getfixturevalue(fixture)
+    c = order_complex(p)
     for labels in (p.up_labels,
                    sabotaged_label_map(p, "swap-bottom-labels"),
                    sabotaged_label_map(p, "min-merge-label")):
-        assert lex_shelling_order(p, labels) == \
+        assert lex_shelling_order(p, c, labels) == \
             [f for _, f in shelling_order_by_pairs(p, label_map(p, labels))]
     first = {}
     for word, f in shelling_order_by_pairs(p, label_map(p)):
         first.setdefault(word, f)
-    assert sabotaged_shelling_order(p, "drop-tie-break") == \
+    assert sabotaged_shelling_order(p, c, "drop-tie-break") == \
         list(first.values())
 
 
 def test_sabotaged_orders_at_n_1_are_empty():
     # height 1: no facet to order, one atom, no tie to drop
     p = vector_partition_poset(1, 1)
-    assert sabotaged_shelling_order(p, "drop-tie-break") == []
+    assert sabotaged_shelling_order(p, order_complex(p),
+                                    "drop-tie-break") == []
     assert sabotaged_label_map(p, "swap-bottom-labels") == p.up_labels
 
 
 def test_lex_shelling_two_atom_case(p2s1):
     # two single-vertex facets; the identity atom's chain comes first
-    order = lex_shelling_order(p2s1)
+    order = lex_order(p2s1)
     assert len(order) == 2
     (first,) = order[0]
     assert atom_word(decoded(p2s1)[first]) == (1, 2)
@@ -475,26 +484,31 @@ def test_chain_label_single_cover():
 
 
 def test_shelling_orders_are_the_complex_facets_as_tuples(p3s2, p4s1):
-    # one face format: ascending vertex tuples, facets and orders alike
+    # one face format: ascending vertex tuples, facets and orders alike;
+    # an order holds the complex's own facet objects, made once
     for p in (p3s2, p4s1):
         c = order_complex(p)
-        order = lex_shelling_order(p)
-        sabotaged = sabotaged_shelling_order(p, "min-merge-label")
+        order = lex_shelling_order(p, c)
+        sabotaged = sabotaged_shelling_order(p, c, "min-merge-label")
         for faces in (c.facets, order, sabotaged):
             assert all(type(f) is tuple for f in faces)
         assert sorted(order) == list(c.facets)
+        made = {id(f) for f in c.facets}
+        for name in SABOTAGES:
+            assert all(id(f) in made
+                       for f in sabotaged_shelling_order(p, c, name)), name
 
 
 def test_lex_shelling_order_is_valid(p3s1):
-    order = lex_shelling_order(p3s1)
-    rep = verify_shelling(order_complex(p3s1), order)
+    c = order_complex(p3s1)
+    rep = verify_shelling(c, lex_shelling_order(p3s1, c))
     assert rep.valid
     assert len(rep.homology_facets) == 4
 
 
 def test_lex_shelling_order_p42(p4s1):
-    order = lex_shelling_order(p4s1)
-    rep = verify_shelling(order_complex(p4s1), order)
+    c = order_complex(p4s1)
+    rep = verify_shelling(c, lex_shelling_order(p4s1, c))
     assert rep.valid
     assert len(rep.homology_facets) == 33
 
@@ -502,19 +516,21 @@ def test_lex_shelling_order_p42(p4s1):
 def test_lex_shelling_certifies_large_sizes(p4s2, p5s1):
     # the homology facets count the spheres of the wedge
     for p, n, s, spheres in ((p4s2, 4, 2, 1899), (p5s1, 5, 1, 456)):
-        rep = verify_shelling(order_complex(p), lex_shelling_order(p))
+        c = order_complex(p)
+        rep = verify_shelling(c, lex_shelling_order(p, c))
         assert rep.valid
         assert len(rep.homology_facets) == count_total(n, s) == spheres
 
 
 def test_sabotaged_orders_at_4_2(p4s2):
     c = order_complex(p4s2)
-    swapped = sabotaged_shelling_order(p4s2, "swap-bottom-labels")
+    swapped = sabotaged_shelling_order(p4s2, c, "swap-bottom-labels")
     rep = verify_shelling(c, swapped)
     assert not rep.valid and rep.failing_index == 18
     assert shelling_by_intersections(c, swapped) == rep
     # min-merge-label still shells: only the EL check catches it
-    rep = verify_shelling(c, sabotaged_shelling_order(p4s2, "min-merge-label"))
+    rep = verify_shelling(c, sabotaged_shelling_order(p4s2, c,
+                                                      "min-merge-label"))
     assert rep.valid
     assert len(rep.homology_facets) == 1899
 
@@ -524,7 +540,8 @@ def test_sabotages_are_detected(p3s1):
     c = order_complex(p)
     for name in SABOTAGES:
         el_ok = verify_el(p, sabotaged_label_map(p, name)).ok
-        shell_ok = verify_shelling(c, sabotaged_shelling_order(p, name)).valid
+        shell_ok = verify_shelling(
+            c, sabotaged_shelling_order(p, c, name)).valid
         assert not (el_ok and shell_ok), name
 
 
@@ -558,8 +575,9 @@ def test_sabotage_min_merge_matches_the_decoded_elements(fixture, request):
 
 
 def test_sabotage_drop_tie_break_loses_facets(p3s1):
-    full = lex_shelling_order(p3s1)
-    dropped = sabotaged_shelling_order(p3s1, "drop-tie-break")
+    c = order_complex(p3s1)
+    full = lex_shelling_order(p3s1, c)
+    dropped = sabotaged_shelling_order(p3s1, c, "drop-tie-break")
     assert len(dropped) < len(full)
 
 

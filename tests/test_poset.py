@@ -75,8 +75,8 @@ def test_build_refuses_an_index_order_against_the_covers():
     with pytest.raises(VpshellError, match=r"^cover \(2, 1\) does not"):
         build_poset("0 b2 a1 c1 d2 1".split(), covers)
     p = build_poset("0 a1 c1 b2 d2 1".split(), covers)
-    ties = tuple((1,) * len(his) for his in p.up)
-    assert verify_shelling(order_complex(p), lex_shelling_order(p, ties)) \
+    ties, c = tuple((1,) * len(his) for his in p.up), order_complex(p)
+    assert verify_shelling(c, lex_shelling_order(p, c, ties)) \
         == ShellingReport(True, None, (3,), None)
 
 

@@ -11,9 +11,9 @@ from vpshell.spherecount import (count_by_recursion, count_total,
                                  sphere_count_certificate)
 from vpshell.vecpart import (VectorPartition, bottom_element, canonicalize,
                              top_element, vector_partition_poset)
-from conftest import (decoded, decreasing_by_filter, decreasing_by_splitting,
-                      indexed_counts_by_comb, poset_from_pairs,
-                      top_label_index_counts)
+from conftest import (count_calls, decoded, decreasing_by_filter,
+                      decreasing_by_splitting, indexed_counts_by_comb,
+                      poset_from_pairs, top_label_index_counts)
 
 KNOWN = {(2, 1): 1, (3, 1): 4, (4, 1): 33, (2, 2): 3, (3, 2): 46}
 
@@ -189,14 +189,9 @@ def test_certificate_structure():
 
 
 def test_certificate_builds_poset_and_complex_once(monkeypatch):
-    from vpshell import spherecount
-    calls = {"vector_partition_poset": 0, "order_complex": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(spherecount, name),
-                    **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(spherecount, name, counted)
+    from vpshell import complexes, vecpart
+    calls = count_calls(monkeypatch, vecpart.vector_partition_poset,
+                        complexes.order_complex)
     assert sphere_count_certificate(3, 2)["match"]
     assert calls == {"vector_partition_poset": 1, "order_complex": 1}
     assert sphere_count_certificate(3, 2, methods=("recursion",))["match"]

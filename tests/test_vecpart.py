@@ -331,6 +331,30 @@ def test_element_budget_stops_at_the_first_count_over_it(monkeypatch):
     assert len(enumerate_elements(4, 2)) == 1614
 
 
+def test_a_huge_s_is_refused_by_its_bound_before_it_is_made(monkeypatch):
+    # 1 + E_2 = 2^s + 2: from s = 4096 on, a budget below 2^s refuses it
+    # unmade, by the bound; below that, or under a larger budget, the
+    # count is made and an over-budget one printed exactly
+    def refuse(a, b):  # E_1 = 1 takes comb(0, 0) and comb(1, 1)
+        assert a < 2, "E_2 was made"
+        return 1
+
+    with monkeypatch.context() as m:
+        m.setattr(vecpart, "comb", refuse)
+        for n, s, budget in ((2, 4096, 10 ** 6), (3, 10 ** 9, 2 ** 64),
+                             (2, 4096, 2 ** 4095)):
+            with pytest.raises(ResourceLimit, match=rf"^poset has more "
+                               rf"than 2\^{s} elements, budget is {budget}$"):
+                vecpart.check_budgets(n, s, budget)
+    with pytest.raises(ResourceLimit, match=rf"^poset has {2 ** 4095 + 2} "
+                       r"elements, budget is 1000000$"):
+        vecpart.check_budgets(2, 4095, 10 ** 6)
+    vecpart.check_budgets(2, 5000, 2 ** 5000 + 2)
+    with pytest.raises(ResourceLimit, match=rf"^poset has {2 ** 5000 + 2} "
+                       rf"elements, budget is {2 ** 5000 + 1}$"):
+        vecpart.check_budgets(2, 5000, 2 ** 5000 + 1)
+
+
 def test_chains_are_charged_only_when_asked_and_the_elements_fit(
         monkeypatch):
     # a refusal on elements never counts the chains, and max_chains=None
