@@ -24,6 +24,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import complexes, labeling, spherecount, vecpart
 from .errors import OracleMismatch, ResourceLimit, VpshellError
@@ -124,7 +125,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     vecpart.check_budgets(args.n, args.s, args.max_elements)
     p = vecpart.vector_partition_poset(args.n, args.s)
     write = poset_to_dot if args.fmt == "dot" else poset_to_json
-    _emit(write(p, p.up_labels if args.labels else None,
+    _emit(write(p if args.labels else replace(p, up_labels=None),
                 vecpart.element_texts(p.elements)), args.out)
     return EXIT_OK
 
@@ -143,12 +144,13 @@ def _cmd_verify_el(args: argparse.Namespace) -> int:
             code = EXIT_VERIFY
     else:
         # a defect must be caught by at least one of the two verifiers
-        report = labeling.verify_el(
-            p, labeling.sabotaged_label_map(p, args.sabotage))
+        q = replace(p, up_labels=labeling.sabotaged_label_map(
+            p, args.sabotage))
+        report = labeling.verify_el(q)
         lines.append(f"[sabotage {args.sabotage}] {report.text()}")
         c = complexes.order_complex(p)
         shell = complexes.verify_shelling(
-            c, labeling.sabotaged_shelling_order(p, c, args.sabotage))
+            c, labeling.sabotaged_shelling_order(q, c, args.sabotage))
         lines.append(
             f"[sabotage {args.sabotage}] shelling "
             + ("valid" if shell.valid else f"INVALID: {shell.problem}"))

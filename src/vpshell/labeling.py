@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import VpshellError
-from .poset import Poset, _check_aligned
+from .poset import Poset
 from .vecpart import (VectorPartition, atom_lex_rank, atom_word, decode,
                       first_word_difference, is_cover, merge_blocks)
 
@@ -77,15 +77,11 @@ class ELReport:
         return f"EL verification FAILED on interval ({x}, {y}): {why}"
 
 
-def _label_table(p: Poset, labels: tuple | None) -> tuple:
-    """labels, aligned with p.up as Poset.up_labels is, else p.up_labels.
-    VpshellError when neither exists or labels misses a cover."""
-    labels = p.up_labels if labels is None else labels
-    if labels is None:
-        raise VpshellError("the poset carries no edge labels and none "
-                           "were given")
-    _check_aligned(p.up, labels)
-    return labels
+def _label_table(p: Poset) -> tuple:
+    """p.up_labels, aligned with p.up; VpshellError when there are none."""
+    if p.up_labels is None:
+        raise VpshellError("the poset carries no edge labels")
+    return p.up_labels
 
 
 def _word(p: Poset, lab: tuple, f) -> tuple:
@@ -97,12 +93,9 @@ def _word(p: Poset, lab: tuple, f) -> tuple:
                   for lo, hi in zip(c, c[1:])])
 
 
-def verify_el(p: Poset, labels: tuple | None = None) -> ELReport:
-    """Check the EL property on every interval of p.
-
-    labels[lo][k] labels the cover (lo, p.up[lo][k]), as in up_labels;
-    None reads the labels the poset carries, p.up_labels.  VpshellError
-    is raised when there is neither, or when labels misses a cover.  For
+def verify_el(p: Poset) -> ELReport:
+    """Check the EL property on every interval of p, under the labels it
+    carries, p.up_labels (VpshellError when it carries none).  For
     each x < y: among the maximal chains of [x, y] exactly one may have
     a strictly increasing label word, and that word must strictly precede
     every other chain's word.  The first failure, scanning pairs (x, y)
@@ -128,7 +121,7 @@ def verify_el(p: Poset, labels: tuple | None = None) -> ELReport:
     cost is the sum, over comparable pairs z < y, of the upper covers of
     z; a pass keeps one word per element of one rank.
     """
-    lab = _label_table(p, labels)
+    lab = _label_table(p)
     for x in range(len(p.elements)):
         bad = _first_el_failure(p, lab, x)
         if bad is not None:
@@ -192,7 +185,7 @@ def verify_label_structure(p: Poset) -> dict[int, list]:
     exactly when the condition holds; each list is capped at five.
     """
     bad: dict[int, list] = {c: [] for c in (1, 2, 3, 4, 5)}
-    lab = _label_table(p, None)
+    lab = _label_table(p)
     n, s = len(p.elements[p.top][0][0]), len(p.elements[p.top][1])
     els = [decode(e, n, s) for e in p.elements]
     words = {t: atom_word(e) for t, e in enumerate(els) if not e.is_bottom}
@@ -241,25 +234,24 @@ def verify_label_structure(p: Poset) -> dict[int, list]:
 
     bad[5] = [f"interval [{els[x]}, {els[y]}] has a chain violating the "
               f"first-difference law {first}" for x, y, first in islice(
-                  _first_difference_failures(p, lab, words), _REPORTED)]
+                  _first_difference_failures(p, words, n, s), _REPORTED)]
     return bad
 
 
-def _first_difference_failures(p: Poset, lab: tuple, words: dict):
+def _first_difference_failures(p: Poset, words: dict, n: int, s: int):
     """(x, y, first difference) for each [x, y], x in words and then y
-    ascending, that breaks condition (5) of verify_label_structure under
-    lab, aligned with p.up.  No chain is enumerated: one pass per x, level
+    ascending, that breaks condition (5) of verify_label_structure on p,
+    of dimensions (n, s).  No chain is enumerated: one pass per x, level
     by level as in _first_el_failure, gives each y the pairs (least
     label, times it occurs, capped at 2) over the maximal chains of
     [x, y], and the law holds exactly when they are only (first, 1)."""
-    n, s = len(p.elements[p.top][0][0]), len(p.elements[p.top][1])
     for x in words:
         least: dict[int, set] = {x: set()}  # for the level just done
         failures = []
         while least:
             pushed: dict[int, set] = {}
             for z, pairs in least.items():
-                for y, label in zip(p.up[z], lab[z]):
+                for y, label in zip(p.up[z], p.up_labels[z]):
                     # only x has no pairs: its covers start the chains
                     pushed.setdefault(y, set()).update([
                         (label, 1) if label < m else
@@ -274,14 +266,14 @@ def _first_difference_failures(p: Poset, lab: tuple, words: dict):
         yield from sorted(failures)
 
 
-def lex_shelling_order(p: Poset, c, labels: tuple | None = None) -> list:
+def lex_shelling_order(p: Poset, c) -> list:
     """Facets of the proper-part complex c, which must be order_complex(p),
     in induced shelling order: its facets, in their lexicographic order,
-    stably sorted by the label word of their maximal chains (ties keep
-    that order).  labels, aligned with p.up, default to p.up_labels; a
-    height-1 poset gives [] once they have been checked.
+    stably sorted by the label word, under p.up_labels, of their maximal
+    chains (ties keep that order).  VpshellError when p carries no
+    labels; else a height-1 poset gives [].
     """
-    lab = _label_table(p, labels)
+    lab = _label_table(p)
     return sorted(c.facets, key=lambda f: _word(p, lab, f))
 
 
@@ -303,7 +295,7 @@ def sabotaged_label_map(p: Poset, name: str) -> tuple:
     min-merge labels are still EL and no two facets share a label word;
     at n = 1 none.
     """
-    lab = list(_label_table(p, None))
+    lab = list(_label_table(p))
     if name == "swap-bottom-labels":
         row = list(lab[p.bottom])
         if len(row) > 1:  # n = 1 has a single atom
@@ -325,14 +317,16 @@ def sabotaged_label_map(p: Poset, name: str) -> tuple:
 
 
 def sabotaged_shelling_order(p: Poset, c, name: str) -> list:
-    """Shelling order of c, order_complex(p), under the named defect.
-
-    drop-tie-break keeps only the first facet of every label-word tie
-    group of lex_shelling_order, so tied facets silently vanish from it.
+    """Shelling order of c, order_complex(p), under the named defect, p
+    carrying its labels, as sabotaged_label_map gives them.  drop-tie-break
+    keeps only the first facet of every label-word tie group of
+    lex_shelling_order, so tied facets silently vanish from it.
     """
+    if name not in SABOTAGES:
+        raise VpshellError(f"unknown sabotage {name!r}")
     if name != "drop-tie-break":
-        return lex_shelling_order(p, c, sabotaged_label_map(p, name))
-    lab, first = _label_table(p, None), {}
+        return lex_shelling_order(p, c)
+    lab, first = _label_table(p), {}
     for f in c.facets:
         first.setdefault(_word(p, lab, f), f)
     return [first[w] for w in sorted(first)]

@@ -26,7 +26,8 @@ class Poset:
     up[i] holds the ascending indices covering i, the only record of the
     covers; nothing is cached, and up-sets are walked up it on demand.
     up_labels, if present, labels (i, up[i][k]) by up_labels[i][k], the
-    only record of the labels; it takes no part in equality.
+    only record of the labels, checked against up whenever a Poset is
+    made (replace too); it takes no part in equality.
     """
 
     elements: tuple
@@ -34,6 +35,10 @@ class Poset:
     ranks: tuple
     up_labels: tuple | None = field(default=None, compare=False, repr=False)
     bottom = 0  # not a field: first in every linear extension
+
+    def __post_init__(self) -> None:
+        if self.up_labels is not None:
+            _check_aligned(self.up, self.up_labels)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -67,7 +72,7 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
     Raises VpshellError, checked in this order: for duplicate keys;
     unless up has one strictly ascending entry of indices per element;
     for a cover (i, j) with j <= i; when the data is no bounded graded
-    poset; when up_labels does not line up with up.  Ranks are longest-path
+    poset; when Poset finds up_labels misaligned.  Ranks are longest-path
     distances from the bottom; a cover whose endpoints differ by more
     than one rank (a transitive edge in disguise) is not graded.
     """
@@ -104,11 +109,9 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
                 raise VpshellError(
                     f"cover ({i}, {j}) spans ranks {ranks[i]} -> {ranks[j]}")
 
-    if up_labels is not None:
-        up_labels = tuple(map(tuple, up_labels))
-        _check_aligned(up, up_labels)
     return Poset(elements=elements, up=up, ranks=tuple(ranks),
-                 up_labels=up_labels)
+                 up_labels=None if up_labels is None
+                 else tuple(map(tuple, up_labels)))
 
 
 def _check_aligned(up: tuple, up_labels) -> None:
@@ -161,19 +164,18 @@ def chain_f_vector(p: Poset) -> tuple:
 
 # ── serialization ────────────────────────────────────────────────────────
 
-def poset_to_json(p: Poset, up_labels: tuple | None = None, texts=None):
+def poset_to_json(p: Poset, texts=None):
     """JSON document with element texts, covers, bottom and top, in
     pieces, so that a writer holds one at a time: the head, the covers
     of each element that has any, texts (one str per element, in index
     order, map(str, p.elements) by default) 256 at a time, and the tail.
 
-    With up_labels, aligned with p.up as Poset.up_labels is, covers
-    become objects carrying a "label" field, written as json.dumps writes
-    the label; a VpshellError, naming a cover with none, comes before the
-    head.  The joined text is the one json.dumps(doc, sort_keys=True)
-    gives, written directly: keys sorted, ", " and ": " separators.
+    When p carries up_labels, covers become objects carrying a "label"
+    field, written as json.dumps writes the label.  The joined text is
+    the one json.dumps(doc, sort_keys=True) gives, written directly:
+    keys sorted, ", " and ": " separators.
     """
-    labels = _label_texts(p, up_labels, json.dumps)
+    labels = _label_texts(p, json.dumps)
     texts = iter(map(str, p.elements) if texts is None else texts)
     yield f'{{"bottom": {p.bottom}, "covers": ['
     sep = ""
@@ -191,14 +193,14 @@ def poset_to_json(p: Poset, up_labels: tuple | None = None, texts=None):
     yield f'], "top": {p.top}}}'
 
 
-def poset_to_dot(p: Poset, up_labels: tuple | None = None, texts=None):
+def poset_to_dot(p: Poset, texts=None):
     """GraphViz DOT text for the Hasse diagram, bottom drawn lowest, in
-    pieces and with texts as poset_to_json: the head, each element's
-    line, the cover lines of each element, and the tail."""
+    pieces and with texts and labels as poset_to_json: the head, each
+    element's line, the cover lines of each element, and the tail."""
     def esc(s) -> str:
         return str(s).replace("\\", "\\\\").replace('"', '\\"')
 
-    labels = _label_texts(p, up_labels, esc)
+    labels = _label_texts(p, esc)
     yield "digraph poset {\n  rankdir=BT;\n"
     for i, text in enumerate(p.elements if texts is None else texts):
         yield f'  n{i} [label="{esc(text)}"];\n'
@@ -210,15 +212,13 @@ def poset_to_dot(p: Poset, up_labels: tuple | None = None, texts=None):
     yield "}\n"
 
 
-def _label_texts(p: Poset, up_labels, render):
-    """None without up_labels.  Else, after a VpshellError for the least
-    cover up_labels misses, a function of lo giving render(label) for
-    each label of up_labels[lo].  A label object met again reuses its
-    text, so labels that share one object per distinct label render
-    each distinct label once."""
-    if up_labels is None:
+def _label_texts(p: Poset, render):
+    """None when p carries no labels.  Else a function of lo giving
+    render(label) for each label of p.up_labels[lo].  A label object met
+    again reuses its text, so labels that share one object per distinct
+    label render each distinct label once."""
+    if (up_labels := p.up_labels) is None:
         return None
-    _check_aligned(p.up, up_labels)
     texts: dict = {}  # id -> (label, text); holding label keeps its id
 
     def row(lo: int) -> list:

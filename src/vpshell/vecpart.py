@@ -28,15 +28,18 @@ class VectorPartition:
 
     blocks: tuple of ascending int tuples, ordered by block minimum.
     labels: labels[i][b] is the label set (ascending tuple) that labeling
-    index i+1 assigns to blocks[b].  The bottom carries empty blocks and
-    labels and compares below everything of the same (n, s).
+    index i+1 assigns to blocks[b].  The bottom, the one element with no
+    blocks, compares below everything of the same (n, s).
     """
 
     n: int
     s: int
     blocks: tuple = ()
     labels: tuple = ()
-    is_bottom: bool = False
+
+    @property
+    def is_bottom(self) -> bool:
+        return not self.blocks
 
     @property
     def num_blocks(self) -> int:
@@ -51,7 +54,7 @@ class VectorPartition:
 
 
 def bottom_element(n: int, s: int) -> VectorPartition:
-    return VectorPartition(n=n, s=s, is_bottom=True)
+    return VectorPartition(n=n, s=s)
 
 
 def top_element(n: int, s: int) -> VectorPartition:
@@ -317,7 +320,7 @@ def enumerate_elements(n: int, s: int) -> list[tuple]:
 
 def decode(record: tuple, n: int, s: int) -> VectorPartition:
     """The element of (n, s) whose (blocks, labels) record this is."""
-    return VectorPartition(n, s, *record, is_bottom=not record[0])
+    return VectorPartition(n, s, *record)
 
 
 def vector_partition_poset(n: int, s: int) -> Poset:

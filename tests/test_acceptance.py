@@ -6,6 +6,7 @@ enumeration, alternating chain counts, full-list sorting) before being
 frozen into this file.
 """
 import time
+from dataclasses import replace
 
 from vpshell import (
     SABOTAGES,
@@ -204,9 +205,10 @@ def test_criterion_8_sabotage_detection():
     c = order_complex(p)
     caught = {}
     for name in SABOTAGES:
-        el_ok = verify_el(p, sabotaged_label_map(p, name)).ok
+        q = replace(p, up_labels=sabotaged_label_map(p, name))
+        el_ok = verify_el(q).ok
         shell_ok = verify_shelling(
-            c, sabotaged_shelling_order(p, c, name)).valid
+            c, sabotaged_shelling_order(q, c, name)).valid
         caught[name] = not el_ok or not shell_ok
     ok = all(caught.values())
     verdict(8, ok, f"defects detected: {caught}")

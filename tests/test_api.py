@@ -123,9 +123,23 @@ def test_the_certificate_takes_no_budget():
 def test_shelling_orders_take_the_complex():
     # the caller builds the order complex once and passes it on
     assert list(inspect.signature(labeling.lex_shelling_order)
-                .parameters) == ["p", "c", "labels"]
+                .parameters) == ["p", "c"]
     assert list(inspect.signature(labeling.sabotaged_shelling_order)
                 .parameters) == ["p", "c", "name"]
+
+
+def test_labels_reach_the_checks_and_writers_only_on_the_poset():
+    # Poset.up_labels is the one label table, checked when a Poset is made
+    assert list(inspect.signature(labeling.verify_el).parameters) == ["p"]
+    for write in (poset.poset_to_json, poset.poset_to_dot):
+        assert list(inspect.signature(write).parameters) == ["p", "texts"]
+
+
+def test_labeling_binds_no_private_name_of_the_poset_module():
+    private = [value for name, value in vars(poset).items()
+               if name.startswith("_") and not name.startswith("__")]
+    assert [name for name, value in vars(labeling).items()
+            if any(value is obj for obj in private)] == []
 
 
 def test_labeling_binds_no_name_of_the_complexes_module():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import vpshell
-from vpshell import complexes, vecpart
+from vpshell import complexes, labeling, vecpart
 from vpshell.cli import main
 from vpshell.spherecount import count_by_recursion, count_total
 from conftest import count_calls
@@ -404,12 +404,15 @@ def test_a_huge_s_is_refused_at_once_in_one_short_line(capsys, argv):
 @pytest.mark.parametrize("name", vpshell.SABOTAGES)
 def test_a_sabotage_run_builds_one_poset_and_one_complex(capsys,
                                                          monkeypatch, name):
+    # and one label map: the defect's labels go on the poset once, and
+    # both verifiers read them there
     calls = count_calls(monkeypatch, vecpart.vector_partition_poset,
-                        complexes.order_complex)
+                        complexes.order_complex, labeling.sabotaged_label_map)
     code, out, _ = run(capsys, "verify-el", "--n", "3", "--s", "1",
                        "--sabotage", name)
     assert code == 1 and out.count(f"[sabotage {name}]") == 2
-    assert calls == {"vector_partition_poset": 1, "order_complex": 1}
+    assert calls == {"vector_partition_poset": 1, "order_complex": 1,
+                     "sabotaged_label_map": 1}
 
 
 def test_element_budget_is_checked_before_the_chain_budget(capsys):

@@ -1,5 +1,6 @@
 """Edge labels, EL verification, shelling order, sabotage detection."""
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +30,15 @@ _EL_POSETS = {"(2,1)": vector_partition_poset(2, 1),
               "lattice(4)": set_partition_lattice(4)}
 
 
-def lex_order(p, labels=None):
+def lex_order(p):
     """lex_shelling_order on the order complex of p, built here."""
-    return lex_shelling_order(p, order_complex(p), labels)
+    return lex_shelling_order(p, order_complex(p))
+
+
+def sabotaged(p, name):
+    """p carrying the labels of the named defect, as verify-el --sabotage
+    makes it."""
+    return replace(p, up_labels=sabotaged_label_map(p, name))
 
 
 def golden_chain_s2():
@@ -163,7 +170,8 @@ def test_verify_el_small_posets(p2s1, p3s1, p2s2, p3s2):
 def test_verify_el_flags_bad_labeling():
     # labeling a diamond with equal labels on both chains: two increasing
     p = build_poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    rep = verify_el(p, tuple((1,) * len(his) for his in p.up))
+    rep = verify_el(replace(p, up_labels=tuple((1,) * len(his)
+                                               for his in p.up)))
     assert not rep.ok
     assert "increasing" in rep.counterexample[2]
 
@@ -184,7 +192,7 @@ def test_verify_el_reports_the_least_failing_index():
         ("t", "h", 1), ("0", "c", 1), ("c", "u", 2), ("0", "d", 1),
         ("d", "u", 3), ("u", "v", 4), ("h", "1", 5), ("v", "1", 5)]}
     assert (p.ranks[i["h"]], p.ranks[i["u"]]) == (3, 2) and i["h"] < i["u"]
-    rep = verify_el(p, aligned_labels(p, labels))
+    rep = verify_el(replace(p, up_labels=aligned_labels(p, labels)))
     assert rep.counterexample == (0, i["h"], "0 increasing chains")
     assert rep == el_by_chain_enumeration(p, labels)
 
@@ -198,7 +206,7 @@ def test_verify_el_reports_the_least_failing_index():
     labels = {(i[lo], i[hi]): label for lo, hi, label in [
         ("0", "a", 1), ("a", "t", 2), ("0", "b", 1), ("b", "t", 3),
         ("t", "y", 4), ("y", "1", 5)]}
-    rep = verify_el(p, aligned_labels(p, labels))
+    rep = verify_el(replace(p, up_labels=aligned_labels(p, labels)))
     assert rep.counterexample == (0, i["t"], "2 increasing chains")
     assert rep == el_by_chain_enumeration(p, labels)
 
@@ -241,7 +249,7 @@ def test_verify_el_matches_chain_enumeration_oracle(data):
         for _ in range(data.draw(st.integers(0, 3), label="moved")):
             labels[data.draw(st.sampled_from(pairs))] = \
                 data.draw(st.sampled_from(values))
-    assert verify_el(p, aligned_labels(p, labels)) == \
+    assert verify_el(replace(p, up_labels=aligned_labels(p, labels))) == \
         el_by_chain_enumeration(p, labels)
 
 
@@ -253,10 +261,12 @@ def test_verify_el_matches_chain_enumeration_oracle(data):
 def test_sabotage_counterexamples_are_pinned(n, s, swapped, merged):
     # values from el_by_chain_enumeration on the same labels
     p = vector_partition_poset(n, s)
-    rep = verify_el(p, sabotaged_label_map(p, "swap-bottom-labels"))
+    rep = verify_el(replace(
+        p, up_labels=sabotaged_label_map(p, "swap-bottom-labels")))
     assert rep.counterexample == (
         0, swapped, "increasing chain is not lexicographically first")
-    rep = verify_el(p, sabotaged_label_map(p, "min-merge-label"))
+    rep = verify_el(replace(
+        p, up_labels=sabotaged_label_map(p, "min-merge-label")))
     assert rep.counterexample == (0, merged, "0 increasing chains")
 
 
@@ -283,14 +293,15 @@ def test_unlabeled_poset_without_labels_is_refused(check):
                          ids=["verify_el", "lex_shelling_order"])
 def test_labels_missing_a_cover_are_refused(check, p3s1):
     # rows cut short before pairs[20] and before the last cover: the
-    # least missing cover is named, whichever the check reads first
+    # least missing cover is named when the poset carrying them is made,
+    # so the check never reads them
     pairs, rows = covers(p3s1), list(p3s1.up_labels)
     lo, hi = pairs[20]
     rows[lo] = rows[lo][:p3s1.up[lo].index(hi)]
     rows[pairs[-1][0]] = rows[pairs[-1][0]][:-1]
     with pytest.raises(VpshellError,
                        match=rf"^cover \({lo}, {hi}\) has no edge label$"):
-        check(p3s1, tuple(rows))
+        check(replace(p3s1, up_labels=tuple(rows)))
 
 
 @pytest.mark.parametrize("check", [verify_el, lex_order],
@@ -300,25 +311,22 @@ def test_short_table_is_refused_at_height_1(check):
     # of one row for its two elements is bad input
     p = vector_partition_poset(1, 2)
     with pytest.raises(VpshellError, match=r"^1 label lists, 2 elements$"):
-        check(p, ((),))
+        check(replace(p, up_labels=((),)))
 
 
 @pytest.mark.parametrize("fixture", ["p3s1", "p2s2", "p3s2", "p4s1"])
 def test_given_labels_read_as_the_labels_the_poset_carries(fixture, request):
-    # labels=None reads p.up_labels; the same rows given explicitly, to
-    # the poset that carries them or to one that carries others, give
-    # the same results, honest or sabotaged; the structure audit reads
-    # only the labels its poset carries
-    from dataclasses import replace
+    # every check reads p.up_labels; rows put on the poset by replace or
+    # given to build_indexed_poset give the same results, honest or
+    # sabotaged
     p = request.getfixturevalue(fixture)
     for labels in (aligned_labels(p, label_map(p)),
                    sabotaged_label_map(p, "min-merge-label"),
                    sabotaged_label_map(p, "swap-bottom-labels")):
         q = replace(p, up_labels=labels)
-        for check in (verify_el, lex_order):
-            assert check(q) == check(q, labels) == check(p, labels)
-        assert verify_label_structure(q) == verify_label_structure(
-            build_indexed_poset(p.elements, p.up, labels))
+        for check in (verify_el, lex_order, verify_label_structure):
+            assert check(q) == check(
+                build_indexed_poset(p.elements, p.up, labels))
     assert not verify_el(q).ok
 
 
@@ -450,7 +458,7 @@ def test_lex_shelling_order_matches_pair_sort(fixture, request):
     for labels in (p.up_labels,
                    sabotaged_label_map(p, "swap-bottom-labels"),
                    sabotaged_label_map(p, "min-merge-label")):
-        assert lex_shelling_order(p, c, labels) == \
+        assert lex_shelling_order(replace(p, up_labels=labels), c) == \
             [f for _, f in shelling_order_by_pairs(p, label_map(p, labels))]
     first = {}
     for word, f in shelling_order_by_pairs(p, label_map(p)):
@@ -489,14 +497,15 @@ def test_shelling_orders_are_the_complex_facets_as_tuples(p3s2, p4s1):
     for p in (p3s2, p4s1):
         c = order_complex(p)
         order = lex_shelling_order(p, c)
-        sabotaged = sabotaged_shelling_order(p, c, "min-merge-label")
-        for faces in (c.facets, order, sabotaged):
+        merged = sabotaged_shelling_order(sabotaged(p, "min-merge-label"),
+                                          c, "min-merge-label")
+        for faces in (c.facets, order, merged):
             assert all(type(f) is tuple for f in faces)
         assert sorted(order) == list(c.facets)
         made = {id(f) for f in c.facets}
         for name in SABOTAGES:
-            assert all(id(f) in made
-                       for f in sabotaged_shelling_order(p, c, name)), name
+            assert all(id(f) in made for f in sabotaged_shelling_order(
+                sabotaged(p, name), c, name)), name
 
 
 def test_lex_shelling_order_is_valid(p3s1):
@@ -524,13 +533,14 @@ def test_lex_shelling_certifies_large_sizes(p4s2, p5s1):
 
 def test_sabotaged_orders_at_4_2(p4s2):
     c = order_complex(p4s2)
-    swapped = sabotaged_shelling_order(p4s2, c, "swap-bottom-labels")
+    swapped = sabotaged_shelling_order(
+        sabotaged(p4s2, "swap-bottom-labels"), c, "swap-bottom-labels")
     rep = verify_shelling(c, swapped)
     assert not rep.valid and rep.failing_index == 18
     assert shelling_by_intersections(c, swapped) == rep
     # min-merge-label still shells: only the EL check catches it
-    rep = verify_shelling(c, sabotaged_shelling_order(p4s2, c,
-                                                      "min-merge-label"))
+    rep = verify_shelling(c, sabotaged_shelling_order(
+        sabotaged(p4s2, "min-merge-label"), c, "min-merge-label"))
     assert rep.valid
     assert len(rep.homology_facets) == 1899
 
@@ -539,9 +549,10 @@ def test_sabotages_are_detected(p3s1):
     p = p3s1
     c = order_complex(p)
     for name in SABOTAGES:
-        el_ok = verify_el(p, sabotaged_label_map(p, name)).ok
+        q = sabotaged(p, name)
+        el_ok = verify_el(q).ok
         shell_ok = verify_shelling(
-            c, sabotaged_shelling_order(p, c, name)).valid
+            c, sabotaged_shelling_order(q, c, name)).valid
         assert not (el_ok and shell_ok), name
 
 
@@ -585,3 +596,10 @@ def test_unknown_sabotage_name(p3s1):
     with pytest.raises(VpshellError,
                        match="^unknown sabotage 'no-such-defect'$"):
         sabotaged_label_map(p3s1, "no-such-defect")
+
+
+def test_unknown_sabotage_name_is_refused_by_the_shelling_order(p3s1):
+    # the poset already carries its labels, so the name is checked here
+    with pytest.raises(VpshellError,
+                       match="^unknown sabotage 'no-such-defect'$"):
+        sabotaged_shelling_order(p3s1, order_complex(p3s1), "no-such-defect")

@@ -17,12 +17,12 @@ from conftest import (aligned_labels, build_poset, chains_by_powerset,
                       poset_to_json_by_dict, set_partition_lattice, up_set)
 
 
-def json_text(p, up_labels=None, texts=None):
-    return "".join(poset_to_json(p, up_labels, texts))
+def json_text(p, texts=None):
+    return "".join(poset_to_json(p, texts))
 
 
-def dot_text(p, up_labels=None, texts=None):
-    return "".join(poset_to_dot(p, up_labels, texts))
+def dot_text(p, texts=None):
+    return "".join(poset_to_dot(p, texts))
 
 
 def diamond():
@@ -76,7 +76,8 @@ def test_build_refuses_an_index_order_against_the_covers():
         build_poset("0 b2 a1 c1 d2 1".split(), covers)
     p = build_poset("0 a1 c1 b2 d2 1".split(), covers)
     ties, c = tuple((1,) * len(his) for his in p.up), order_complex(p)
-    assert verify_shelling(c, lex_shelling_order(p, c, ties)) \
+    assert verify_shelling(c, lex_shelling_order(
+        replace(p, up_labels=ties), c)) \
         == ShellingReport(True, None, (3,), None)
 
 
@@ -105,6 +106,30 @@ def test_build_takes_labels_with_the_covers():
         build_indexed_poset("abc", [(1,), (2,), ()], [("x",), ("y", "z"), ()])
     with pytest.raises(VpshellError, match="^2 label lists, 3 elements$"):
         build_indexed_poset("abc", [(1,), (2,), ()], [("x",), ("y",)])
+
+
+def test_a_poset_refuses_labels_that_do_not_line_up_with_its_covers():
+    # Poset itself checks, so every way of making one refuses: the
+    # constructor, and replace on a built poset.  The least unlabelled
+    # cover is named
+    from vpshell.poset import Poset, build_indexed_poset
+    p = build_indexed_poset("abc", [(1,), (2,), ()], [("x",), ("y",), ()])
+    make = [lambda rows: Poset(p.elements, p.up, p.ranks, rows),
+            lambda rows: replace(p, up_labels=rows)]
+    for new in make:
+        with pytest.raises(VpshellError,
+                           match=r"^cover \(1, 2\) has no edge label$"):
+            new((("x",), (), ()))
+        with pytest.raises(VpshellError,
+                           match="^2 label lists, 3 elements$"):
+            new((("x",), ("y",)))
+        assert new((("u",), ("v",), ())).up_labels == (("u",), ("v",), ())
+    q = vector_partition_poset(3, 1)
+    rows = list(q.up_labels)
+    rows[0] = rows[0][:-1]
+    with pytest.raises(VpshellError,
+                       match=r"^cover \(0, 6\) has no edge label$"):
+        replace(q, up_labels=tuple(rows))
 
 
 def test_build_takes_one_ascending_cover_tuple_per_element():
@@ -237,7 +262,8 @@ def test_queries_leave_no_state_on_the_poset(make, mu, above_atom,
     # of them may leave anything on the poset beyond its fields
     from vpshell.labeling import verify_el
     p = make()
-    up_labels = p.up_labels or tuple((1,) * len(his) for his in p.up)
+    p = replace(p, up_labels=p.up_labels
+                or tuple((1,) * len(his) for his in p.up))
     atom = p.up[p.bottom][0]
     coatom = min(v for v, his in enumerate(p.up) if p.top in his)
     assert mobius(p) == mu
@@ -246,8 +272,8 @@ def test_queries_leave_no_state_on_the_poset(make, mu, above_atom,
     q = interval_poset(p, p.bottom, coatom)
     assert len(interval_chains(q, q.bottom, q.top)) == below_coatom
     assert order_complex(p).facets
-    assert json_text(p) and dot_text(p, up_labels)
-    verify_el(p, up_labels)
+    assert json_text(p) and dot_text(p)
+    verify_el(p)
     assert set(p.__dict__) == {f.name for f in fields(p)}
 
 
@@ -319,7 +345,8 @@ def test_json_roundtrip():
 def test_json_labeled_covers():
     p = diamond()
     labels = {e: ("L", e) for e in covers(p)}
-    doc = json.loads(json_text(p, aligned_labels(p, labels)))
+    doc = json.loads(json_text(replace(
+        p, up_labels=aligned_labels(p, labels))))
     assert doc["elements"] == ["0", "a", "b", "1"]
     assert doc["covers"] == [{"lo": lo, "hi": hi, "label": ["L", [lo, hi]]}
                              for lo, hi in [(0, 1), (0, 2), (1, 3), (2, 3)]]
@@ -336,8 +363,8 @@ def test_dot_output():
     assert dot.startswith("digraph")
     assert "rankdir=BT" in dot
     assert dot.count("->") == 4
-    labeled = dot_text(p, aligned_labels(
-        p, {e: (1, 2, 3) for e in covers(p)}))
+    labeled = dot_text(replace(p, up_labels=aligned_labels(
+        p, {e: (1, 2, 3) for e in covers(p)})))
     assert 'label="(1, 2, 3)"' in labeled
 
 
@@ -348,15 +375,13 @@ def test_writers_match_the_oracles(size, request):
     # poset keyed by those texts
     p = request.getfixturevalue(size)
     named = replace(p, elements=tuple(element_texts(p.elements)))
-    for up_labels, labels in ((None, None), (p.up_labels, label_map(p))):
-        assert json_text(p, up_labels) == poset_to_json_by_dict(p, labels)
-        assert dot_text(p, up_labels) == poset_to_dot_by_edges(p, labels)
+    for q, labels in ((replace(p, up_labels=None), None), (p, label_map(p))):
+        assert json_text(q) == poset_to_json_by_dict(p, labels)
+        assert dot_text(q) == poset_to_dot_by_edges(p, labels)
         texts = element_texts(p.elements)
-        assert json_text(p, up_labels, texts) == \
-            poset_to_json_by_dict(named, labels)
+        assert json_text(q, texts) == poset_to_json_by_dict(named, labels)
         texts = element_texts(p.elements)
-        assert dot_text(p, up_labels, texts) == \
-            poset_to_dot_by_edges(named, labels)
+        assert dot_text(q, texts) == poset_to_dot_by_edges(named, labels)
 
 
 def test_writers_escape_keys_and_labels_as_the_oracles_do():
@@ -364,34 +389,31 @@ def test_writers_escape_keys_and_labels_as_the_oracles_do():
     p = build_poset(keys, [(keys[0], k) for k in keys[1:4]]
                     + [(k, keys[4]) for k in keys[1:4]])
     labels = {(lo, hi): (keys[lo], hi) for lo, hi in covers(p)}
-    for up_labels, lab in ((None, None), (aligned_labels(p, labels), labels)):
-        assert json_text(p, up_labels) == poset_to_json_by_dict(p, lab)
-        assert dot_text(p, up_labels) == poset_to_dot_by_edges(p, lab)
+    for q, lab in ((p, None),
+                   (replace(p, up_labels=aligned_labels(p, labels)), labels)):
+        assert json_text(q) == poset_to_json_by_dict(p, lab)
+        assert dot_text(q) == poset_to_dot_by_edges(p, lab)
     assert json.loads(json_text(p))["elements"] == keys
 
 
-@pytest.mark.parametrize("writer", [
-    json_text, dot_text,
-    # a writer checks before its first piece, the head
-    lambda p, rows: next(poset_to_json(p, rows)),
-    lambda p, rows: next(poset_to_dot(p, rows)),
-], ids=["poset_to_json", "poset_to_dot", "first_json_piece",
-        "first_dot_piece"])
+@pytest.mark.parametrize("writer", [json_text, dot_text],
+                         ids=["poset_to_json", "poset_to_dot"])
 def test_writers_name_the_least_cover_a_short_table_misses(writer, p3s1):
     # (0, 6) is the last cover of the bottom: cut its row and the row of
-    # the last cover short by one label each
+    # the last cover short by one label each.  The poset carrying them is
+    # refused when it is made, so no writer ever reads them
     rows = list(p3s1.up_labels)
     last = covers(p3s1)[-1][0]
     assert p3s1.up[0][-1] == 6
     rows[0], rows[last] = rows[0][:-1], rows[last][:-1]
     with pytest.raises(VpshellError,
                        match=r"^cover \(0, 6\) has no edge label$"):
-        writer(p3s1, tuple(rows))
+        writer(replace(p3s1, up_labels=tuple(rows)))
 
 
 def test_json_writes_int_labels_of_the_partition_lattice():
     lat = set_partition_lattice(4)
-    doc = json.loads(json_text(lat, lat.up_labels))
+    doc = json.loads(json_text(lat))
     assert len(doc["covers"]) == len(covers(lat))
     for cover in doc["covers"]:
         below = set(lat.elements[cover["lo"]])

@@ -12,9 +12,9 @@ from vpshell.complexes import order_complex
 from vpshell.errors import ResourceLimit, VpshellError
 from vpshell.labeling import cover_label
 from vpshell.poset import mobius
-from vpshell.vecpart import (atom_lex_rank, atom_word, bottom_element,
-                             canonicalize, check_atom_word, decode,
-                             element_count, element_texts,
+from vpshell.vecpart import (VectorPartition, atom_lex_rank, atom_word,
+                             bottom_element, canonicalize, check_atom_word,
+                             decode, element_count, element_texts,
                              enumerate_elements, format_element, is_cover,
                              is_leq, maximal_chain_count, merge_blocks,
                              perm_lex_rank, set_partitions, top_element,
@@ -567,3 +567,16 @@ def test_top_and_bottom_shapes():
     assert t.labels == (((1, 2, 3, 4),), ((1, 2, 3, 4),))
     b = bottom_element(4, 2)
     assert b.is_bottom and b.blocks == ()
+
+
+def test_the_bottom_is_the_element_with_no_blocks():
+    # is_bottom is read off the blocks, so the defaults make the bottom,
+    # and no flag can make an element with blocks compare as one
+    v = VectorPartition(2, 1)
+    assert v == bottom_element(2, 1) and v.is_bottom and str(v) == "BOTTOM"
+    assert not v.is_atom and not is_cover(bottom_element(2, 1), v)
+    top = top_element(2, 1)
+    assert not top.is_bottom and str(top) == "{1,2}|{1,2}"
+    assert not is_leq(top, bottom_element(2, 1))
+    with pytest.raises(TypeError):
+        VectorPartition(2, 1, top.blocks, top.labels, is_bottom=True)
