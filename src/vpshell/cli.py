@@ -10,11 +10,12 @@ Exit codes: 0 success, 1 verification failure, 2 oracle mismatch, 3
 budget exceeded or out of memory, 4 bad input (a negative budget too) or
 an -o path or stdout that cannot be written (a closed pipe, a full
 disk).  build, verify-el and count refuse over --max-elements
-(default 10^6) elements, checked first; then a route listing chains
+(default 10^6) elements, checked first; then a route charged chains
 refuses over --max-chains (default 10^7) before any walk: verify-el
---sabotage and count --method homology list every maximal chain, count
---method enumerate the decreasing ones; euler, mobius and recursion
-list none.  sequence has no budget.
+--sabotage lists every maximal chain; count --method homology lists
+none but is charged them all, a bound on the (n!)^s (n-1)! rows of its
+last step; count --method enumerate lists the decreasing ones; euler,
+mobius and recursion are charged none.  sequence has no budget.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     methods = (spherecount.METHODS if args.method == "all"
                else (args.method,))
     if methods != ("recursion",):
-        # homology lists every maximal chain, enumerate the decreasing ones
+        # homology is charged the maximal chains, enumerate the decreasing ones
         vecpart.check_budgets(args.n, args.s, args.max_elements,
                               args.max_chains if "homology" in methods
                               else None)

@@ -1,6 +1,6 @@
 """Order complexes of poset proper parts: the top reduced Betti number
-over GF(2), from an exact boundary-matrix rank (bitset Gaussian
-elimination, no floating point), and shelling verification.  For the
+over GF(2), from the Hasse diagram alone (bitset elimination, no
+floating point, no chain listed), and shelling verification.  For the
 wedges of equal-dimension spheres this package produces, GF(2) ranks
 agree with the ranks over any field.
 """
@@ -17,18 +17,10 @@ class SimplicialComplex:
     """Facet-presented complex over integer vertices, each face the
     ascending tuple of its vertices.  The facets are distinct and
     inclusion-maximal because order_complex builds them from the maximal
-    chains of a graded poset.  No facets: the empty complex, is_empty.
+    chains of a graded poset.  No facets: the empty complex.
     """
 
     facets: tuple  # of ascending int tuples, in ascending order
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.facets
-
-    @property
-    def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
@@ -50,37 +42,55 @@ def order_complex(p: Poset) -> SimplicialComplex:
     return SimplicialComplex(facets=tuple(chains))
 
 
-def _boundary_rank(faces) -> int:
-    """GF(2) rank of the reduced boundary map on faces, all of one size.
+def betti(p: Poset) -> int:
+    """Reduced Betti number over GF(2) of the order complex of p's proper
+    part in its top dimension, from the Hasse diagram alone.
 
-    Each face a vertex smaller gets the next bit when first met, so no
-    lower face is listed or sorted; a vertex's boundary is the empty
-    face, the augmentation.  Columns are reduced in falling face order,
-    each pivoting on its highest bit."""
-    bits, pivots = {}, {}
-    for face in sorted(faces, reverse=True):
-        column = 0
-        for sub in combinations(face, len(face) - 1):
-            bit = bits.get(sub)
-            if bit is None:
-                bit = bits[sub] = len(bits)
-            column |= 1 << bit
-        while column:
-            pivot = pivots.get(lead := column.bit_length() - 1)
-            if pivot is None:
-                pivots[lead] = column
-                break
-            column ^= pivot
-    return len(pivots)
-
-
-def betti(c: SimplicialComplex) -> int:
-    """Reduced Betti number over GF(2) in the top dimension: the facets
-    of top size, which are all its faces there and have none above them,
-    less the rank of their boundary map.  0 for the empty complex."""
-    size = c.dim + 1
-    top = [f for f in c.facets if len(f) == size]
-    return len(top) - _boundary_rank(top)
+    In falling index order, W(m) is the space of top cycles of the open
+    interval (m, top); W(top) holds the empty chain.  A top chain of
+    (m, top) is a sum of x.z_x over the upper covers x of m, and a cycle
+    exactly when each z_x is in W(x) and, at every y two ranks above m,
+    the components at y of the z_x with m < x < y sum to zero.  So W(m)
+    is the kernel of a map from the W(x), laid end to end in up order,
+    to the W(y): a basis vector is one int over those ends.  The bottom's
+    rows carry no combination, as only their number less their rank is
+    read.  Exact for any bounded graded poset, labels unread; height 1
+    gives 1, the empty complex's homology in dimension -1.
+    """
+    up = p.up
+    basis: list = [()] * len(p)
+    basis[p.top] = (1,)
+    for m in range(p.top - 1, -1, -1):
+        # a row's combination takes its low tag bits, the W(y) the rest;
+        # the bottom's rows carry none, so its zero rows are its kernel
+        tag = 0 if m == p.bottom else sum(len(basis[x]) for x in up[m])
+        slot, width = {}, tag  # y -> the bit where W(y) starts
+        pivots, kernel = {}, []
+        bit = 1 if tag else 0  # the next row's combination bit
+        for x in up[m]:
+            moves, end = [], 0
+            for y in up[x]:
+                d = len(basis[y])
+                if (to := slot.get(y)) is None:
+                    to = slot[y] = width
+                    width += d
+                moves.append((end, (1 << d) - 1, to))
+                end += d
+            for b in basis[x]:
+                row = bit
+                for at, mask, to in moves:
+                    row |= (b >> at & mask) << to
+                bit <<= 1
+                while row >> tag:
+                    pivot = pivots.get(lead := row.bit_length() - 1)
+                    if pivot is None:
+                        pivots[lead] = row
+                        break
+                    row ^= pivot
+                else:
+                    kernel.append(row)
+        basis[m] = kernel
+    return len(basis[p.bottom])
 
 
 @dataclass(frozen=True)

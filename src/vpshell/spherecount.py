@@ -10,7 +10,7 @@ weakly decreasing.  This module counts those chains by
   splitting rules (no poset required);
 * an exact integer recursion over (n, top label index);
 * the Mobius function of the bounded poset (|mu| with sign (-1)^n);
-* reduced GF(2) homology of the proper part;
+* reduced GF(2) homology of the proper part, from the Hasse diagram;
 * the reduced Euler characteristic of the proper part.
 
 For a single labeling the total equals the number of non-ambiguous
@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
-from .complexes import betti, order_complex
+from .complexes import betti
 from .errors import OracleMismatch, VpshellError
 from .labeling import chain_label, is_weakly_decreasing
 from .poset import Poset, chain_f_vector, mobius
@@ -380,9 +380,10 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS) -> dict:
     values differ.  The mobius entry reports |mu(bottom, top)|; the
     signed value rides along under "signed_mobius".  Every method that
     needs the poset reads one build of it.  Euler counts the chains of
-    the proper part by size (Philip Hall's theorem); only homology builds
-    the order complex.  No budget is checked here: a caller that wants
-    one calls vecpart.check_budgets first, as the count command does.
+    the proper part by size (Philip Hall's theorem) and homology its
+    cycles cover by cover, so no route builds the order complex.  No
+    budget is checked here: a caller that wants one calls
+    vecpart.check_budgets first, as the count command does.
     An unknown method, or one str in place of a sequence of method
     names, is a VpshellError.
     """
@@ -409,10 +410,7 @@ def sphere_count_certificate(n: int, s: int, methods=METHODS) -> dict:
         values["euler"] = (abs(sum((-1) ** k * fk for k, fk in enumerate(f))
                                - 1) if f else None)
     if "homology" in methods:
-        # built after enumeration has returned, so the complex and the
-        # enumerated chains are never in memory together
-        c = order_complex(p)
-        values["homology"] = None if c.is_empty else betti(c)
+        values["homology"] = None if p.height < 2 else betti(p)
     present = [v for v in values.values() if v is not None]
     return {"n": n, "s": s, "methods": values,
             "match": len(set(present)) <= 1, **info}

@@ -22,8 +22,9 @@ of element keys or of indices, the plain partition lattice, and an
 interval [x, y] of a poset as a poset of its own; record, decoded and
 decoded_elements turn a VectorPartition into its key and keys back
 into VectorPartitions; simplicial_complex
-builds a complex from any facet list, and faces lists a complex's
-faces of one dimension.  The order helpers
+builds a complex from any facet list, face_poset the bounded face poset
+of a pure one, dimension gives a complex's dimension, and faces lists
+its faces of one dimension.  The order helpers
 leq, up_set and interval_chains walk the covers up from an element;
 covers lists the cover pairs.  The
 helpers that close the file serve only tests: a strictly increasing
@@ -304,6 +305,23 @@ def simplicial_complex(facets):
         facets=tuple(sorted(tuple(sorted(f)) for f in sets)))
 
 
+def face_poset(c):
+    """The faces of a pure complex c ordered by inclusion, the empty face
+    at the bottom, with a top added above the facets, or above the empty
+    face when c has none.  Its proper part's order complex is the
+    barycentric subdivision of c, so betti reads c's top reduced Betti
+    number.  Faces come by size, then ascending, a linear extension; c
+    not pure gives a poset that is not graded, a VpshellError."""
+    every = sorted({g for f in c.facets for k in range(len(f) + 1)
+                    for g in combinations(f, k)} | {()},
+                   key=lambda g: (len(g), g))
+    index = {g: t for t, g in enumerate(every)}
+    covers = [(index[g[:t] + g[t + 1:]], index[g])
+              for g in every for t in range(len(g))]
+    covers += [(index[f], len(every)) for f in c.facets or ((),)]
+    return poset_from_pairs(every + ["top"], covers)
+
+
 def shelling_by_intersections(c, order):
     """verify_shelling by the definition: intersect each facet with every
     earlier one and test the maximal intersections.  O(F^2) in facets.
@@ -552,6 +570,11 @@ def top_label_index_counts(chains):
     return dict(sorted(counts.items()))
 
 
+def dimension(c):
+    """The largest facet size less one; -1 for the empty complex."""
+    return max(map(len, c.facets), default=0) - 1
+
+
 def faces(c, d):
     """The d-faces of a complex, every (d + 1)-subset of every facet; the
     one (-1)-face of a non-empty complex is the empty face."""
@@ -561,7 +584,7 @@ def faces(c, d):
 def f_vector(c):
     """(f_0, ..., f_dim) of a complex, every face of every facet listed;
     the empty tuple for the empty complex."""
-    return tuple(len(faces(c, d)) for d in range(c.dim + 1))
+    return tuple(len(faces(c, d)) for d in range(dimension(c) + 1))
 
 
 def reduced_euler_characteristic(c):
@@ -595,7 +618,7 @@ def reduced_betti_numbers(c):
         return found
 
     return tuple(len(by_dim[d]) - rank(d) - rank(d + 1)
-                 for d in range(c.dim + 1))
+                 for d in range(dimension(c) + 1))
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ DELETED = ["parse_element", "element_to_json", "element_from_json",
            "word_to_atom", "poset_from_json", "MalformedDocument",
            "top_label_index_counts", "is_increasing", "reduced_betti_numbers",
            "NotComparable", "simplicial_complex", "maximal_chains",
+           "_boundary_rank",
            # one error class per exit code; the message names the check
            "BottomHasNoAtom", "CycleDetected", "DimensionMismatch",
            "DuplicateElement", "EqualWords", "IncompatibleData",
@@ -91,13 +92,14 @@ def test_deleted_names_are_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(poset.Poset, "interval")
     assert not hasattr(poset.Poset, "covers")
-    assert not hasattr(complexes.SimplicialComplex, "faces")
+    for name in ("faces", "dim", "is_empty"):
+        assert not hasattr(complexes.SimplicialComplex, name)
     assert not hasattr(vecpart.VectorPartition, "sort_key")
     assert not hasattr(vecpart.VectorPartition, "rank")
 
 
-def test_betti_takes_the_complex_alone():
-    assert list(inspect.signature(complexes.betti).parameters) == ["c"]
+def test_betti_takes_the_poset_alone():
+    assert list(inspect.signature(complexes.betti).parameters) == ["p"]
 
 
 def test_the_structure_audit_takes_the_poset_alone():

@@ -67,8 +67,9 @@ def test_count_budget_exit(capsys):
 
 
 def test_chain_budget_bounds_every_chain_walk(capsys):
-    # (4,2) has 10,368 maximal chains, which homology and the shelling
-    # check list, and 1,899 decreasing chains, which enumerate lists
+    # (4,2) has 10,368 maximal chains, which the shelling check lists
+    # and homology is charged, and 1,899 decreasing chains, which
+    # enumerate lists
     for argv, chains in ((("count", "--method", "homology"), "10368 maximal"),
                          (("verify-el", "--sabotage", "min-merge-label"),
                           "10368 maximal"),
@@ -356,6 +357,18 @@ def test_build_respects_element_budget(capsys):
                        "--max-elements", "10")
     assert code == 3
     assert "budget" in err
+
+
+def test_homology_is_charged_every_maximal_chain(capsys):
+    # it lists none, but its last step holds (7!)^1 6! = 3.6M rows; the
+    # 426,834 elements pass the element budget
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "count", "--n", "7", "--s", "1",
+                         "--method", "homology")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (3, "")
+    assert err == ("budget exceeded: poset has 285768000 maximal chains, "
+                   "budget is 10000000\n")
 
 
 def test_element_budget_is_checked_before_enumerating(capsys):

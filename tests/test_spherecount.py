@@ -188,17 +188,18 @@ def test_certificate_structure():
     assert cert["signed_mobius"] == -4
 
 
-def test_certificate_builds_poset_and_complex_once(monkeypatch):
+def test_certificate_builds_one_poset_and_no_complex(monkeypatch):
     from vpshell import complexes, vecpart
     calls = count_calls(monkeypatch, vecpart.vector_partition_poset,
                         complexes.order_complex)
     assert sphere_count_certificate(3, 2)["match"]
-    assert calls == {"vector_partition_poset": 1, "order_complex": 1}
+    assert calls == {"vector_partition_poset": 1, "order_complex": 0}
     assert sphere_count_certificate(3, 2, methods=("recursion",))["match"]
-    assert calls == {"vector_partition_poset": 1, "order_complex": 1}
-    # Euler counts chains on the poset; only homology builds the complex
-    assert sphere_count_certificate(3, 2, methods=("euler",))["match"]
-    assert calls == {"vector_partition_poset": 2, "order_complex": 1}
+    assert calls == {"vector_partition_poset": 1, "order_complex": 0}
+    # Euler counts chains on the poset, homology reads its covers
+    for method in ("euler", "homology"):
+        assert sphere_count_certificate(3, 2, methods=(method,))["match"]
+    assert calls == {"vector_partition_poset": 3, "order_complex": 0}
 
 
 def test_certificate_refuses_an_unknown_method():
