@@ -1,8 +1,9 @@
 """Order complexes of poset proper parts: the top reduced Betti number
 over GF(2), from the Hasse diagram alone (bitset elimination, no
-floating point, no chain listed), and shelling verification.  For the
-wedges of equal-dimension spheres this package produces, GF(2) ranks
-agree with the ranks over any field.
+floating point, no chain listed), and shelling verification of listed
+facet orders, the oracle of labeling.lex_homology_facets.  For the
+wedges of equal-dimension spheres here, GF(2) ranks agree with the
+ranks over any field.
 """
 from __future__ import annotations
 
@@ -123,13 +124,12 @@ def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
     The test uses restriction faces (Bjorner, "Shellable and
     Cohen-Macaulay partially ordered sets", Trans. AMS 1980; Bjorner and
     Wachs, "On lexicographically shellable posets", Trans. AMS 1983).
-    One pass over the order maps every face of every facet, the empty
-    face included, to the position of the first facet containing it.
-    The restriction face R(F_i) is the set of vertices v with F_i - v in
-    an earlier facet.  The order is a shelling exactly when no earlier
-    facet contains R(F_i), and F_i is a homology facet exactly when
-    R(F_i) = F_i.  The cost is one dictionary entry per face of every
-    facet, sum of 2^|F|, instead of F^2 facet intersections.
+    One pass over the order keeps the set of the faces of the earlier
+    facets, the empty face included.  The restriction face R(F_i) is the
+    set of vertices v with F_i - v in it.  The order is a shelling exactly
+    when R(F_i) is not in it, and F_i is a homology facet exactly when
+    R(F_i) = F_i.  The pass stops at the first failure, after one set
+    entry per face of each facet before it, not F^2 intersections.
     """
     facets = list(order)
     known = set(c.facets)
@@ -150,22 +150,18 @@ def verify_shelling(c: SimplicialComplex, order) -> ShellingReport:
         return ShellingReport(False, None, (),
                               "order does not list every facet")
 
-    first: dict[tuple, int] = {}
-    for i, fi in enumerate(facets):
-        for k in range(len(fi) + 1):
-            for face in combinations(fi, k):
-                first.setdefault(face, i)
-
+    faces: set = set()  # every face of the facets before position i
     homology: list[int] = []
-    for i in range(1, len(facets)):
-        fi = facets[i]
-        restriction = tuple(v for t, v in enumerate(fi)
-                            if first[fi[:t] + fi[t + 1:]] < i)
-        if first[restriction] < i:
+    for i, f in enumerate(facets):
+        restriction = tuple(v for t, v in enumerate(f)
+                            if f[:t] + f[t + 1:] in faces)
+        if restriction in faces:
             return ShellingReport(
                 False, i, (),
                 f"intersection with earlier facets is not pure of "
                 f"codimension 1 at position {i}")
-        if len(restriction) == len(fi):
+        if i and len(restriction) == len(f):
             homology.append(i)
+        faces.update(face for k in range(len(f) + 1)
+                     for face in combinations(f, k))
     return ShellingReport(True, None, tuple(homology), None)

@@ -17,12 +17,11 @@ precedes the word of every other maximal chain of the interval.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 
 from .errors import VpshellError
-from .poset import Poset
+from .poset import Poset, chain_f_vector
 from .vecpart import (VectorPartition, atom_lex_rank, atom_word, decode,
                       first_word_difference, is_cover, merge_blocks)
 
@@ -84,13 +83,18 @@ def _label_table(p: Poset) -> tuple:
     return p.up_labels
 
 
-def _word(p: Poset, lab: tuple, f) -> tuple:
-    """Label word under lab, aligned with p.up, of the maximal chain
-    (p.bottom, *f, p.top) through the facet f of the order complex: the
-    label of lo <. hi sits where hi does in the ascending p.up[lo]."""
-    c = (p.bottom, *f, p.top)
-    return tuple([lab[lo][bisect_left(p.up[lo], hi)]
-                  for lo, hi in zip(c, c[1:])])
+def _words(p: Poset, lab: tuple):
+    """Label words under lab, aligned with p.up, of p's maximal chains in
+    order_complex(p)'s facet order, walked as it walks them; the last two
+    steps stream, a coatom's one cover being to the top."""
+    up, walk = p.up, [(p.bottom, ())]
+    for _ in range(p.height - 2):
+        walk = [(hi, w + (label,)) for lo, w in walk
+                for hi, label in zip(up[lo], lab[lo])]
+    for lo, w in walk:
+        for mid, label in zip(up[lo], lab[lo]):
+            for last in lab[mid]:
+                yield w + (label, last)
 
 
 def verify_el(p: Poset) -> ELReport:
@@ -273,8 +277,43 @@ def lex_shelling_order(p: Poset, c) -> list:
     chains (ties keep that order).  VpshellError when p carries no
     labels; else a height-1 poset gives [].
     """
+    pairs = zip(_words(p, _label_table(p)), c.facets)
+    return [f for _, f in sorted(pairs, key=lambda wf: wf[0])]
+
+
+def lex_homology_facets(p: Poset) -> int | None:
+    """Homology facets of lex_shelling_order(p, order_complex(p)), None
+    when it is no shelling; no chain, face or complex is made.
+
+    In the facet F of bottom = c_0 <. ... <. c_h = top, c_r is in R(F)
+    unless it is the lex-first middle m of [c_(r-1), c_(r+1)] by (label
+    of c_(r-1) <. m, label of m <. c_(r+1), m).  The order shells exactly
+    when the sum of 2^(|F| - |R(F)|) is 1 + sum(chain_f_vector(p)), the
+    faces (Bjorner-Wachs 1983; see verify_shelling).  One pass in index
+    order gives each b that sum and the number with R(F) = F over the
+    chains up to b, into[b] and plain[b]; won[a][b] corrects them for the
+    chains through a <. b whose [z, b] a leads.  The cost is the sum over
+    b of its lower covers times its upper covers.
+    """
     lab = _label_table(p)
-    return sorted(c.facets, key=lambda f: _word(p, lab, f))
+    if p.height < 2:
+        return 0
+    up, into, plain = p.up, [0] * len(p), [0] * len(p)
+    into[p.bottom] = plain[p.bottom] = 1
+    won = [{} for _ in up]  # b -> c -> (doubled, dropped) sums
+    for a, (his, labs) in enumerate(zip(up, lab)):
+        first = {}  # c -> (labels, b, w, h) of [a, c]'s lex-first middle b
+        for b, low in zip(his, labs):
+            x, y = won[a].pop(b, (0, 0))
+            w, h = into[a] + x, plain[a] - y  # over the chains through a <. b
+            into[b], plain[b] = into[b] + w, plain[b] + h
+            for c, high in zip(up[b], lab[b]):  # ties keep the least b
+                if c not in first or (low, high) < first[c][0]:
+                    first[c] = ((low, high), b, w, h)
+        for c, (_, b, w, h) in first.items():
+            x, y = won[b].get(c, (0, 0))
+            won[b][c] = (x + w, y + h)
+    return plain[p.top] if into[p.top] == 1 + sum(chain_f_vector(p)) else None
 
 
 # ── deliberate defects, for exercising the verifiers ─────────────────────
@@ -326,7 +365,7 @@ def sabotaged_shelling_order(p: Poset, c, name: str) -> list:
         raise VpshellError(f"unknown sabotage {name!r}")
     if name != "drop-tie-break":
         return lex_shelling_order(p, c)
-    lab, first = _label_table(p), {}
-    for f in c.facets:
-        first.setdefault(_word(p, lab, f), f)
+    first = {}
+    for w, f in zip(_words(p, _label_table(p)), c.facets):
+        first.setdefault(w, f)
     return [first[w] for w in sorted(first)]

@@ -418,14 +418,33 @@ def test_a_huge_s_is_refused_at_once_in_one_short_line(capsys, argv):
 def test_a_sabotage_run_builds_one_poset_and_one_complex(capsys,
                                                          monkeypatch, name):
     # and one label map: the defect's labels go on the poset once, and
-    # both verifiers read them there
+    # both verifiers read them there.  The face count decides the lex
+    # order of a label defect; only an order it rejects, and the order
+    # of drop-tie-break, are listed in the one complex
+    complexes_built, face_counts = {"swap-bottom-labels": (1, 1),
+                                    "min-merge-label": (0, 1),
+                                    "drop-tie-break": (1, 0)}[name]
     calls = count_calls(monkeypatch, vecpart.vector_partition_poset,
-                        complexes.order_complex, labeling.sabotaged_label_map)
+                        complexes.order_complex, labeling.sabotaged_label_map,
+                        labeling.lex_homology_facets)
     code, out, _ = run(capsys, "verify-el", "--n", "3", "--s", "1",
                        "--sabotage", name)
     assert code == 1 and out.count(f"[sabotage {name}]") == 2
-    assert calls == {"vector_partition_poset": 1, "order_complex": 1,
-                     "sabotaged_label_map": 1}
+    assert calls == {"vector_partition_poset": 1,
+                     "order_complex": complexes_built,
+                     "sabotaged_label_map": 1,
+                     "lex_homology_facets": face_counts}
+
+
+def test_a_face_count_the_list_verifier_refutes_is_an_oracle_mismatch(
+        capsys, monkeypatch):
+    # a lex order the face count rejects goes to the list verifier, which
+    # must find it failing: min-merge-label's order shells, so exit 2
+    monkeypatch.setattr(labeling, "lex_homology_facets", lambda p: None)
+    code, out, err = run(capsys, "verify-el", "--n", "3", "--s", "1",
+                         "--sabotage", "min-merge-label")
+    assert (code, out) == (2, "")
+    assert err == "oracle mismatch: the face count rejects a valid order\n"
 
 
 def test_element_budget_is_checked_before_the_chain_budget(capsys):

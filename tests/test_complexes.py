@@ -5,7 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpshell.complexes import betti, order_complex, verify_shelling
+from vpshell.complexes import (ShellingReport, SimplicialComplex, betti,
+                               order_complex, verify_shelling)
+from vpshell.labeling import lex_shelling_order
 from vpshell.poset import chain_f_vector, mobius
 from vpshell.spherecount import count_total
 from vpshell.vecpart import vector_partition_poset
@@ -231,6 +233,15 @@ def test_verify_shelling_point_facets():
     assert rep.homology_facets == (1, 2)
 
 
+def test_verify_shelling_empty_facet_has_no_homology_facet():
+    # the complex whose one facet is the empty face: position 0 is never
+    # a homology facet, as in the intersection oracle
+    c = SimplicialComplex(facets=((),))
+    rep = verify_shelling(c, [()])
+    assert rep == ShellingReport(True, None, (), None)
+    assert shelling_by_intersections(c, [()]) == rep
+
+
 def _vertex_sets(top, sizes):
     return [frozenset(f) for k in sizes for f in combinations(range(top + 1), k)]
 
@@ -267,4 +278,24 @@ def test_verify_shelling_matches_intersection_oracle(data):
         order[k] = frozenset(order[k])
     elif defect == "missing":
         order.pop(data.draw(st.integers(0, len(order) - 1)))
+    assert verify_shelling(c, order) == shelling_by_intersections(c, order)
+
+
+_SHELLED = {(n, s): vector_partition_poset(n, s)
+            for n, s in ((2, 2), (3, 1), (2, 3))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_shelling_matches_intersection_oracle_near_a_shelling(data):
+    # the lex shelling of an order complex with a few facets moved: the
+    # one pass must stop at the first failing position, as the oracle
+    # does, and count the same homology facets when none fails
+    p = _SHELLED[data.draw(st.sampled_from(sorted(_SHELLED)), label="(n,s)")]
+    c = order_complex(p)
+    order = lex_shelling_order(p, c)
+    for _ in range(data.draw(st.integers(0, 3), label="moves")):
+        i = data.draw(st.integers(0, len(order) - 1), label="from")
+        order.insert(data.draw(st.integers(0, len(order) - 1), label="to"),
+                     order.pop(i))
     assert verify_shelling(c, order) == shelling_by_intersections(c, order)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from vpshell.complexes import order_complex, verify_shelling
 from vpshell.errors import VpshellError
 from vpshell.labeling import (SABOTAGES, chain_label, cover_label,
-                              is_weakly_decreasing, lex_shelling_order,
+                              is_weakly_decreasing, lex_homology_facets,
+                              lex_shelling_order,
                               sabotaged_label_map, sabotaged_shelling_order,
                               verify_el, verify_label_structure)
 from vpshell.poset import build_indexed_poset
@@ -17,11 +18,11 @@ from vpshell.vecpart import (atom_word, bottom_element, canonicalize,
                              first_word_difference, top_element,
                              vector_partition_poset)
 from conftest import (aligned_labels, build_poset, count_calls, covers,
-                      decoded, el_by_chain_enumeration,
+                      decoded, el_by_chain_enumeration, face_poset,
                       first_difference_failures_by_chains, is_increasing,
                       label_map, poset_from_pairs, record,
                       set_partition_lattice, shelling_by_intersections,
-                      shelling_order_by_pairs)
+                      shelling_order_by_pairs, simplicial_complex)
 
 _EL_POSETS = {"(2,1)": vector_partition_poset(2, 1),
               "(3,1)": vector_partition_poset(3, 1),
@@ -529,6 +530,68 @@ def test_lex_shelling_certifies_large_sizes(p4s2, p5s1):
         rep = verify_shelling(c, lex_shelling_order(p, c))
         assert rep.valid
         assert len(rep.homology_facets) == count_total(n, s) == spheres
+
+
+def listed_homology_facets(p):
+    """lex_homology_facets by the list path: the order complex, the lex
+    order and verify_shelling."""
+    c = order_complex(p)
+    rep = verify_shelling(c, lex_shelling_order(p, c))
+    return len(rep.homology_facets) if rep.valid else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_face_count_matches_the_list_verifier_on_face_posets(data):
+    # random integer labels on the face poset of a random pure complex:
+    # a small alphabet makes word ties, so the facet tie-break decides
+    size = data.draw(st.integers(1, 3), label="size")
+    c = simplicial_complex(data.draw(st.lists(
+        st.sets(st.integers(0, 5), min_size=size, max_size=size),
+        min_size=1, max_size=5), label="facets"))
+    p = face_poset(c)
+    pairs = covers(p)
+    alphabet = st.integers(1, data.draw(st.integers(1, 4), label="labels"))
+    labels = dict(zip(pairs, data.draw(st.lists(
+        alphabet, min_size=len(pairs), max_size=len(pairs)))))
+    q = replace(p, up_labels=aligned_labels(p, labels))
+    assert lex_homology_facets(q) == listed_homology_facets(q)
+
+
+@pytest.mark.parametrize("n, s", [(2, 3), (3, 1), (3, 2), (4, 1), (3, 3),
+                                  (4, 2), (5, 1)])
+@pytest.mark.parametrize("name", [None, "swap-bottom-labels",
+                                  "min-merge-label"])
+def test_face_count_matches_the_list_verifier_under_each_sabotage(n, s,
+                                                                  name):
+    p = vector_partition_poset(n, s)
+    if name is not None:
+        p = sabotaged(p, name)
+    got = lex_homology_facets(p)
+    assert got == listed_homology_facets(p)
+    # swap-bottom-labels breaks the shelling from n = 3 on
+    assert (got is None) == (name == "swap-bottom-labels" and n > 2)
+
+
+@pytest.mark.parametrize("n, s", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 2),
+                                  (4, 1), (3, 3), (4, 2), (5, 1), (3, 4),
+                                  (2, 5), (4, 3)])
+def test_face_count_homology_facets_are_the_spheres(monkeypatch, n, s):
+    # no complex is built, and no order listed or verified
+    p = vector_partition_poset(n, s)
+    calls = count_calls(monkeypatch, order_complex, lex_shelling_order,
+                        verify_shelling)
+    got = lex_homology_facets(p)
+    assert calls == dict.fromkeys(calls, 0)
+    # n = 1 has no facet: its complex is empty, not the (-1)-sphere
+    assert got == (0 if n == 1 else count_total(n, s))
+
+
+def test_face_count_refuses_a_poset_without_labels():
+    p = build_poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    with pytest.raises(VpshellError,
+                       match="^the poset carries no edge labels"):
+        lex_homology_facets(p)
 
 
 def test_sabotaged_orders_at_4_2(p4s2):
