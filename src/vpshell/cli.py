@@ -12,8 +12,9 @@ an -o path or stdout that cannot be written (a closed pipe, a full
 disk).  build, verify-el and count refuse over --max-elements
 (default 10^6) elements, checked first; then a route charged chains
 refuses over --max-chains (default 10^7) before any walk: verify-el
---sabotage is charged every maximal chain, listed for drop-tie-break
-and a lex order the face count rejects; count --method homology lists
+--sabotage drop-tie-break lists every maximal chain and is charged them
+first, the two label sabotages only once the face count rejects their
+lex order, before the chains are listed; count --method homology lists
 none but is charged them all, a bound on the (n!)^s (n-1)! rows of its
 last step; count --method enumerate lists the decreasing ones; euler,
 mobius and recursion are charged none.  sequence has no budget.
@@ -133,9 +134,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_el(args: argparse.Namespace) -> int:
-    # a sabotage is charged every maximal chain, which its list path walks
+    # drop-tie-break always lists every maximal chain, so is charged them now
     vecpart.check_budgets(args.n, args.s, args.max_elements,
-                          None if args.sabotage is None else args.max_chains)
+                          args.max_chains if args.sabotage == "drop-tie-break"
+                          else None)
     p = vecpart.vector_partition_poset(args.n, args.s)
     lines = []
     code = EXIT_OK
@@ -153,6 +155,8 @@ def _cmd_verify_el(args: argparse.Namespace) -> int:
         # a lex order the face count rejects is listed to name where it fails
         counted, problem = args.sabotage != "drop-tie-break", None
         if not counted or labeling.lex_homology_facets(q) is None:
+            if counted:  # a label defect is charged the chains only here
+                vecpart.check_budgets(args.n, args.s, None, args.max_chains)
             c = complexes.order_complex(p)
             order = labeling.sabotaged_shelling_order(q, c, args.sabotage)
             problem = complexes.verify_shelling(c, order).problem
@@ -184,19 +188,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
-    rows = ["n,s,count" + (",tree_count" if args.s == 1 else "")]
-    code = EXIT_OK
-    for n in range(1, args.max_n + 1):
-        total = spherecount.count_total(n, args.s)
-        if args.s == 1:
-            trees = spherecount.nonambiguous_tree_count(n - 1)
-            rows.append(f"{n},{args.s},{total},{trees}")
-            if trees != total:
-                code = EXIT_MISMATCH
-        else:
-            rows.append(f"{n},{args.s},{total}")
+    # one pass per table; at s = 1 a tree number that differs exits 2
+    totals = spherecount.count_totals(args.max_n, args.s)
+    trees = (spherecount.nonambiguous_tree_counts(args.max_n - 1)
+             if args.s == 1 else None)
+    rows = ["n,s,count" + (",tree_count" if trees else "")] + [
+        f"{n},{args.s},{t}" + (f",{trees[n - 1]}" if trees else "")
+        for n, t in enumerate(totals, 1)]
     _emit("\n".join(rows) + "\n", args.out)
-    return code
+    return EXIT_MISMATCH if trees and trees != totals else EXIT_OK
 
 
 _COMMANDS = {

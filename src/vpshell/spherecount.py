@@ -19,7 +19,6 @@ binary trees on n-1 nodes, computed here by its own convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -152,7 +151,6 @@ def _decreasing_indices(n: int, s: int, poset: Poset) -> list[tuple]:
 
 # ── exact recursion ──────────────────────────────────────────────────────
 
-@lru_cache(maxsize=None)
 def count_by_recursion(n: int, s: int, i: int) -> int:
     """Decreasing chains whose top cover carries labeling index i.
 
@@ -165,64 +163,60 @@ def count_by_recursion(n: int, s: int, i: int) -> int:
         raise VpshellError(f"index {i} outside 1..{s}")
     if n < 2:
         raise VpshellError("indexed counts need n >= 2")
-    lower, upper = _binomial_row(n - 1), _binomial_row(n)
-    total = 0
-    for a in range(1, n):
-        splits = lower[a - 1] ** i * lower[a] * upper[a] ** (s - i)
-        left = 1 if a == 1 else _suffix_counts(a, s)[i - 1]
-        total += left * count_total(n - a, s) * splits
-    return total
+    row = _suffix_table(n, s)[n - 1]
+    return row[i - 1] - row[i]
 
 
-@lru_cache(maxsize=2)
-def _binomial_row(n: int) -> tuple:
-    """C(n, 0), ..., C(n, n), each from its left neighbour.  Sizes are
-    filled in increasing n, so the last two rows are all that is reused."""
-    row = [1]
-    for a in range(1, n + 1):
-        row.append(row[-1] * (n + 1 - a) // a)
-    return tuple(row)
+def _suffix_table(n: int, s: int) -> list[list[int]]:
+    """Row m - 1, for m = 2..n, holds at i - 1 the sum of
+    count_by_recursion(m, s, i') over i' >= i, for i = 1..s + 1; row 0
+    is [1], the one chain at m = 1.  Filled in increasing m, with the
+    Pascal rows C(m - 1, .) and C(m, .) advanced one row per m."""
+    table = [[1]]
+    lower, upper = [1], [1, 1]
+    for m in range(2, n + 1):
+        lower, upper = upper, [1, *map(sum, zip(upper, upper[1:])), 1]
+        row = [0] * (s + 1)
+        for i in range(s, 0, -1):
+            row[i - 1] = row[i] + sum(
+                (1 if a == 1 else table[a - 1][i - 1]) * table[m - a - 1][0]
+                * (lower[a - 1] ** i * lower[a] * upper[a] ** (s - i))
+                for a in range(1, m))
+        table.append(row)
+    return table
 
 
-@lru_cache(maxsize=None)
-def _suffix_counts(a: int, s: int) -> tuple:
-    """Entry i - 1 is the sum of count_by_recursion(a, s, i') over
-    i' >= i, for i in 1..s."""
-    out = [0] * (s + 1)
-    for i in range(s, 0, -1):
-        out[i - 1] = out[i] + count_by_recursion(a, s, i)
-    return tuple(out[:s])
-
-
-@lru_cache(maxsize=None)
-def count_total(n: int, s: int) -> int:
-    """All decreasing chains: 1 for n = 1, else the sum over top indices."""
+def count_totals(n: int, s: int) -> list[int]:
+    """count_total(m, s) for m = 1..n, from one table."""
     if n < 1 or s < 1:
         raise VpshellError("n and s must be at least 1")
-    if n == 1:
-        return 1
-    for m in range(2, n):  # bottom-up, so a cold call does not nest n deep
-        count_total(m, s)
-    return sum(count_by_recursion(n, s, i) for i in range(1, s + 1))
+    return [row[0] for row in _suffix_table(n, s)]
 
 
-@lru_cache(maxsize=None)
-def nonambiguous_tree_count(m: int) -> int:
-    """Non-ambiguous binary trees on m nodes: b_0 = 1 and
-    b_(m+1) = sum over i+j=m of C(m+1,i) C(m+1,j) b_i b_j."""
+def count_total(n: int, s: int) -> int:
+    """All decreasing chains: 1 for n = 1, else the sum over top indices."""
+    return count_totals(n, s)[-1]
+
+
+def nonambiguous_tree_counts(m: int) -> list[int]:
+    """b_0, ..., b_m, the non-ambiguous binary trees on 0..m nodes:
+    b_0 = 1 and b_k = sum over i+j=k-1 of C(k,i) C(k,j) b_i b_j, filled
+    in increasing k, with the Pascal row C(k, .) advanced one row per k."""
     if m < 0:
         raise VpshellError("m must be non-negative")
-    if m == 0:
-        return 1
-    for k in range(1, m):  # bottom-up, so a cold call does not nest m deep
-        nonambiguous_tree_count(k)
-    total = 0
-    for i in range((m + 1) // 2):  # the terms (i, j) and (j, i) are equal
-        j = m - 1 - i
-        term = (comb(m, i) * comb(m, j)
-                * nonambiguous_tree_count(i) * nonambiguous_tree_count(j))
-        total += term if i == j else 2 * term
-    return total
+    b, pascal = [1], [1]
+    for k in range(1, m + 1):
+        pascal = [1, *map(sum, zip(pascal, pascal[1:])), 1]
+        c = [x * y for x, y in zip(pascal, b)]  # C(k, i) b_i, for i < k
+        # the sum of c_i c_j over i + j = k - 1: (i, j) and (j, i) are equal
+        b.append(2 * sum(c[i] * c[k - 1 - i] for i in range(k // 2))
+                 + (c[k // 2] ** 2 if k % 2 else 0))
+    return b
+
+
+def nonambiguous_tree_count(m: int) -> int:
+    """Non-ambiguous binary trees on m nodes, b_m."""
+    return nonambiguous_tree_counts(m)[m]
 
 
 # ── decomposition of a decreasing chain ──────────────────────────────────

@@ -13,7 +13,6 @@ from vpshell import (
     bottom_element,
     canonicalize,
     chain_label,
-    count_by_recursion,
     count_total,
     decompose_chain,
     decreasing_chains,
@@ -67,8 +66,6 @@ def test_criterion_2_four_way_counts():
 
 
 def test_criterion_3_tree_count_sequence():
-    count_by_recursion.cache_clear()
-    count_total.cache_clear()
     t0 = time.monotonic()
     totals = [count_total(n, 1) for n in range(1, 7)]
     dt = time.monotonic() - t0

@@ -12,6 +12,8 @@ DELETED = ["parse_element", "element_to_json", "element_from_json",
            "top_label_index_counts", "is_increasing", "reduced_betti_numbers",
            "NotComparable", "simplicial_complex", "maximal_chains",
            "_boundary_rank",
+           # the recursion is a plain table, filled afresh on each call
+           "_binomial_row", "_suffix_counts",
            # one error class per exit code; the message names the check
            "BottomHasNoAtom", "CycleDetected", "DimensionMismatch",
            "DuplicateElement", "EqualWords", "IncompatibleData",
@@ -96,6 +98,12 @@ def test_deleted_names_are_gone():
         assert not hasattr(complexes.SimplicialComplex, name)
     assert not hasattr(vecpart.VectorPartition, "sort_key")
     assert not hasattr(vecpart.VectorPartition, "rank")
+
+
+def test_the_recursions_hold_no_cache():
+    for fn in (spherecount.count_by_recursion, spherecount.count_total,
+               spherecount.nonambiguous_tree_count):
+        assert not hasattr(fn, "cache_clear"), fn.__name__
 
 
 def test_betti_takes_the_poset_alone():

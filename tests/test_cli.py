@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import vpshell
-from vpshell import complexes, labeling, vecpart
+from vpshell import complexes, labeling, spherecount, vecpart
 from vpshell.cli import main
-from vpshell.spherecount import count_by_recursion, count_total
+from vpshell.spherecount import count_total
 from conftest import count_calls
 
 
@@ -71,7 +71,9 @@ def test_chain_budget_bounds_every_chain_walk(capsys):
     # and homology is charged, and 1,899 decreasing chains, which
     # enumerate lists
     for argv, chains in ((("count", "--method", "homology"), "10368 maximal"),
-                         (("verify-el", "--sabotage", "min-merge-label"),
+                         (("verify-el", "--sabotage", "swap-bottom-labels"),
+                          "10368 maximal"),
+                         (("verify-el", "--sabotage", "drop-tie-break"),
                           "10368 maximal"),
                          (("count", "--method", "enumerate"),
                           "1899 decreasing")):
@@ -83,6 +85,18 @@ def test_chain_budget_bounds_every_chain_walk(capsys):
     code, out, _ = run(capsys, "count", "--method", "enumerate", "--n",
                        "4", "--s", "2", "--max-chains", "1899")
     assert code == 0 and json.loads(out)["methods"] == {"enumerate": 1899}
+
+
+def test_a_label_sabotage_is_charged_chains_only_when_it_lists_them(capsys):
+    # the face count decides min-merge-label's lex order at (4,2), so no
+    # chain is listed and no chain budget refuses it; swap-bottom-labels'
+    # order is rejected, listed, and charged (see above)
+    argv = ("verify-el", "--n", "4", "--s", "2", "--sabotage",
+            "min-merge-label")
+    code, out, err = run(capsys, *argv, "--max-chains", "5")
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "feffd08e62d849f7"
+    assert run(capsys, *argv) == (1, out, "")
 
 
 def test_only_the_walks_that_use_a_budget_take_it(capsys):
@@ -208,9 +222,8 @@ def test_sequence_s2_has_no_tree_column(capsys):
 
 def test_sequence_tree_count_mismatch_exits_2(capsys, monkeypatch):
     # every row is printed, the disagreeing ones too
-    from vpshell import spherecount
-    monkeypatch.setattr(spherecount, "nonambiguous_tree_count",
-                        lambda m: 4 if m == 2 else 1)
+    monkeypatch.setattr(spherecount, "nonambiguous_tree_counts",
+                        lambda m: [1, 1, 4, 1])
     code, out, err = run(capsys, "sequence", "--s", "1", "--max-n", "4")
     assert (code, err) == (2, "")
     assert out == "n,s,count,tree_count\n1,1,1,1\n2,1,1,1\n3,1,4,4\n4,1,33,1\n"
@@ -470,12 +483,22 @@ def test_plain_verify_el_takes_the_element_budget(capsys):
 
 
 def test_recursion_reaches_large_n(capsys):
-    count_by_recursion.cache_clear()
-    count_total.cache_clear()
     code, out, err = run(capsys, "count", "--n", "250", "--s", "1",
                          "--method", "recursion")
     assert (code, err) == (0, "")
     assert json.loads(out)["methods"]["recursion"] == count_total(250, 1)
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_sequence_fills_each_table_once(capsys, monkeypatch, s):
+    # one pass: the totals table, and at s = 1 the tree table, are each
+    # filled once, up to --max-n, not once per row
+    calls = count_calls(monkeypatch, spherecount._suffix_table,
+                        spherecount.nonambiguous_tree_counts)
+    code, out, _ = run(capsys, "sequence", "--s", str(s), "--max-n", "20")
+    assert code == 0 and len(out.strip().split("\n")) == 21
+    assert calls == {"_suffix_table": 1,
+                     "nonambiguous_tree_counts": 1 if s == 1 else 0}
 
 
 def test_sequence_prints_past_the_int_digit_limit(capsys):

@@ -6,9 +6,9 @@ import pytest
 from vpshell.errors import OracleMismatch, ResourceLimit, VpshellError
 from vpshell.labeling import chain_label, is_weakly_decreasing
 from vpshell.spherecount import (count_by_recursion, count_total,
-                                 decompose_chain, decreasing_chains,
-                                 nonambiguous_tree_count, recompose,
-                                 sphere_count_certificate)
+                                 count_totals, decompose_chain,
+                                 decreasing_chains, nonambiguous_tree_count,
+                                 recompose, sphere_count_certificate)
 from vpshell.vecpart import (VectorPartition, bottom_element, canonicalize,
                              top_element, vector_partition_poset)
 from conftest import (count_calls, decoded, decreasing_by_filter,
@@ -136,6 +136,15 @@ def test_recursion_matches_comb_oracle(s):
     assert {(n, i): count_by_recursion(n, s, i) for n, i in want} == want
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_totals_list_matches_count_total_and_comb_oracle(s):
+    by_index = indexed_counts_by_comb(30, s)
+    want = [1] + [sum(by_index[(n, i)] for i in range(1, s + 1))
+                  for n in range(2, 31)]
+    assert count_totals(30, s) == want
+    assert [count_total(n, s) for n in range(1, 31)] == want
+
+
 def test_recursion_base_and_guards():
     assert count_total(1, 1) == 1
     assert count_total(1, 5) == 1
@@ -162,8 +171,7 @@ def test_tree_count_sequence():
         [1, 1, 4, 33, 456, 9460]
 
 
-def test_tree_count_cold_cache_does_not_recurse_deep():
-    nonambiguous_tree_count.cache_clear()
+def test_tree_count_at_600_does_not_recurse_deep():
     assert nonambiguous_tree_count(600) > 0
     assert [nonambiguous_tree_count(m) for m in range(6)] == \
         [1, 1, 4, 33, 456, 9460]
