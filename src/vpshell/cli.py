@@ -8,16 +8,16 @@ Usage:
 
 Exit codes: 0 success, 1 verification failure, 2 oracle mismatch, 3
 budget exceeded or out of memory, 4 bad input (a negative budget too) or
-an -o path or stdout that cannot be written (a closed pipe, a full
-disk).  build, verify-el and count refuse over --max-elements
-(default 10^6) elements, checked first; then a route charged chains
+an -o path or stdout that cannot be written (a closed pipe, a full disk).
+build, verify-el and count refuse over --max-elements (default 10^6)
+elements, or an s over it, checked first; then a route charged chains
 refuses over --max-chains (default 10^7) before any walk: verify-el
 --sabotage drop-tie-break lists every maximal chain and is charged them
-first, the two label sabotages only once the face count rejects their
-lex order, before the chains are listed; count --method homology lists
-none but is charged them all, a bound on the (n!)^s (n-1)! rows of its
-last step; count --method enumerate lists the decreasing ones; euler,
-mobius and recursion are charged none.  sequence has no budget.
+first, the two label sabotages only once the face count rejects their lex
+order, before the chains are listed; count --method homology lists none
+but is charged them all, a bound on the (n!)^s (n-1)! rows of its last
+step; count --method enumerate lists the decreasing ones; euler, mobius
+and recursion are charged none.  sequence has no budget.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
@@ -134,40 +134,32 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_el(args: argparse.Namespace) -> int:
-    # drop-tie-break always lists every maximal chain, so is charged them now
+    # drop-tie-break's defect is its order, always listed with every maximal
+    # chain, so it is charged them now; a label defect's lex order is listed,
+    # to name where it fails, only once the face count rejects it
+    listed = args.sabotage == "drop-tie-break"
     vecpart.check_budgets(args.n, args.s, args.max_elements,
-                          args.max_chains if args.sabotage == "drop-tie-break"
-                          else None)
+                          args.max_chains if listed else None)
     p = vecpart.vector_partition_poset(args.n, args.s)
-    lines = []
-    code = EXIT_OK
     if args.sabotage is None:
         report = labeling.verify_el(p)
-        lines.append(report.text())
-        if not report.ok:
-            code = EXIT_VERIFY
-    else:
-        # a defect must be caught by at least one of the two verifiers
-        q = replace(p, up_labels=labeling.sabotaged_label_map(
-            p, args.sabotage))
-        report = labeling.verify_el(q)
-        lines.append(f"[sabotage {args.sabotage}] {report.text()}")
-        # a lex order the face count rejects is listed to name where it fails
-        counted, problem = args.sabotage != "drop-tie-break", None
-        if not counted or labeling.lex_homology_facets(q) is None:
-            if counted:  # a label defect is charged the chains only here
-                vecpart.check_budgets(args.n, args.s, None, args.max_chains)
-            c = complexes.order_complex(p)
-            order = labeling.sabotaged_shelling_order(q, c, args.sabotage)
-            problem = complexes.verify_shelling(c, order).problem
-            if counted and problem is None:
-                raise OracleMismatch("the face count rejects a valid order")
-        lines.append(f"[sabotage {args.sabotage}] shelling "
-                     + ("valid" if problem is None else f"INVALID: {problem}"))
-        if not report.ok or problem is not None:
-            code = EXIT_VERIFY
-    _emit("\n".join(lines) + "\n", args.out)
-    return code
+        _emit(report.text(), args.out)
+        return EXIT_OK if report.ok else EXIT_VERIFY
+    # a defect must be caught by at least one of the two verifiers
+    q = replace(p, up_labels=labeling.sabotaged_label_map(p, args.sabotage))
+    report, problem = labeling.verify_el(q), None
+    if listed or labeling.lex_homology_facets(q) is None:
+        if not listed:
+            vecpart.check_budgets(args.n, args.s, None, args.max_chains)
+        c = complexes.order_complex(p)
+        order = labeling.sabotaged_shelling_order(q, c, args.sabotage)
+        problem = complexes.verify_shelling(c, order).problem
+        if not listed and problem is None:
+            raise OracleMismatch("the face count rejects a valid order")
+    tag = f"[sabotage {args.sabotage}]"
+    _emit(f"{tag} {report.text()}\n{tag} shelling "
+          + ("valid" if problem is None else f"INVALID: {problem}"), args.out)
+    return EXIT_OK if report.ok and problem is None else EXIT_VERIFY
 
 
 def _cmd_count(args: argparse.Namespace) -> int:

@@ -23,7 +23,8 @@ from itertools import islice
 from .errors import VpshellError
 from .poset import Poset, chain_f_vector
 from .vecpart import (VectorPartition, atom_lex_rank, atom_word, decode,
-                      first_word_difference, is_cover, merge_blocks)
+                      element_texts, first_word_difference, is_cover,
+                      merge_blocks)
 
 EdgeLabel = tuple  # (k, i, j) int triples for vector partitions
 
@@ -181,64 +182,59 @@ def verify_label_structure(p: Poset) -> dict[int, list]:
 
     Condition 1 is checked on covers only: every comparable pair is
     joined by a chain of covers and <=_lex is transitive, so it holds on
-    all pairs exactly when it holds on every cover.
+    all pairs exactly when it holds on every cover.  Conditions 1-4 are
+    one loop over the covers in index order, a linear extension: for (2)
+    each element keeps the least last label of an increasing chain from
+    the bottom that kept its atom word, final once the loop reaches it,
+    and each offending cover is listed once, ascending by (lower, upper).
 
     p must be a vector-partition poset, its (blocks, labels) keys are
-    decoded, and its p.up_labels are audited (VpshellError when it
+    read, and its p.up_labels are audited (VpshellError when it
     carries none).  Returns {condition: [text]}, every list empty
     exactly when the condition holds; each list is capped at five.
     """
     bad: dict[int, list] = {c: [] for c in (1, 2, 3, 4, 5)}
-    lab = _label_table(p)
-    n, s = len(p.elements[p.top][0][0]), len(p.elements[p.top][1])
-    els = [decode(e, n, s) for e in p.elements]
-    words = {t: atom_word(e) for t, e in enumerate(els) if not e.is_bottom}
+    lab, els = _label_table(p), p.elements
+    n, s = len(els[p.top][0][0]), len(els[p.top][1])
+    words = {t: atom_word(decode(e, n, s)) for t, e in enumerate(els) if e[0]}
 
-    # DFS over increasing chains from the bottom only; extensions of a
-    # non-increasing word stay non-increasing, so pruning loses nothing
-    def climb(v: int, last: EdgeLabel) -> None:
-        for w, lbl in zip(p.up[v], lab[v]):
-            if not lbl > last:
-                continue
-            if words[v] != words[w]:
-                if len(bad[2]) < _REPORTED:
-                    bad[2].append(
-                        f"increasing chain reaches {els[v]} then changes "
-                        f"atom word stepping to {els[w]}")
-                continue
-            climb(w, lbl)
+    def report(c: int, text: str, lo: int, hi: int, *label) -> None:
+        if len(bad[c]) < _REPORTED:  # {x}, {y}: the ends; {0}...: the label
+            x, y = element_texts([els[lo], els[hi]])
+            bad[c].append(text.format(*label, x=x, y=y))
 
-    for a, lbl in zip(p.up[p.bottom], lab[p.bottom]):
-        climb(a, lbl)
-
-    for lo, (his, labs) in enumerate(zip(p.up, lab)):
-        if lo == p.bottom:
-            continue
-        x = els[lo]
-        for hi, (k, i, j) in zip(his, labs):
+    least = dict(zip(p.up[p.bottom], lab[p.bottom]))  # one edge per atom
+    for lo in range(p.bottom + 1, len(els)):
+        x, last = decode(els[lo], n, s), least.get(lo)
+        for hi, label in zip(p.up[lo], lab[lo]):
+            rising = last is not None and last < label
             if not words[hi] <= words[lo]:
-                if len(bad[1]) < _REPORTED:
-                    bad[1].append(f"{x} <. {els[hi]} but atom words rise")
+                report(1, "{x} <. {y} but atom words rise", lo, hi)
             if words[lo] == words[hi]:
+                if rising:  # the chain goes on
+                    least[hi] = min(least.get(hi, label), label)
                 continue
+            if rising:
+                report(2, "increasing chain reaches {x} then changes atom "
+                       "word stepping to {y}", lo, hi)
+            k, i, j = label
             pos = (i - 1) * n + (k - 1)
             if not (1 <= k <= n and 1 <= i <= s
                     and words[lo][pos] > j and words[hi][pos] == j):
-                if len(bad[3]) < _REPORTED:
-                    bad[3].append(f"label ({k},{i},{j}) on {x} <. "
-                                  f"{els[hi]} fails the entry comparison")
+                report(3, "label ({0},{1},{2}) on {x} <. {y} fails the "
+                       "entry comparison", lo, hi, *label)
             # a k or j that no block holds, or an i outside 1..s, names none
             ka = next((t for t, blk in enumerate(x.blocks) if k in blk), None)
             kb = next((t for t, js in enumerate(x.labels[i - 1]) if j in js),
                       None) if 1 <= i <= s else None
-            if None in (ka, kb) or ka == kb or merge_blocks(x, ka, kb) != els[hi]:
-                if len(bad[4]) < _REPORTED:
-                    bad[4].append(f"label ({k},{i},{j}) on {x} <. "
-                                  f"{els[hi]} does not name the merged blocks")
-
-    bad[5] = [f"interval [{els[x]}, {els[y]}] has a chain violating the "
-              f"first-difference law {first}" for x, y, first in islice(
-                  _first_difference_failures(p, words, n, s), _REPORTED)]
+            if None in (ka, kb) or ka == kb \
+                    or merge_blocks(x, ka, kb) != decode(els[hi], n, s):
+                report(4, "label ({0},{1},{2}) on {x} <. {y} does not name "
+                       "the merged blocks", lo, hi, *label)
+    for lo, hi, first in islice(_first_difference_failures(p, words, n, s),
+                                _REPORTED):
+        report(5, "interval [{x}, {y}] has a chain violating the "
+               "first-difference law {0}", lo, hi, first)
     return bad
 
 

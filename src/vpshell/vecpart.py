@@ -276,10 +276,10 @@ def check_budgets(n: int, s: int, max_elements: int | None,
                   max_chains: int | None = None) -> None:
     """VpshellError unless n, s >= 1; ResourceLimit, before any element
     is made, at the first m <= n whose 1 + E_m (see _element_counts)
-    exceeds max_elements, so a refusal costs E_0..E_m however large n is;
-    then, only if max_chains is given, when maximal_chain_count exceeds it.
-    When s >= 4096 and 2^s > max_elements, 1 + E_2 = 2^s + 2 is refused
-    before it is made, named by that bound, so the text stays short."""
+    exceeds max_elements, so a refusal costs E_0..E_m however large n is,
+    or, at n = 1, when its s labelings exceed it; then, only if max_chains
+    is given, when maximal_chain_count exceeds it.  When s >= 4096 and
+    2^s > max_elements, 2^s + 2 = 1 + E_2 is refused unmade, named by 2^s."""
     for m, e in enumerate(_element_counts(n, s)):
         if max_elements is None:
             break
@@ -290,6 +290,8 @@ def check_budgets(n: int, s: int, max_elements: int | None,
         if m == 1 < n and s >= max(4096, max_elements.bit_length()):
             raise ResourceLimit(f"poset has more than 2^{s} elements, "
                                 f"budget is {max_elements}")
+    if max_elements is not None and s > max_elements:  # only n = 1 gets here
+        raise ResourceLimit(f"{s} labelings, budget is {max_elements} elements")
     if (max_chains is not None
             and (total := maximal_chain_count(n, s)) > max_chains):
         raise ResourceLimit(

@@ -13,7 +13,8 @@ texts of a poset through a document of dicts or one escape per edge,
 an element's text by joining every set afresh, the decreasing
 chains by filtering every maximal chain or by trying every split of
 every label set, the first-difference law of verify_label_structure by
-the label words of every interval's maximal chains, and the f-vector
+the label words of every interval's maximal chains, its rising chains
+that change atom words by reading every maximal chain, and the f-vector
 and reduced Euler characteristic of a complex by listing every face.
 They are slow and only fit tiny inputs, which is the point.
 
@@ -419,6 +420,27 @@ def first_difference_failures_by_chains(p, up_labels):
                                f"violating the first-difference law {first}")
                     break
     return bad[:5]
+
+
+def rising_word_changes_by_chains(p, up_labels, cap=5):
+    """verify_label_structure's condition (2) by listing the maximal
+    chains: each chain is read from the bottom while its label word
+    strictly increases, and the first step above an atom that changes
+    the atom word is its offending cover.  The distinct covers are
+    reported in ascending (lower, upper) order, the first cap of them
+    (all when cap is None)."""
+    els, lab = decoded(p), label_map(p, up_labels)
+    found = set()
+    for c in interval_chains(p, p.bottom, p.top):
+        steps = list(zip(c, c[1:]))
+        for r, (lo, hi) in enumerate(steps):
+            if r and not lab[steps[r - 1]] < lab[(lo, hi)]:
+                break
+            if r and atom_word(els[lo]) != atom_word(els[hi]):
+                found.add((lo, hi))
+                break
+    return [f"increasing chain reaches {els[lo]} then changes atom word "
+            f"stepping to {els[hi]}" for lo, hi in sorted(found)[:cap]]
 
 
 def merge_blocks_by_sorting(v, a, b):

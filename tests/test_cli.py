@@ -427,6 +427,31 @@ def test_a_huge_s_is_refused_at_once_in_one_short_line(capsys, argv):
     assert len(err) < 80
 
 
+@pytest.mark.parametrize("command", ["count", "build", "verify-el"])
+def test_the_labelings_are_charged_to_the_element_budget(capsys, command):
+    # at n = 1 the poset has 2 elements whatever s is, and each holds s
+    # labelings; s itself is charged to --max-elements
+    code, out, err = run(capsys, command, "--n", "1", "--s", "11",
+                         "--max-elements", "10")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: 11 labelings, budget is 10 elements\n"
+    assert run(capsys, command, "--n", "1", "--s", "10",
+               "--max-elements", "10")[0] == 0
+
+
+def test_a_clean_verify_el_builds_one_poset_and_nothing_else(capsys,
+                                                             monkeypatch):
+    # the EL pass alone decides it: no complex, label map or face count
+    calls = count_calls(monkeypatch, vecpart.vector_partition_poset,
+                        complexes.order_complex, labeling.sabotaged_label_map,
+                        labeling.lex_homology_facets)
+    code, out, err = run(capsys, "verify-el", "--n", "3", "--s", "1")
+    assert (code, err) == (0, "")
+    assert out == labeling.ELReport(True).text() + "\n"
+    assert calls == {"vector_partition_poset": 1, "order_complex": 0,
+                     "sabotaged_label_map": 0, "lex_homology_facets": 0}
+
+
 @pytest.mark.parametrize("name", vpshell.SABOTAGES)
 def test_a_sabotage_run_builds_one_poset_and_one_complex(capsys,
                                                          monkeypatch, name):

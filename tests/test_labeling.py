@@ -1,10 +1,12 @@
 """Edge labels, EL verification, shelling order, sabotage detection."""
+import random
 import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpshell import labeling
 from vpshell.complexes import order_complex, verify_shelling
 from vpshell.errors import VpshellError
 from vpshell.labeling import (SABOTAGES, chain_label, cover_label,
@@ -21,8 +23,9 @@ from conftest import (aligned_labels, build_poset, count_calls, covers,
                       decoded, el_by_chain_enumeration, face_poset,
                       first_difference_failures_by_chains, is_increasing,
                       label_map, poset_from_pairs, record,
-                      set_partition_lattice, shelling_by_intersections,
-                      shelling_order_by_pairs, simplicial_complex)
+                      rising_word_changes_by_chains, set_partition_lattice,
+                      shelling_by_intersections, shelling_order_by_pairs,
+                      simplicial_complex)
 
 _EL_POSETS = {"(2,1)": vector_partition_poset(2, 1),
               "(3,1)": vector_partition_poset(3, 1),
@@ -380,20 +383,43 @@ def test_verify_label_structure_sees_a_rising_atom_word():
                                             "words rise"]
 
 
-def test_verify_label_structure_sees_a_rising_chain_change_words(p3s1):
+def test_verify_label_structure_sees_a_rising_chain_change_words(p3s1, p3s2):
     # condition (2): relabel every atom-changing cover (k, i, j) as
     # (n, i, j), above each bottom edge's (n - 1, s + m, 0), so that an
-    # increasing chain leaves an atom by a cover that changes its word
-    p = p3s1
-    words = [None if e.is_bottom else atom_word(e) for e in decoded(p)]
-    rows = tuple(tuple(
-        (3,) + label[1:] if lo != p.bottom and words[lo] != words[hi]
-        else label for hi, label in zip(his, labs))
-        for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)))
-    bad = verify_label_structure(
-        build_indexed_poset(p.elements, p.up, rows))[2]
-    assert len(bad) == 5
-    assert all("then changes atom word stepping to" in t for t in bad)
+    # increasing chain leaves an atom by a cover that changes its word;
+    # each such cover is named once, the least first, as reading every
+    # maximal chain finds them
+    for p in (p3s1, p3s2):
+        words = [None if e.is_bottom else atom_word(e) for e in decoded(p)]
+        rows = tuple(tuple(
+            (3,) + label[1:] if lo != p.bottom and words[lo] != words[hi]
+            else label for hi, label in zip(his, labs))
+            for lo, (his, labs) in enumerate(zip(p.up, p.up_labels)))
+        bad = verify_label_structure(
+            build_indexed_poset(p.elements, p.up, rows))[2]
+        assert len(bad) == 5
+        assert all("then changes atom word stepping to" in t for t in bad)
+        assert bad == rising_word_changes_by_chains(p, rows)
+
+
+@pytest.mark.parametrize("fixture", ["p3s1", "p3s2", "p4s1"])
+def test_condition_2_matches_reading_every_chain_under_random_labels(
+        fixture, request, monkeypatch):
+    # uncapped, under labels drawn at random: at (4,1) some seeds make two
+    # increasing chains reach one element with different last labels, so
+    # only the least of them decides the covers above it
+    p = request.getfixturevalue(fixture)
+    (full,), labelings = p.elements[p.top]
+    n, s = len(full), len(labelings)
+    monkeypatch.setattr(labeling, "_REPORTED", len(covers(p)))
+    for seed in range(50):
+        rng = random.Random(seed)
+        rows = tuple(tuple((rng.randint(1, n), rng.randint(1, s),
+                            rng.randint(1, n)) for _ in labs)
+                     for labs in p.up_labels)
+        bad = verify_label_structure(build_indexed_poset(p.elements, p.up,
+                                                         rows))[2]
+        assert bad == rising_word_changes_by_chains(p, rows, None), seed
 
 
 @pytest.mark.parametrize("change", [
