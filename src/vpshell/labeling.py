@@ -338,13 +338,13 @@ def sabotaged_label_map(p: Poset, name: str) -> tuple:
             row[a], row[b] = row[b], row[a]
             lab[p.bottom] = tuple(row)
     elif name == "min-merge-label":
-        els = p.elements  # (blocks, labels) records
+        blocks = [b for b, _ in p.elements]  # one pass over the keys
         for lo, his in enumerate(p.up):
             # j = 0 marks the bottom edges and the covers (n, max(I u J), 0)
             if lo != p.bottom:
-                xb = set(els[lo][0])
+                xb = set(blocks[lo])
                 lab[lo] = tuple([label if label[2] else (label[0], next(
-                    bk for bk in els[hi][0] if bk not in xb)[0], 0)
+                    bk for bk in blocks[hi] if bk not in xb)[0], 0)
                     for hi, label in zip(his, lab[lo])])
     elif name != "drop-tie-break":  # drop-tie-break's defect is the order
         raise VpshellError(f"unknown sabotage {name!r}")

@@ -10,6 +10,7 @@ is the last index.  Both are validated at build time, never assumed.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -22,7 +23,9 @@ class Poset:
 
     Use build_indexed_poset() to construct: it validates that covers
     rise in index order, the bottom 0, the top len - 1, and gradedness.
-    elements: the keys, (blocks, labels) records in vecpart's posets.
+    elements: the keys, a tuple, or in vecpart's posets a DistinctKeys
+    that computes each record from its index and checked them for
+    duplicates when made; build_indexed_poset checks any other sequence.
     up[i] holds the ascending indices covering i, the only record of the
     covers; nothing is cached, and up-sets are walked up it on demand.
     up_labels, if present, labels (i, up[i][k]) by up_labels[i][k], the
@@ -30,7 +33,7 @@ class Poset:
     made (replace too); it takes no part in equality.
     """
 
-    elements: tuple
+    elements: Sequence
     up: tuple
     ranks: tuple
     up_labels: tuple | None = field(default=None, compare=False, repr=False)
@@ -62,10 +65,15 @@ class Poset:
         return seen
 
 
+class DistinctKeys(Sequence):
+    """Keys checked distinct when made: build_indexed_poset hashes none."""
+
+
 def build_indexed_poset(elements, up, up_labels=None) -> Poset:
     """Validate a Hasse diagram and assemble a Poset.
 
-    elements:  sequence of unique hashable keys, each after those below.
+    elements:  sequence of unique hashable keys, each after those below,
+               made a tuple and hashed into a set unless a DistinctKeys.
     up:        up[i] holds the indices covering elements[i], ascending.
     up_labels: optional; up_labels[i][k] labels the cover (i, up[i][k]).
 
@@ -76,9 +84,10 @@ def build_indexed_poset(elements, up, up_labels=None) -> Poset:
     distances from the bottom; a cover whose endpoints differ by more
     than one rank (a transitive edge in disguise) is not graded.
     """
-    elements = tuple(elements)
-    if len(set(elements)) != len(elements):
-        raise VpshellError("duplicate element keys")
+    if not isinstance(elements, DistinctKeys):
+        elements = tuple(elements)
+        if len(set(elements)) != len(elements):
+            raise VpshellError("duplicate element keys")
     n = len(elements)
     if n == 0:
         raise VpshellError("empty poset")

@@ -116,11 +116,11 @@ def decreasing_chains(n: int, s: int) -> list[Chain]:
     Two independent routes must agree on index chains, else
     OracleMismatch: walking the labelled covers of
     vector_partition_poset(n, s), and growing its (blocks, labels) keys
-    without a poset, which one dict maps to indices; a record that is no
-    key is a mismatch too.  Elements are indexed in (rank, blocks,
-    labels) order and the walk steps in index order, so only the
-    generated chains are sorted, and a walk out of order is a mismatch.
-    The index chains are decoded here, each index once;
+    without a poset, each ranked by the runs of the keys (ElementKeys);
+    a record that is no key is a mismatch too.  Elements are indexed in
+    (rank, blocks, labels) order and the walk steps in index order, so
+    only the generated chains are sorted, and a walk out of order is a
+    mismatch.  The index chains are decoded here, each index once;
     sphere_count_certificate counts them and decodes none, and bounds
     the walk by count_total(n, s), not by every maximal chain.
     """
@@ -134,12 +134,11 @@ def decreasing_chains(n: int, s: int) -> list[Chain]:
 def _decreasing_indices(n: int, s: int, poset: Poset) -> list[tuple]:
     """decreasing_chains as index chains, walked up poset, which must be
     vector_partition_poset(n, s)."""
-    walked = _walked_decreasing(poset)
-    index = {r: t for t, r in enumerate(poset.elements)}
+    walked, rank = _walked_decreasing(poset), poset.elements.index
     try:
-        generated = sorted([tuple([index[r] for r in c])
+        generated = sorted([tuple(map(rank, c))
                             for c in _generated_decreasing(n, s)])
-    except KeyError as exc:
+    except ValueError as exc:
         raise OracleMismatch(f"generation made {exc.args[0]}, which is not "
                              "an element of the poset") from None
     if walked != generated:

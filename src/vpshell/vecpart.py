@@ -8,18 +8,21 @@ partition {1..n}.  A formal bottom element sits below the n-block
 of blocks of x and each label of y is the union of the matching labels.
 
 Canonical form everywhere: blocks sorted by minimum, every set stored as
-an ascending tuple, labels aligned positionally with blocks.
+an ascending tuple, labels aligned positionally with blocks.  A poset's
+(blocks, labels) keys come from ElementKeys, one run per set partition,
+counting the labelings in mixed radix over lex-ordered label assignments.
 """
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from itertools import combinations, groupby, islice, product
+from bisect import bisect
+from itertools import combinations, product
 from math import comb, factorial
 from operator import itemgetter
 
 from .errors import ResourceLimit, VpshellError
-from .poset import Poset, build_indexed_poset
+from .poset import DistinctKeys, Poset, build_indexed_poset
 
 
 @dataclass(frozen=True)
@@ -261,14 +264,16 @@ def maximal_chain_count(n: int, s: int) -> int:
     return factorial(n) ** s * (factorial(n) * factorial(n - 1)) // 2 ** (n - 1)
 
 
-def _label_assignments(sizes: tuple, universe: tuple):
-    """Ordered splits of universe into sets of the given sizes, lex order."""
+def _label_assignments(sizes: tuple, universe: tuple, sets: dict):
+    """Ordered splits of universe into sets of the given sizes, lex order,
+    each set the one tuple that sets holds for it."""
     if not sizes:
         yield ()
         return
     for c in combinations(universe, sizes[0]):
+        c = sets.setdefault(c, c)
         rest = tuple(x for x in universe if x not in c)
-        for tail in _label_assignments(sizes[1:], rest):
+        for tail in _label_assignments(sizes[1:], rest, sets):
             yield (c,) + tail
 
 
@@ -298,26 +303,79 @@ def check_budgets(n: int, s: int, max_elements: int | None,
             f"poset has {total} maximal chains, budget is {max_chains}")
 
 
+class ElementKeys(DistinctKeys):
+    """The (blocks, labels) records of (n, s) in index order, none stored:
+    the bottom's ((), ()), then one run per set partition in (rank,
+    blocks) order.  runs[r] is (start, blocks, labs), labs the lex-ordered
+    label assignments of the block sizes; record start + i gives labeling
+    h labs[d_h], d_1 ... d_s the digits of i in base len(labs), d_1 the
+    most significant.  index() ranks a record, ValueError(record) if it
+    is no element.  Made, it refuses n or s below 1 and, as "duplicate
+    element keys", a repeated set partition or assignment (VpshellError):
+    distinct factors give distinct records in mixed radix."""
+
+    def __init__(self, n: int, s: int):
+        if n < 1 or s < 1:
+            raise VpshellError("n and s must be at least 1")
+        full, self.s, self.runs, start = tuple(range(1, n + 1)), s, [], 1
+        self._ranks = {(): (0, {})}  # blocks -> (start, assignment -> rank)
+        by_sizes: dict = {}  # block sizes -> (labs, assignment -> rank)
+        sets: dict = {}  # label set -> the one tuple every labs holds for it
+        for blocks in set_partitions(n):
+            sizes = tuple(map(len, blocks))
+            if sizes not in by_sizes:
+                labs = list(_label_assignments(sizes, full, sets))
+                by_sizes[sizes] = (labs, dict(zip(labs, range(len(labs)))))
+            labs, ranks = by_sizes[sizes]
+            if len(ranks) < len(labs) or blocks in self._ranks:
+                raise VpshellError("duplicate element keys")
+            self.runs.append((start, blocks, labs))
+            self._ranks[blocks] = (start, ranks)
+            start += len(labs) ** s
+        self._starts, self._len = [run[0] for run in self.runs], start
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> tuple:
+        if not (i := range(self._len)[i]):  # IndexError past either end
+            return ((), ())
+        start, blocks, labs = self.runs[bisect(self._starts, i) - 1]
+        m, i = len(labs), i - start
+        return blocks, tuple([labs[i // m ** h % m]
+                              for h in range(self.s - 1, -1, -1)])
+
+    def __iter__(self):
+        yield ((), ())
+        for _, blocks, labs in self.runs:
+            for labels in product(labs, repeat=self.s):
+                yield blocks, labels
+
+    def index(self, record) -> int:
+        try:
+            blocks, labels = record
+            (start, ranks), i = self._ranks[blocks], 0
+            if (type(labels) is tuple
+                    and len(labels) == (self.s if blocks else 0)):
+                for lab in labels:
+                    i = i * len(ranks) + ranks[lab]
+                return start + i
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise ValueError(record)
+
+    def __eq__(self, other) -> bool:  # as the tuple of its records would
+        return (isinstance(other, (tuple, ElementKeys))
+                and tuple(self) == tuple(other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 def enumerate_elements(n: int, s: int) -> list[tuple]:
-    """Every element including the bottom and the top, as its (blocks,
-    labels) record, the bottom's ((), ()), canonically ordered by (rank,
-    blocks, labels), and generated in that order: the partitions come in
-    (rank, blocks) order, and the product of lex-ordered label
-    assignments, one list per block sizes, is lex ordered.  VpshellError
-    unless n, s >= 1; callers check_budgets first."""
-    if n < 1 or s < 1:
-        raise VpshellError("n and s must be at least 1")
-    out = [((), ())]
-    full = tuple(range(1, n + 1))
-    by_sizes: dict = {}  # block sizes -> label tuples, lex order
-    for blocks in set_partitions(n):
-        sizes = tuple(map(len, blocks))
-        labels = by_sizes.get(sizes)
-        if labels is None:
-            labels = by_sizes[sizes] = list(
-                product(_label_assignments(sizes, full), repeat=s))
-        out += zip([blocks] * len(labels), labels)
-    return out
+    """list(ElementKeys(n, s)): VpshellError unless n, s >= 1; callers
+    check_budgets first."""
+    return list(ElementKeys(n, s))
 
 
 def decode(record: tuple, n: int, s: int) -> VectorPartition:
@@ -330,22 +388,22 @@ def vector_partition_poset(n: int, s: int) -> Poset:
     Like enumerate_elements it checks n, s >= 1 and no budget.  The
     cyclic garbage collector is paused until it returns.
 
-    Keys are the (blocks, labels) records of enumerate_elements, which
-    decode makes VectorPartitions; covers join each non-bottom element
-    to its two-block merges, and the bottom to every atom.  Each cover is
-    labelled where it is generated, from the atom words of its two ends
-    (see labeling.cover_label, the definition these labels must equal),
-    and the labels are stored on the poset as up_labels, aligned with up:
+    Keys are ElementKeys(n, s), which decode makes VectorPartitions;
+    covers join each non-bottom element to its two-block merges, and the
+    bottom to every atom.  Each cover is labelled where it is generated,
+    from the atom words of its two ends (see labeling.cover_label, the
+    definition these labels must equal), and the labels are stored on
+    the poset as up_labels, aligned with up:
 
     * bottom to the atom at index t: (n-1, s+t, 0), since atoms share
       their blocks and so follow the bottom in atom-word order;
     * merging blocks I, J changes the atom word: its first difference;
     * merging blocks I, J keeps the atom word: (n, max(I u J), 0).
 
-    The covers are made one set partition P at a time.  P's elements are
-    one run of the element list, grouped by blocks, and the distinct
-    first labelings of the first run with P's block sizes are their
-    label assignments, in lex order.  Merging blocks a < b sends P's run
+    The covers are made one set partition P at a time, read off the
+    runs of ElementKeys: P's elements are its run, and their labels are
+    the mixed radix of its lex-ordered label assignments, one list per
+    block sizes, as bitmasks here.  Merging blocks a < b sends P's run
     into the merged partition's run as _merge_map says for P's block
     sizes, a and b.  Distinct merges give disjoint runs, so P's rows are
     its merge columns read across in run order, ascending, holding the
@@ -364,19 +422,17 @@ def vector_partition_poset(n: int, s: int) -> Poset:
 
 
 def _built(n: int, s: int) -> Poset:
-    elements = enumerate_elements(n, s)
+    elements = ElementKeys(n, s)
     ints = list(range(len(elements)))  # one int per index, for every row
     bits = {c: sum(1 << k for k in c) for r in range(1, n + 1)
             for c in combinations(range(1, n + 1), r)}
     runs = {}  # set partition -> (its run of indices, its block sizes)
     assigned = {}  # block sizes -> label assignments, as bitmasks, lex order
-    for blocks, group in groupby(islice(ints, 1, None),
-                                 key=lambda t: elements[t][0]):
-        run, sizes = list(group), tuple(map(len, blocks))
-        if sizes not in assigned:  # the first labeling steps through them
-            assigned[sizes] = [tuple(map(bits.get, labs)) for labs in
-                               dict.fromkeys(elements[t][1][0] for t in run)]
-        runs[blocks] = (run, sizes)
+    for start, blocks, labs in elements.runs:
+        sizes = tuple(map(len, blocks))
+        if sizes not in assigned:
+            assigned[sizes] = [tuple(map(bits.get, lab)) for lab in labs]
+        runs[blocks] = (ints[start:start + len(labs) ** s], sizes)
     rank_of = {t: r for labs in assigned.values() for r, t in enumerate(labs)}
     sets = {m: c for c, m in bits.items()}
     # labels[k][j][h]: labeling h+1 changes entry k to j, or none (j = 0)

@@ -459,3 +459,30 @@ def test_generated_record_that_is_no_element_is_a_mismatch(monkeypatch,
     code = main(["count", "--n", "3", "--s", "2", "--method", "enumerate"])
     assert code == 2
     assert "oracle mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("at,corrupt", [
+    (1, lambda blocks, labels: (blocks, labels[:-1])),
+    (1, lambda blocks, labels: (blocks, labels + labels[:1])),
+    (-2, lambda blocks, labels: (blocks, tuple(lab[::-1] for lab in labels))),
+], ids=["one labeling short", "one labeling extra",
+        "labels that do not fit the block sizes"])
+def test_each_kind_of_generated_non_element_is_a_mismatch(at, corrupt,
+                                                          monkeypatch):
+    # the record at rank 1 or the coatom, whose two blocks differ in size
+    # at n = 3, made no element: the ranking refuses it by name
+    from vpshell import spherecount
+    honest = spherecount._generated_decreasing
+
+    def generated(n, s):
+        chains = honest(n, s)
+        chain = list(chains[0])
+        chain[at] = corrupt(*chain[at])
+        chains[0] = tuple(chain)
+        return chains
+
+    monkeypatch.setattr(spherecount, "_generated_decreasing", generated)
+    bad = generated(3, 2)[0][at]
+    with pytest.raises(OracleMismatch, match=re.escape(
+            f"generation made {bad}, which is not an element of the poset")):
+        decreasing_chains(3, 2)

@@ -1,6 +1,7 @@
 """Labeled partitions: construction, order, enumeration, atom words."""
 import gc
 import re
+from dataclasses import replace
 from itertools import permutations
 from math import factorial
 
@@ -11,9 +12,10 @@ from vpshell import vecpart
 from vpshell.complexes import order_complex
 from vpshell.errors import ResourceLimit, VpshellError
 from vpshell.labeling import cover_label
-from vpshell.poset import mobius
-from vpshell.vecpart import (VectorPartition, atom_lex_rank, atom_word,
-                             bottom_element, canonicalize, check_atom_word,
+from vpshell.poset import build_indexed_poset, mobius
+from vpshell.vecpart import (ElementKeys, VectorPartition, atom_lex_rank,
+                             atom_word, bottom_element, canonicalize,
+                             check_atom_word,
                              decode, element_count, element_texts,
                              enumerate_elements, format_element, is_cover,
                              is_leq, maximal_chain_count, merge_blocks,
@@ -237,6 +239,83 @@ def test_poset_keys_are_records_of_the_elements_in_index_order(n, s):
     assert p.elements[p.bottom] == ((), ())
     assert list(p.elements) == [record(v) for v in want]
     assert [decode(k, n, s) for k in p.elements] == want == decoded(p)
+
+
+KEY_SIZES = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 3), (3, 2), (4, 2),
+             (3, 4)]
+
+
+@pytest.mark.parametrize("n,s", KEY_SIZES)
+def test_element_keys_compute_every_record_from_its_index(n, s):
+    # iterated, indexed from either end and ranked, the keys are the
+    # records of enumerate_elements, whose order an oracle checks above
+    keys, els = ElementKeys(n, s), enumerate_elements(n, s)
+    assert len(keys) == len(els) == element_count(n, s)
+    assert list(keys) == els
+    assert [keys[i] for i in range(len(keys))] == els
+    assert [keys[i] for i in range(-len(keys), 0)] == els
+    assert [keys.index(keys[i]) for i in range(len(keys))] \
+        == list(range(len(keys)))
+    for i in (len(keys), -len(keys) - 1):
+        with pytest.raises(IndexError):
+            keys[i]
+
+
+def _not_an_element(n, s):
+    """(what is wrong, record) for records of (n, s) that are no element:
+    each kind ElementKeys.index must refuse."""
+    atom = ElementKeys(n, s)[1]
+    coatom = ElementKeys(n, s)[-2]  # two blocks, of different sizes at n = 3
+    return [
+        ("blocks out of order", (atom[0][::-1], atom[1])),
+        ("one labeling short", (atom[0], atom[1][:-1])),
+        ("one labeling extra", (atom[0], atom[1] + atom[1][:1])),
+        ("labels not a tuple", (atom[0], list(atom[1]))),
+        ("labels that do not fit the block sizes",
+         (coatom[0], tuple(lab[::-1] for lab in coatom[1]))),
+        ("a label outside 1..n", (atom[0], (((1,), (2,), (n + 1,)),) * s)),
+        ("the bottom's blocks with labels", ((), atom[1])),
+        ("no pair", atom[0]),
+        ("unhashable blocks", (list(atom[0]), atom[1])),
+    ]
+
+
+@pytest.mark.parametrize("what,rec", _not_an_element(3, 2),
+                         ids=[what for what, _ in _not_an_element(3, 2)])
+def test_ranking_refuses_a_record_that_is_no_element(what, rec):
+    with pytest.raises(ValueError) as exc:
+        ElementKeys(3, 2).index(rec)
+    assert exc.value.args == (rec,)
+
+
+@pytest.mark.parametrize("factor", ["set partition", "label assignment"])
+def test_a_repeated_factor_is_a_duplicate_key(factor, monkeypatch):
+    # the keys check their factors when made, not a set of the records
+    if factor == "set partition":
+        honest = vecpart.set_partitions
+        monkeypatch.setattr(vecpart, "set_partitions",
+                            lambda n: honest(n) + honest(n)[-1:])
+    else:
+        honest = vecpart._label_assignments
+        monkeypatch.setattr(vecpart, "_label_assignments", lambda *args: [
+            *honest(*args), *list(honest(*args))[:1]])
+    for make in (ElementKeys, vector_partition_poset):
+        with pytest.raises(VpshellError, match="^duplicate element keys$"):
+            make(3, 2)
+
+
+def test_poset_equality_and_replace_read_the_keys_as_a_tuple():
+    # a poset with computed keys equals, and hashes as, the poset built
+    # from the tuple of its records, which build_indexed_poset hashes
+    p = vector_partition_poset(3, 2)
+    q = build_indexed_poset(tuple(p.elements), p.up)
+    assert type(q.elements) is tuple and p.elements == q.elements
+    assert p == q and q == p and hash(p) == hash(q)
+    assert p == vector_partition_poset(3, 2) != vector_partition_poset(2, 3)
+    assert p.elements != list(p.elements)  # as a tuple is no list
+    assert build_indexed_poset(p.elements, p.up).elements is p.elements
+    r = replace(p, up_labels=None)
+    assert r == p and r.elements is p.elements and r.up_labels is None
 
 
 @pytest.mark.parametrize("n,s", [(1, 3), (3, 2), (3, 4), (4, 2), (5, 1)])
